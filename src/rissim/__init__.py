@@ -15,7 +15,6 @@ from .channel import (
     end_to_end_gain,
     power_dbfs,
     quantize_adc,
-    received_samples,
     synthesize_channels,
     tone_waveform,
     write_iq_buffer,

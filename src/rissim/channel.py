@@ -226,23 +226,6 @@ def tone_waveform(tone: ToneParams) -> np.ndarray:
     return w
 
 
-def received_samples(
-    config: RisConfig,
-    chan: ChannelRealization,
-    tone: ToneParams,
-    noise_seed=0,
-    amplitude: float = DEFAULT_ELEMENT_AMPLITUDE,
-) -> np.ndarray:
-    """Baseband receive buffer: channel-scaled tone plus complex AWGN."""
-    c = channel_gain(config, chan, amplitude)
-    r = c * tone_waveform(tone)
-    if chan.noise_variance > 0.0:
-        rng = derive_rng(noise_seed)
-        z = rng.standard_normal((2, tone.buffer_len))
-        r = r + math.sqrt(chan.noise_variance / 2.0) * (z[0] + 1j * z[1])
-    return r
-
-
 @dataclass(frozen=True, eq=False)
 class QuantizedBuffer:
     """12-bit conversion result: (K, 2) integer codes and the clipped share."""
@@ -257,19 +240,51 @@ def quantize_adc(samples, full_scale: float) -> QuantizedBuffer:
     Rounding is half away from zero. Components beyond full scale clamp
     silently; the fraction of samples touched by clamping is reported.
     """
+    code_scale = _code_scale(full_scale)
+    x = np.asarray(samples, dtype=np.complex128)
+    buf = np.stack([x.real, x.imag]) * code_scale
+    _round_half_away(buf, np.empty_like(buf))
+    clip_fraction = _clip_codes(buf)
+    return QuantizedBuffer(np.moveaxis(buf, 0, -1).astype(np.int16, order="C"), clip_fraction)
+
+
+def _code_scale(full_scale: float) -> float:
     if full_scale <= 0:
         raise ValueError("full_scale must be positive")
-    x = np.asarray(samples, dtype=np.complex128)
-    scaled = np.stack([x.real, x.imag], axis=-1) * (ADC_CODE_MAX / full_scale)
-    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-    over = (rounded > ADC_CODE_MAX) | (rounded < ADC_CODE_MIN)
-    clip_fraction = float(np.mean(np.any(over, axis=-1))) if x.size else 0.0
-    codes = np.clip(rounded, ADC_CODE_MIN, ADC_CODE_MAX).astype(np.int16)
-    return QuantizedBuffer(codes, clip_fraction)
+    return ADC_CODE_MAX / full_scale
+
+
+def _round_half_away(buf: np.ndarray, scratch: np.ndarray) -> None:
+    """Round buf half away from zero in place; scratch has buf's shape."""
+    np.abs(buf, out=scratch)
+    scratch += 0.5
+    np.floor(scratch, out=scratch)
+    np.copysign(scratch, buf, out=buf)
+
+
+def _clip_codes(buf: np.ndarray) -> float:
+    """Clamp rounded I/Q rows buf[0], buf[1] to the code range in place and
+    return the share of samples with a clamped component."""
+    if not buf.size or (buf.max() <= ADC_CODE_MAX and buf.min() >= ADC_CODE_MIN):
+        return 0.0
+    over = ((buf > ADC_CODE_MAX) | (buf < ADC_CODE_MIN)).any(axis=0)
+    np.clip(buf, ADC_CODE_MIN, ADC_CODE_MAX, out=buf)
+    return np.count_nonzero(over) / over.size
 
 
 class MeasurementFloorError(ValueError):
     """An all-zero buffer has no measurable power."""
+
+
+def _codes_dbfs(codes: np.ndarray, n_samples: int) -> float:
+    # integer codes of at most 2048 keep every partial sum of squares below
+    # 2**53, so the float64 sum is exact in any order
+    p = float(np.einsum("ij,ij->", codes, codes)) / n_samples
+    if p == 0.0:
+        raise MeasurementFloorError("buffer is identically zero")
+    # via the RMS so a constant-amplitude-A buffer lands on 20*log10(A) to
+    # the last bit (sqrt(A*A) is exactly A in IEEE arithmetic)
+    return float(20.0 * np.log10(math.sqrt(p)))
 
 
 def power_dbfs(iq) -> float:
@@ -281,12 +296,7 @@ def power_dbfs(iq) -> float:
     a = np.asarray(iq, dtype=np.float64)
     if a.ndim != 2 or a.shape[-1] != 2 or a.shape[0] < 1:
         raise ValueError("expected a (K, 2) integer I/Q buffer")
-    p = float(np.mean(a[:, 0] ** 2 + a[:, 1] ** 2))
-    if p == 0.0:
-        raise MeasurementFloorError("buffer is identically zero")
-    # via the RMS so a constant-amplitude-A buffer lands on 20*log10(A) to
-    # the last bit (sqrt(A*A) is exactly A in IEEE arithmetic)
-    return float(20.0 * np.log10(math.sqrt(p)))
+    return _codes_dbfs(a, a.shape[0])
 
 
 class TonePowerMeter:
@@ -294,6 +304,10 @@ class TonePowerMeter:
 
     Calls are counted and each call's noise comes from a stream keyed on
     (noise_seed, call index), so a rerun reproduces the exact sequence.
+    Each call adds the noise, quantizes and takes the power in place on the
+    I and Q rows of one buffer allocated here, through the rounding, clipping
+    and dB helpers of quantize_adc and power_dbfs, so a reading equals
+    power_dbfs(quantize_adc(c * w + noise).iq) to the last bit.
     """
 
     def __init__(
@@ -312,20 +326,31 @@ class TonePowerMeter:
         self.noise_seed = noise_seed
         self.calls = 0
         self.last_clip_fraction = 0.0
+        self._code_scale = _code_scale(self.full_scale)
         self._waveform = tone_waveform(self.tone)
         self._noise_scale = math.sqrt(self.chan.noise_variance / 2.0)
+        self._buf = np.empty((2, self.tone.buffer_len))
+        self._scratch = np.empty_like(self._buf)
 
     def __call__(self, config: RisConfig) -> float:
         index = self.calls
         self.calls += 1
         c = channel_gain(config, self.chan, self.amplitude)
         r = c * self._waveform
+        buf = self._buf
         if self.chan.noise_variance > 0.0:
-            z = derive_rng(self.noise_seed, index).standard_normal((2, len(r)))
-            r = r + self._noise_scale * (z[0] + 1j * z[1])
-        buf = quantize_adc(r, self.full_scale)
-        self.last_clip_fraction = buf.clip_fraction
-        return power_dbfs(buf.iq)
+            # fills the rows in the order standard_normal((2, K)) draws them
+            derive_rng(self.noise_seed, index).standard_normal(out=buf)
+            buf *= self._noise_scale
+            buf[0] += r.real
+            buf[1] += r.imag
+        else:
+            buf[0] = r.real
+            buf[1] = r.imag
+        buf *= self._code_scale
+        _round_half_away(buf, self._scratch)
+        self.last_clip_fraction = _clip_codes(buf)
+        return _codes_dbfs(buf, buf.shape[1])
 
 
 class GainMeter:

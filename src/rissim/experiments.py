@@ -602,7 +602,8 @@ def run_grouping_experiment(config: ScenarioConfig, out_dir, parallel: int = 1) 
         ref = by_size.get(1)
         angle_summary = {}
         for size, rec in sorted(by_size.items()):
-            delta = rec["gain_db"] - ref["gain_db"] if ref else float("nan")
+            # no size-1 run to compare with: null in JSON, an empty CSV field
+            delta = rec["gain_db"] - ref["gain_db"] if ref else None
             ratio = rec["measurements"] / by_size[min(by_size)]["measurements"]
             rows.append(
                 {
@@ -713,10 +714,19 @@ def run_codebook_experiment(
 # oracle check
 
 
+def _oracle_layout(config: ScenarioConfig) -> RisLayout:
+    return RisLayout(
+        nx=config.oracle_nx,
+        ny=config.oracle_ny,
+        spacing=config.layout.spacing,
+        carrier_hz=config.layout.carrier_hz,
+    )
+
+
 def _oracle_job(args):
     config_dict, instance = args
     config = config_from_dict(config_dict)
-    layout = RisLayout(nx=config.oracle_nx, ny=config.oracle_ny)
+    layout = _oracle_layout(config)
     params = dataclasses.replace(
         config.channel,
         seed=derive_seed(config.seed, "oracle", instance),
@@ -761,7 +771,7 @@ def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict
     gaps = [r["gap_db"] for r in rows]
     summary = {
         "instances": len(rows),
-        "elements": RisLayout(nx=config.oracle_nx, ny=config.oracle_ny).n_active,
+        "elements": _oracle_layout(config).n_active,
         "num_states": config.oracle_num_states,
         "min_gap_db": min(gaps),
         "median_gap_db": _median(gaps),

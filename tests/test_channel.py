@@ -19,7 +19,6 @@ from rissim.channel import (
     end_to_end_gain,
     power_dbfs,
     quantize_adc,
-    received_samples,
     synthesize_channels,
     tone_waveform,
     write_iq_buffer,
@@ -204,17 +203,15 @@ def test_tone_waveform_unit_circle():
         ToneParams(tone_hz=600e3)  # above Nyquist
 
 
-def test_received_noise_statistics():
-    chan = _unit_channel(1, noise=0.01)
-    lay = RisLayout(nx=1, ny=1)
-    tone = ToneParams()
-    r = received_samples(RisConfig.all_off(lay), chan, tone, noise_seed=5, amplitude=0.9)
-    resid = r - 0.9 * tone_waveform(tone)
-    measured = float(np.mean(np.abs(resid) ** 2))
-    assert measured == pytest.approx(0.01, rel=0.05)
-    # same seed reproduces the exact buffer
-    r2 = received_samples(RisConfig.all_off(lay), chan, tone, noise_seed=5, amplitude=0.9)
-    assert np.array_equal(r, r2)
+def test_meter_noise_only_reading():
+    # dark channel: the reading is the noise power in codes, sigma^2 (2048/fs)^2
+    chan = ChannelRealization(*(np.zeros(1, np.complex128),) * 4, 0.0j, 0.01)
+    off = RisConfig.all_off(RisLayout(nx=1, ny=1))
+    p = TonePowerMeter(chan, full_scale=4.0, noise_seed=5)(off)
+    expected = 10.0 * math.log10(0.01 * (2048.0 / 4.0) ** 2)
+    assert p == pytest.approx(expected, abs=10.0 * math.log10(1.05))
+    # same seed reproduces the exact reading
+    assert TonePowerMeter(chan, full_scale=4.0, noise_seed=5)(off) == p
 
 
 # --- quantization ------------------------------------------------------
@@ -242,6 +239,8 @@ def test_quantize_full_scale_and_clipping():
     assert mixed.clip_fraction == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
         quantize_adc(np.array([1.0 + 0j]), 0.0)
+    with pytest.raises(ValueError):
+        TonePowerMeter(_unit_channel(1), full_scale=0.0)
 
 
 def test_power_dbfs_anchors():
@@ -314,6 +313,61 @@ def test_meter_floor_error_on_dark_channel():
         meter(RisConfig.all_off(RisLayout(nx=1, ny=1)))
 
 
+def _reference_reading(config, chan, tone, full_scale, amplitude, noise_seed, index):
+    """The receiver chain stage by stage, one temporary array per step;
+    returns (dBFS or None for an all-zero buffer, clip fraction)."""
+    r = channel_gain(config, chan, amplitude) * tone_waveform(tone)
+    if chan.noise_variance > 0.0:
+        z = derive_rng(noise_seed, index).standard_normal((2, len(r)))
+        r = r + math.sqrt(chan.noise_variance / 2.0) * (z[0] + 1j * z[1])
+    scaled = np.stack([r.real, r.imag], axis=-1) * (2048 / full_scale)
+    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    over = (rounded > 2048) | (rounded < -2047)
+    clip_fraction = float(np.mean(np.any(over, axis=-1)))
+    a = np.clip(rounded, -2047, 2048).astype(np.int16).astype(np.float64)
+    p = float(np.mean(a[:, 0] ** 2 + a[:, 1] ** 2))
+    return (float(20.0 * np.log10(math.sqrt(p))) if p else None), clip_fraction
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    dark=st.booleans(),
+    noise_variance=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+    full_scale=st.one_of(st.just(2048.0), st.floats(0.01, 20.0)),
+    amplitude=st.floats(0.05, 1.0),
+    buffer_len=st.one_of(st.sampled_from([1, 2, 3, 7, 10]), st.integers(1, 301)),
+    # half-integer direct terms put the first sample exactly on a rounding
+    # tie or the clip edge when the elements are dark and a code is one unit
+    h_los=st.one_of(
+        st.complex_numbers(max_magnitude=2.0),
+        st.integers(-4098, 4098).map(lambda k: k / 2.0),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_meter_matches_reference_chain(
+    seed, n, dark, noise_variance, full_scale, amplitude, buffer_len, h_los
+):
+    rng = derive_rng(seed, "reference")
+    weight = 0.0 if dark else 1.0
+    vecs = [weight * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(4)]
+    chan = ChannelRealization(*vecs, h_los, noise_variance)
+    lay = RisLayout(nx=n, ny=1)
+    tone = ToneParams(buffer_len=buffer_len)
+    meter = TonePowerMeter(chan, tone, full_scale=full_scale, amplitude=amplitude, noise_seed=(seed, "m"))
+    for index in range(2):
+        config = RisConfig(lay, tuple(int(s) for s in rng.integers(0, 4, n)))
+        expected, clip_fraction = _reference_reading(
+            config, chan, tone, full_scale, amplitude, (seed, "m"), index
+        )
+        if expected is None:
+            with pytest.raises(MeasurementFloorError):
+                meter(config)
+        else:
+            assert meter(config) == expected
+        assert meter.last_clip_fraction == clip_fraction
+
+
 def test_gain_meter_reports_decibels():
     chan = _unit_channel(2)
     lay = RisLayout(nx=2, ny=1)
@@ -329,7 +383,8 @@ def test_gain_meter_reports_decibels():
 def test_iq_buffer_round_trip(tmp_path):
     tone = ToneParams(buffer_len=256)
     chan = _unit_channel(1)
-    r = received_samples(RisConfig.all_off(RisLayout(nx=1, ny=1)), chan, tone)
+    c = channel_gain(RisConfig.all_off(RisLayout(nx=1, ny=1)), chan)
+    r = c * tone_waveform(tone)
     buf = quantize_adc(r, full_scale=2.0)
     path = tmp_path / "capture.iq"
     write_iq_buffer(path, buf, tone, full_scale=2.0)

@@ -1,7 +1,12 @@
+import csv
+import dataclasses
+import itertools
 import json
+import math
 
 import pytest
 
+from rissim.channel import derive_seed, end_to_end_gain, synthesize_channels
 from rissim.experiments import (
     ConfigError,
     ScenarioConfig,
@@ -12,6 +17,7 @@ from rissim.experiments import (
     run_oracle_check,
     run_sweep,
 )
+from rissim.ris import SPEED_OF_LIGHT, RisConfig, RisLayout
 
 SMALL = {
     "seed": 3,
@@ -170,3 +176,49 @@ def test_run_oracle_check_outputs(tmp_path):
     assert summary["min_gap_db"] >= -1e-9
     rows = _read_lines(out / "gaps.csv")
     assert len(rows) == 2 + 3
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_grouping_without_size1_writes_null_delta(tmp_path):
+    cfg = config_from_dict({**SMALL, "grouping": {"group_sizes": [4, 8], "angles_deg": [70.0]}})
+    out = tmp_path / "grp"
+    run_grouping_experiment(cfg, out)
+    angle = _strict_json(out / "summary.json")["angles"]["70"]
+    assert angle["4"]["gain_delta_vs_size1_db"] is None
+    assert angle["8"]["gain_delta_vs_size1_db"] is None
+    rows = list(csv.DictReader(_read_lines(out / "grouping.csv")[1:]))
+    assert [r["gain_delta_vs_size1_db"] for r in rows] == ["", ""]
+
+
+def test_oracle_layout_follows_configured_carrier(tmp_path):
+    carrier = 2.4e9
+    cfg = config_from_dict(
+        {
+            **SMALL,
+            "layout": {**SMALL["layout"], "carrier_hz": carrier},
+            "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 2},
+        }
+    )
+    out = tmp_path / "oracle"
+    summary = run_oracle_check(cfg, out)
+    assert summary["elements"] == 4
+    rows = list(csv.DictReader(_read_lines(out / "gaps.csv")[1:]))
+    layout = RisLayout(2, 2, spacing=SPEED_OF_LIGHT / carrier / 2.0, carrier_hz=carrier)
+    for row in rows:
+        params = dataclasses.replace(
+            cfg.channel,
+            seed=derive_seed(cfg.seed, "oracle", int(row["instance"])),
+            noise_variance=0.0,
+        )
+        chan = synthesize_channels(cfg.base_scene(), layout, params)
+        best = max(
+            end_to_end_gain(RisConfig(layout, states), chan, cfg.element_amplitude)
+            for states in itertools.product(range(4), repeat=4)
+        )
+        assert float(row["oracle_db"]) == pytest.approx(10.0 * math.log10(best), rel=1e-12)

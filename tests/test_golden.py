@@ -1,0 +1,65 @@
+"""Golden digests of every runner's output tree.
+
+The four runners run on the criterion-8 config and each output tree is
+hashed (relative path and bytes of every file, in sorted order). A change
+that moves a single output byte fails here; such a change updates the
+digests below and says why in CHANGES.md.
+"""
+
+import hashlib
+
+from rissim.experiments import (
+    config_from_dict,
+    run_codebook_experiment,
+    run_grouping_experiment,
+    run_oracle_check,
+    run_sweep,
+)
+
+CRITERION_8_CONFIG = {
+    "seed": 5,
+    "sweep": {"points": [[70.0, 170.0], [110.0, 220.0]]},
+    "codebook": {
+        "reference_angles_deg": [70.0, 110.0],
+        "reference_distance_cm": 170.0,
+        "path": [[72.0, 165.0], [108.0, 175.0]],
+    },
+    "grouping": {"group_sizes": [1, 8], "angles_deg": [70.0], "distance_cm": 170.0},
+    "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 3, "cap": 1 << 20},
+}
+
+GOLDEN = {
+    "sweep": "f699e61fbb02c5d7b87cb3abb6773e3fa50ddabb2db094570bb0a0e3c953c67d",
+    "codebook": "fc6bd5286467eeb3d9d7d7357d0f65df0c7dca47a23f46e6461827a9e0521adb",
+    "grouping": "ced3321ee424c161561f9165c94b531a7baa403268cb7006244ba04e8b852c04",
+    "oracle": "eaff6323f6c48543e91d6f3d8a2128e2872e0c890d70adb17b2ec45a1b9a2484",
+}
+
+
+def _tree_digest(root) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        data = path.read_bytes()
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def test_runner_outputs_match_golden_digests(tmp_path):
+    cfg = config_from_dict(CRITERION_8_CONFIG)
+    runners = {
+        "sweep": run_sweep,
+        "codebook": run_codebook_experiment,
+        "grouping": run_grouping_experiment,
+        "oracle": run_oracle_check,
+    }
+    digests = {}
+    for name, runner in runners.items():
+        runner(cfg, tmp_path / name)
+        digests[name] = _tree_digest(tmp_path / name)
+    if digests != GOLDEN:
+        print("new digests:")
+        for name, digest in digests.items():
+            print(f'    "{name}": "{digest}",')
+    assert digests == GOLDEN
