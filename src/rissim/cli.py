@@ -93,6 +93,11 @@ def main(argv=None) -> int:
     except ExperimentAssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 3
+    errors = summary.get("errors", [])
+    for err in errors:
+        print(f"error: point {err['point']}: {err['error']}", file=sys.stderr)
+    if errors:
+        return 2
     for key, value in summary.items():
         if not isinstance(value, (dict, list)):
             print(f"{key}: {value}")

@@ -16,8 +16,10 @@ from .channel import (
 )
 from .geometry import Scene, grid_point
 from .optimizer import greedy_iterative
+from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
+    GroupingScheme,
     RisConfig,
     RisLayout,
     from_bit_array,
@@ -126,6 +128,53 @@ class CodebookGenerationError(RuntimeError):
         self.partial = partial
 
 
+@dataclass(frozen=True)
+class _Campaign:
+    """What every per-point greedy campaign shares; sent to pool workers."""
+
+    scene: Scene
+    layout: RisLayout
+    channel_params: ChannelModelParams
+    tone: ToneParams
+    full_scale: float
+    element_amplitude: float
+    num_states: int
+    grouping: GroupingScheme
+
+    def channel(self, angle_deg: float, distance_cm: float):
+        placed = self.scene.with_rx_at(angle_deg, distance_cm)
+        return synthesize_channels(placed, self.layout, self.channel_params)
+
+    def meter(self, chan, stream: str, index: int) -> TonePowerMeter:
+        return TonePowerMeter(
+            chan,
+            self.tone,
+            full_scale=self.full_scale,
+            amplitude=self.element_amplitude,
+            noise_seed=(self.channel_params.seed, stream, index),
+        )
+
+    def greedy(self, meter):
+        return greedy_iterative(meter, self.layout, self.num_states, self.grouping)
+
+
+def _campaign(
+    scene, layout, channel_params, tone, full_scale, element_amplitude, num_states, group_size
+) -> _Campaign:
+    tone = tone if tone is not None else ToneParams()
+    grouping = make_grouping(layout, group_size)
+    return _Campaign(
+        scene, layout, channel_params, tone, full_scale, element_amplitude, num_states, grouping
+    )
+
+
+def _train_codeword(job) -> RisConfig:
+    campaign, index, angle_deg, distance_cm = job
+    meter = campaign.meter(campaign.channel(angle_deg, distance_cm), "codebook", index)
+    config, _ = campaign.greedy(meter)
+    return config
+
+
 def generate_codebook(
     scene: Scene,
     layout: RisLayout,
@@ -137,15 +186,18 @@ def generate_codebook(
     element_amplitude: float = DEFAULT_ELEMENT_AMPLITUDE,
     num_states: int = 4,
     group_size: int = 1,
+    parallel: int = 1,
 ) -> Codebook:
     """Train one codeword per reference point with the greedy sweep.
 
     Each point gets its own channel realization and measurement noise
-    stream, both keyed on the scenario seed, so regeneration is exact.
+    stream, both keyed on the scenario seed, so regeneration is exact and
+    the points can train on ``parallel`` worker processes.
     """
-    tone = tone if tone is not None else ToneParams()
-    grouping = make_grouping(layout, group_size)
-    entries: list[CodebookEntry] = []
+    campaign = _campaign(
+        scene, layout, channel_params, tone, full_scale, element_amplitude, num_states, group_size
+    )
+    points = [(float(a), float(d)) for a, d in reference_points]
     meta = {
         "seed": channel_params.seed,
         "layout": _layout_meta(layout),
@@ -159,24 +211,18 @@ def generate_codebook(
         "full_scale": full_scale,
         "element_amplitude": element_amplitude,
     }
-    for i, (angle_deg, distance_cm) in enumerate(reference_points):
-        try:
-            placed = scene.with_rx_at(float(angle_deg), float(distance_cm))
-            chan = synthesize_channels(placed, layout, channel_params)
-            meter = TonePowerMeter(
-                chan,
-                tone,
-                full_scale=full_scale,
-                amplitude=element_amplitude,
-                noise_seed=(channel_params.seed, "codebook", i),
-            )
-            config, _ = greedy_iterative(meter, layout, num_states, grouping)
-        except Exception as exc:
-            raise CodebookGenerationError(
-                f"codeword for ({angle_deg}, {distance_cm}) failed",
-                Codebook(tuple(entries), meta),
-            ) from exc
-        entries.append(CodebookEntry(float(angle_deg), float(distance_cm), config))
+    jobs = [(campaign, i, a, d) for i, (a, d) in enumerate(points)]
+    configs = parallel_map(_train_codeword, jobs, parallel)
+    entries: list[CodebookEntry] = []
+    try:
+        for (angle_deg, distance_cm), config in zip(points, configs):
+            entries.append(CodebookEntry(angle_deg, distance_cm, config))
+    except Exception as exc:
+        angle_deg, distance_cm = points[len(entries)]
+        raise CodebookGenerationError(
+            f"codeword for ({angle_deg}, {distance_cm}) failed",
+            Codebook(tuple(entries), meta),
+        ) from exc
     return Codebook(tuple(entries), meta)
 
 
@@ -252,6 +298,16 @@ class PathEvaluationError(RuntimeError):
         self.partial_records = tuple(partial)
 
 
+def _replay_point(job) -> tuple[float, float, float]:
+    campaign, index, angle_deg, distance_cm, codeword = job
+    chan = campaign.channel(angle_deg, distance_cm)
+    meter = campaign.meter(chan, "path", index)
+    p_off = meter(RisConfig.all_off(campaign.layout))
+    p_codebook = meter(codeword)
+    _, trace = campaign.greedy(campaign.meter(chan, "path-online", index))
+    return p_off, p_codebook, trace.final_power
+
+
 def evaluate_path(
     book: Codebook,
     path,
@@ -264,56 +320,30 @@ def evaluate_path(
     element_amplitude: float = DEFAULT_ELEMENT_AMPLITUDE,
     num_states: int = 4,
     group_size: int = 1,
+    parallel: int = 1,
 ) -> PathEvaluation:
     """Walk the path; at each point measure all-off, codeword, and online
-    greedy power on one shared channel realization."""
+    greedy power on one shared channel realization. Points are independent,
+    so they replay on ``parallel`` worker processes."""
     if not book.entries:
         raise ValueError("codebook is empty")
-    tone = tone if tone is not None else ToneParams()
-    grouping = make_grouping(layout, group_size)
+    campaign = _campaign(
+        scene, layout, channel_params, tone, full_scale, element_amplitude, num_states, group_size
+    )
+    points = [(float(a), float(d)) for a, d in path]
+    entries = [lookup_nearest(book, a, d)[1] for a, d in points]
+    jobs = [(campaign, i, a, d, e.config) for i, ((a, d), e) in enumerate(zip(points, entries))]
+    replays = parallel_map(_replay_point, jobs, parallel)
     records: list[PathPointRecord] = []
-    switches = 0
-    loaded = None
-    for i, (angle_deg, distance_cm) in enumerate(path):
-        try:
-            angle_deg, distance_cm = float(angle_deg), float(distance_cm)
-            placed = scene.with_rx_at(angle_deg, distance_cm)
-            chan = synthesize_channels(placed, layout, channel_params)
-            meter = TonePowerMeter(
-                chan,
-                tone,
-                full_scale=full_scale,
-                amplitude=element_amplitude,
-                noise_seed=(channel_params.seed, "path", i),
+    try:
+        for (a, d), entry, powers in zip(points, entries, replays):
+            records.append(
+                PathPointRecord(
+                    a, d, *_planar_cm(a, d), *powers, entry.angle_deg, entry.distance_cm
+                )
             )
-            p_off = meter(RisConfig.all_off(layout))
-            codeword, entry = lookup_nearest(book, angle_deg, distance_cm)
-            p_codebook = meter(codeword)
-            online_meter = TonePowerMeter(
-                chan,
-                tone,
-                full_scale=full_scale,
-                amplitude=element_amplitude,
-                noise_seed=(channel_params.seed, "path-online", i),
-            )
-            _, trace = greedy_iterative(online_meter, layout, num_states, grouping)
-        except Exception as exc:
-            raise PathEvaluationError(f"path point {i} failed", records) from exc
-        if loaded != (entry.angle_deg, entry.distance_cm):
-            switches += 1
-            loaded = (entry.angle_deg, entry.distance_cm)
-        x_cm, y_cm = _planar_cm(angle_deg, distance_cm)
-        records.append(
-            PathPointRecord(
-                angle_deg,
-                distance_cm,
-                x_cm,
-                y_cm,
-                p_off,
-                p_codebook,
-                trace.final_power,
-                entry.angle_deg,
-                entry.distance_cm,
-            )
-        )
+    except Exception as exc:
+        raise PathEvaluationError(f"path point {len(records)} failed", records) from exc
+    loads = [(r.codeword_angle_deg, r.codeword_distance_cm) for r in records]
+    switches = sum(prev != cur for prev, cur in zip([None] + loads, loads))
     return PathEvaluation(tuple(records), switches)

@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .channel import (
     TonePowerMeter,
     ToneParams,
     derive_seed,
+    end_to_end_gain,
     synthesize_channels,
 )
 from .codebook import Codebook, evaluate_path, generate_codebook
@@ -37,6 +37,7 @@ from .geometry import (
     make_scene,
 )
 from .optimizer import PowerTrace, exhaustive_search, greedy_gap, greedy_iterative
+from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
     GROUP_SIZES,
@@ -428,14 +429,6 @@ def _slug(angle_deg: float, distance_cm: float) -> str:
     return f"a{num(angle_deg)}_d{num(distance_cm)}"
 
 
-def _parallel_map(fn, items, parallel: int):
-    items = list(items)
-    if parallel <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=parallel) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -478,8 +471,7 @@ def sweep_point(config: ScenarioConfig, angle_deg: float, distance_cm: float, po
 
 
 def _sweep_job(args):
-    config_dict, index, angle_deg, distance_cm = args
-    config = config_from_dict(config_dict)
+    config, index, angle_deg, distance_cm = args
     return sweep_point(config, angle_deg, distance_cm, index)
 
 
@@ -494,13 +486,11 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
             angle_deg, distance_cm = (float(point[0]), float(point[1]))
             if not 0.0 < angle_deg < 180.0 or distance_cm <= 0:
                 raise ConfigError(f"point ({angle_deg}, {distance_cm}) is outside the scene")
-            jobs.append((config.to_dict(), i, angle_deg, distance_cm))
+            jobs.append((config, i, angle_deg, distance_cm))
         except (ConfigError, TypeError, ValueError, IndexError) as exc:
             errors.append({"point": list(point), "error": str(exc)})
 
-    results: list[PointResult] = []
-    for res in _parallel_map(_sweep_job, jobs, parallel):
-        results.append(res)
+    results: list[PointResult] = list(parallel_map(_sweep_job, jobs, parallel))
 
     rows = [
         {
@@ -553,8 +543,7 @@ def _median(values) -> float:
 
 
 def _grouping_job(args):
-    config_dict, angle_index, angle_deg, size = args
-    config = config_from_dict(config_dict)
+    config, angle_index, angle_deg, size = args
     scene = config.base_scene().with_rx_at(angle_deg, config.grouping_distance_cm)
     chan = synthesize_channels(scene, config.layout, config.channel)
     meter = TonePowerMeter(
@@ -575,11 +564,11 @@ def run_grouping_experiment(config: ScenarioConfig, out_dir, parallel: int = 1) 
     angle, on one shared channel realization per angle."""
     out = Path(out_dir)
     jobs = [
-        (config.to_dict(), ai, angle, size)
+        (config, ai, angle, size)
         for ai, angle in enumerate(config.grouping_angles_deg)
         for size in config.grouping_sizes
     ]
-    results = _parallel_map(_grouping_job, jobs, parallel)
+    results = parallel_map(_grouping_job, jobs, parallel)
 
     per_angle: dict[float, dict[int, dict]] = {}
     for angle_deg, size, baseline, trace in results:
@@ -673,6 +662,7 @@ def run_codebook_experiment(
             element_amplitude=config.element_amplitude,
             num_states=config.num_states,
             group_size=config.group_size,
+            parallel=parallel,
         )
     out.mkdir(parents=True, exist_ok=True)
     book.save(out / "codebook.json")
@@ -688,6 +678,7 @@ def run_codebook_experiment(
         element_amplitude=config.element_amplitude,
         num_states=config.num_states,
         group_size=config.group_size,
+        parallel=parallel,
     )
     _write_csv(
         out / "path.csv",
@@ -724,8 +715,7 @@ def _oracle_layout(config: ScenarioConfig) -> RisLayout:
 
 
 def _oracle_job(args):
-    config_dict, instance = args
-    config = config_from_dict(config_dict)
+    config, instance = args
     layout = _oracle_layout(config)
     params = dataclasses.replace(
         config.channel,
@@ -738,7 +728,7 @@ def _oracle_job(args):
     greedy_meter = GainMeter(chan, config.element_amplitude)
     best, _ = exhaustive_search(oracle_meter, layout, config.oracle_num_states, config.oracle_cap)
     _, trace = greedy_iterative(greedy_meter, layout, config.oracle_num_states)
-    oracle_db = 10.0 * math.log10(max(_gain_of(best, chan, config.element_amplitude), 1e-300))
+    oracle_db = 10.0 * math.log10(max(end_to_end_gain(best, chan, config.element_amplitude), 1e-300))
     greedy_db = trace.final_power
     return {
         "instance": instance,
@@ -750,18 +740,12 @@ def _oracle_job(args):
     }
 
 
-def _gain_of(config_obj, chan, amplitude):
-    from .channel import end_to_end_gain
-
-    return end_to_end_gain(config_obj, chan, amplitude)
-
-
 def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     """Exhaustive-vs-greedy gap over seeded noiseless instances on a small
     layout. A negative gap fails the run."""
     out = Path(out_dir)
-    jobs = [(config.to_dict(), i) for i in range(config.oracle_instances)]
-    rows = _parallel_map(_oracle_job, jobs, parallel)
+    jobs = [(config, i) for i in range(config.oracle_instances)]
+    rows = list(parallel_map(_oracle_job, jobs, parallel))
     _write_csv(
         out / "gaps.csv",
         config,

@@ -69,6 +69,10 @@ class MeasurementFailure(RuntimeError):
         super().__init__(message)
         self.partial_entries = tuple(entries)
 
+    def __reduce__(self):
+        # a pool worker sends it back pickled; unpickling calls __init__
+        return type(self), (self.args[0], self.partial_entries)
+
 
 def _check_partition(grouping: GroupingScheme, layout: RisLayout) -> None:
     flat = sorted(i for g in grouping.groups for i in g)

@@ -50,6 +50,17 @@ def test_bad_config_exits_two(tmp_path):
     assert rc == 2
 
 
+def test_bad_sweep_point_exits_two(tmp_path, capsys):
+    p = tmp_path / "bad_point.json"
+    p.write_text(json.dumps({**SMALL, "sweep": {"points": [[200.0, 50.0]]}}))
+    rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (tmp_path / "out" / "results.csv").exists()
+    captured = capsys.readouterr()
+    assert "outside the scene" in captured.err
+    assert "wrote" not in captured.out
+
+
 def test_missing_codebook_exits_two(tmp_path, config_path):
     rc = cli.main(
         [

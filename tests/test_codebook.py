@@ -56,12 +56,15 @@ def test_codeword_matches_online_rerun_at_reference():
 def test_generation_failure_keeps_partial_book():
     lay = RisLayout(nx=1, ny=1)
     scene = make_scene()
-    with pytest.raises(CodebookGenerationError) as err:
-        generate_codebook(
-            scene, lay, [(70.0, 170.0), (90.0, 1e-8)], NOISELESS, tone=TONE, full_scale=FS
-        )
-    assert len(err.value.partial.entries) == 1
-    assert err.value.partial.entries[0].angle_deg == 70.0
+    refs = [(70.0, 170.0), (90.0, 1e-8), (110.0, 170.0)]
+    for parallel in (1, 2):
+        with pytest.raises(CodebookGenerationError) as err:
+            generate_codebook(
+                scene, lay, refs, NOISELESS, tone=TONE, full_scale=FS, parallel=parallel
+            )
+        assert len(err.value.partial.entries) == 1
+        assert err.value.partial.entries[0].angle_deg == 70.0
+        assert isinstance(err.value.__cause__, ValueError)
 
 
 def test_duplicate_references_rejected():
@@ -144,8 +147,11 @@ def test_path_failure_wraps_with_partial_records():
     scene = make_scene()
     params = ChannelModelParams(noise_variance=0.0, seed=4)
     book = generate_codebook(scene, lay, [(90.0, 170.0)], params, tone=TONE, full_scale=FS)
-    with pytest.raises(PathEvaluationError) as err:
-        evaluate_path(
-            book, [(90.0, 150.0), (90.0, 1e-8)], scene, lay, params, tone=TONE, full_scale=FS
-        )
-    assert len(err.value.partial_records) == 1
+    path = [(90.0, 150.0), (90.0, 1e-8), (90.0, 190.0)]
+    for parallel in (1, 2):
+        with pytest.raises(PathEvaluationError) as err:
+            evaluate_path(
+                book, path, scene, lay, params, tone=TONE, full_scale=FS, parallel=parallel
+            )
+        assert len(err.value.partial_records) == 1
+        assert err.value.partial_records[0].distance_cm == 150.0

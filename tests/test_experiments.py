@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,24 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     assert (tmp_path / "serial" / "results.csv").read_bytes() == (
         tmp_path / "par" / "results.csv"
     ).read_bytes()
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_run_codebook_parallel_matches_serial(tmp_path):
+    cfg = _small_config()
+    run_codebook_experiment(cfg, tmp_path / "serial", parallel=1)
+    run_codebook_experiment(cfg, tmp_path / "par", parallel=2)
+    serial = _tree_bytes(tmp_path / "serial")
+    assert set(serial) == {Path("codebook.json"), Path("path.csv"), Path("summary.json")}
+    assert _tree_bytes(tmp_path / "par") == serial
+
+    book = tmp_path / "serial" / "codebook.json"
+    run_codebook_experiment(cfg, tmp_path / "serial-load", parallel=1, load_codebook=book)
+    run_codebook_experiment(cfg, tmp_path / "par-load", parallel=2, load_codebook=book)
+    assert _tree_bytes(tmp_path / "par-load") == _tree_bytes(tmp_path / "serial-load")
 
 
 def test_run_grouping_outputs(tmp_path):

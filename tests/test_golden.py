@@ -1,9 +1,10 @@
 """Golden digests of every runner's output tree.
 
-The four runners run on the criterion-8 config and each output tree is
-hashed (relative path and bytes of every file, in sorted order). A change
-that moves a single output byte fails here; such a change updates the
-digests below and says why in CHANGES.md.
+The four runners run on the criterion-8 config, serially and on a pool of
+two workers, and each output tree is hashed (relative path and bytes of
+every file, in sorted order). A change that moves a single output byte
+fails here; such a change updates the digests below and says why in
+CHANGES.md.
 """
 
 import hashlib
@@ -47,6 +48,7 @@ def _tree_digest(root) -> str:
 
 
 def test_runner_outputs_match_golden_digests(tmp_path):
+    # --parallel must not move a byte, so both pool sizes share one digest
     cfg = config_from_dict(CRITERION_8_CONFIG)
     runners = {
         "sweep": run_sweep,
@@ -54,12 +56,14 @@ def test_runner_outputs_match_golden_digests(tmp_path):
         "grouping": run_grouping_experiment,
         "oracle": run_oracle_check,
     }
-    digests = {}
-    for name, runner in runners.items():
-        runner(cfg, tmp_path / name)
-        digests[name] = _tree_digest(tmp_path / name)
-    if digests != GOLDEN:
-        print("new digests:")
-        for name, digest in digests.items():
-            print(f'    "{name}": "{digest}",')
-    assert digests == GOLDEN
+    for parallel in (1, 2):
+        digests = {}
+        for name, runner in runners.items():
+            out = tmp_path / f"{name}-p{parallel}"
+            runner(cfg, out, parallel=parallel)
+            digests[name] = _tree_digest(out)
+        if digests != GOLDEN:
+            print(f"new digests at parallel={parallel}:")
+            for name, digest in digests.items():
+                print(f'    "{name}": "{digest}",')
+        assert digests == GOLDEN

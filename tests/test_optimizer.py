@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -132,6 +133,10 @@ def test_measurement_failure_carries_partial_trace():
         greedy_iterative(measure, lay)
     assert "measurement 3" in str(err.value)
     assert len(err.value.partial_entries) == 2
+    # pool workers send failures back pickled
+    again = pickle.loads(pickle.dumps(err.value))
+    assert str(again) == str(err.value)
+    assert again.partial_entries == err.value.partial_entries
 
 
 def test_trace_rejects_decreasing_running_max():
