@@ -63,7 +63,6 @@ from .ris import (
     GroupingScheme,
     RisConfig,
     RisLayout,
-    active_elements,
     controller_corner,
     from_bit_array,
     make_grouping,

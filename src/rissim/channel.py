@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Scene, antenna_gain, gains_toward, los_blocked
-from .ris import DEFAULT_ELEMENT_AMPLITUDE, RisConfig, RisLayout, theta_diag
+from .ris import DEFAULT_ELEMENT_AMPLITUDE, NUM_ELEMENT_STATES, RisConfig, RisLayout, theta_diag
 
 ADC_CODE_MAX = 2048
 ADC_CODE_MIN = -2047
@@ -182,15 +182,35 @@ def synthesize_channels(scene: Scene, layout: RisLayout, params: ChannelModelPar
     return ChannelRealization(h_h, h_v, g_h, g_v, complex(h_los), params.noise_variance)
 
 
+def _state_products(chan: ChannelRealization, amplitude: float):
+    """Tables (P_h, P_v, cols): row s of P_h is theta_diag(all-s config, "H")
+    * h_h, likewise for V. Each entry is one rounding of +-amplitude * h
+    wherever it sits, so P_h[states, cols] is theta_diag(config, "H") * h_h
+    to the last bit."""
+    n = chan.n_elements
+    layout = RisLayout(nx=n, ny=1)
+    uniform = [RisConfig(layout, (s,) * n) for s in range(NUM_ELEMENT_STATES)]
+    p_h = np.stack([theta_diag(c, "H", amplitude) * chan.h_h for c in uniform])
+    p_v = np.stack([theta_diag(c, "V", amplitude) * chan.h_v for c in uniform])
+    return p_h, p_v, np.arange(n)
+
+
+def _cascade(config: RisConfig, chan: ChannelRealization, products) -> complex:
+    """g_h^H diag(theta_h) h_h + g_v^H diag(theta_v) h_v + h_los, gathered
+    from the tables of _state_products."""
+    p_h, p_v, cols = products
+    # a RisConfig holds exactly layout.n_active states
+    if len(config.states) != len(cols):
+        raise ValueError("configuration and channel have different element counts")
+    rows = np.fromiter(config.states, np.intp, len(cols))
+    total = np.vdot(chan.g_h, p_h[rows, cols]) + np.vdot(chan.g_v, p_v[rows, cols])
+    return complex(total + chan.h_los)
+
+
 def channel_gain(config: RisConfig, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> complex:
     """Complex end-to-end coefficient: per-polarization g^H diag(theta) h
     cascades plus the direct term."""
-    if config.layout.n_active != chan.n_elements:
-        raise ValueError("configuration and channel have different element counts")
-    th = theta_diag(config, "H", amplitude)
-    tv = theta_diag(config, "V", amplitude)
-    total = np.vdot(chan.g_h, th * chan.h_h) + np.vdot(chan.g_v, tv * chan.h_v)
-    return complex(total + chan.h_los)
+    return _cascade(config, chan, _state_products(chan, amplitude))
 
 
 def end_to_end_gain(config: RisConfig, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> float:
@@ -307,7 +327,8 @@ class TonePowerMeter:
     Each call adds the noise, quantizes and takes the power in place on the
     I and Q rows of one buffer allocated here, through the rounding, clipping
     and dB helpers of quantize_adc and power_dbfs, so a reading equals
-    power_dbfs(quantize_adc(c * w + noise).iq) to the last bit.
+    power_dbfs(quantize_adc(c * w + noise).iq) to the last bit. c is
+    gathered from per-state tables built here.
     """
 
     def __init__(
@@ -331,11 +352,12 @@ class TonePowerMeter:
         self._noise_scale = math.sqrt(self.chan.noise_variance / 2.0)
         self._buf = np.empty((2, self.tone.buffer_len))
         self._scratch = np.empty_like(self._buf)
+        self._products = _state_products(chan, self.amplitude)
 
     def __call__(self, config: RisConfig) -> float:
         index = self.calls
         self.calls += 1
-        c = channel_gain(config, self.chan, self.amplitude)
+        c = _cascade(config, self.chan, self._products)
         r = c * self._waveform
         buf = self._buf
         if self.chan.noise_variance > 0.0:
@@ -356,20 +378,23 @@ class TonePowerMeter:
 class GainMeter:
     """Noiseless analytic measurement: configuration gain in dB.
 
-    Shares the measurement-function contract with TonePowerMeter; handy as
-    the fast measure for small exhaustive searches.
+    Shares the measurement-function contract with TonePowerMeter and its
+    per-state tables; handy as the fast measure for small exhaustive
+    searches. A configuration with zero gain reads -inf.
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
         self.chan = chan
         self.amplitude = float(amplitude)
         self.calls = 0
+        self._products = _state_products(chan, self.amplitude)
 
     def __call__(self, config: RisConfig) -> float:
         self.calls += 1
-        g = end_to_end_gain(config, self.chan, self.amplitude)
-        with np.errstate(divide="ignore"):
-            return float(10.0 * np.log10(g))
+        g = abs(_cascade(config, self.chan, self._products)) ** 2
+        if g == 0.0:
+            return float("-inf")
+        return float(10.0 * np.log10(g))
 
 
 def write_iq_buffer(path, buf: QuantizedBuffer, tone: ToneParams, full_scale: float) -> None:

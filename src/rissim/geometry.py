@@ -151,11 +151,6 @@ class Scene:
             if float((term.position - center) @ n) <= 0:
                 raise ValueError(f"{name} must sit on the reflective side of the surface")
 
-    @property
-    def surface_axis(self) -> np.ndarray:
-        u, _ = _frame(self.ris_normal)
-        return u
-
     def point_at(self, angle_deg: float, distance_cm: float) -> np.ndarray:
         """Grid coordinate to world position in this scene's frame."""
         if distance_cm <= 0:
@@ -182,16 +177,6 @@ class Scene:
             self.rx.polarization,
         )
         return replace(self, rx=rx)
-
-    def with_tx_at(self, angle_deg: float, distance_cm: float) -> "Scene":
-        pos = self.point_at(angle_deg, distance_cm)
-        tx = Terminal(
-            pos,
-            _normalized(self.ris_center - pos, "boresight"),
-            self.tx.half_beamwidth_deg,
-            self.tx.polarization,
-        )
-        return replace(self, tx=tx)
 
 
 def make_scene(

@@ -8,7 +8,6 @@ vertical phase. A state of 0 means both diodes off (no phase shift).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,10 +109,6 @@ class RisLayout:
         return self._offsets
 
 
-def active_elements(layout: RisLayout) -> tuple[tuple[int, int], ...]:
-    return layout.active_elements()
-
-
 @dataclass(frozen=True)
 class RisConfig:
     """States of a layout's active elements, in active_elements() order."""
@@ -122,13 +117,14 @@ class RisConfig:
     states: tuple[int, ...]
 
     def __post_init__(self):
-        states = tuple(int(s) for s in self.states)
+        states = tuple(map(int, self.states))
         object.__setattr__(self, "states", states)
         if len(states) != self.layout.n_active:
             raise ValueError(
                 f"expected {self.layout.n_active} element states, got {len(states)}"
             )
-        if any(not 0 <= s < NUM_ELEMENT_STATES for s in states):
+        # a layout has at least one active element, so states is not empty
+        if min(states) < 0 or max(states) >= NUM_ELEMENT_STATES:
             raise ValueError("element states must be in 0..3")
 
     @classmethod
@@ -178,13 +174,6 @@ def from_bit_array(layout: RisLayout, bits) -> RisConfig:
     return RisConfig(
         layout, tuple(int(bool(a)) | (int(bool(b)) << 1) for a, b in zip(h, v))
     )
-
-
-def write_bit_array_json(config: RisConfig, path) -> None:
-    """Write the controller bit array as a JSON list of booleans."""
-    with open(path, "w") as f:
-        json.dump(to_bit_array(config), f)
-        f.write("\n")
 
 
 @dataclass(frozen=True)

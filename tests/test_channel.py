@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from rissim.channel import (
     write_iq_buffer,
 )
 from rissim.geometry import make_scene
-from rissim.ris import RisConfig, RisLayout
+from rissim.ris import RisConfig, RisLayout, theta_diag
 
 
 def _unit_channel(n=1, h_los=0.0j, noise=0.0):
@@ -313,10 +314,19 @@ def test_meter_floor_error_on_dark_channel():
         meter(RisConfig.all_off(RisLayout(nx=1, ny=1)))
 
 
+def _reference_cascade(config, chan, amplitude):
+    """The cascade written out with theta_diag products and no per-state
+    tables: g_h^H (theta_h * h_h) + g_v^H (theta_v * h_v) + h_los."""
+    th = theta_diag(config, "H", amplitude)
+    tv = theta_diag(config, "V", amplitude)
+    total = np.vdot(chan.g_h, th * chan.h_h) + np.vdot(chan.g_v, tv * chan.h_v)
+    return complex(total + chan.h_los)
+
+
 def _reference_reading(config, chan, tone, full_scale, amplitude, noise_seed, index):
     """The receiver chain stage by stage, one temporary array per step;
     returns (dBFS or None for an all-zero buffer, clip fraction)."""
-    r = channel_gain(config, chan, amplitude) * tone_waveform(tone)
+    r = _reference_cascade(config, chan, amplitude) * tone_waveform(tone)
     if chan.noise_variance > 0.0:
         z = derive_rng(noise_seed, index).standard_normal((2, len(r)))
         r = r + math.sqrt(chan.noise_variance / 2.0) * (z[0] + 1j * z[1])
@@ -366,6 +376,67 @@ def test_meter_matches_reference_chain(
         else:
             assert meter(config) == expected
         assert meter.last_clip_fraction == clip_fraction
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 12), st.just(76)),
+    amplitude=st.floats(0.0, 1.0, exclude_min=True),
+    source=st.sampled_from(["random", "synthesized", "dark"]),
+    coupling=st.floats(0.0, 1.0, exclude_min=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_state_tables_match_written_out_cascade(seed, n, amplitude, source, coupling):
+    rng = derive_rng(seed, "tables")
+    lay = RisLayout.default() if n == 76 else RisLayout(nx=n, ny=1)
+    if source == "synthesized":
+        scene = make_scene(
+            rx_angle_deg=float(rng.uniform(20.0, 160.0)),
+            rx_distance_cm=float(rng.uniform(60.0, 250.0)),
+            polarization=float(rng.uniform(0.0, 1.0)),
+        )
+        params = ChannelModelParams(seed=seed, noise_variance=0.0, cross_pol_coupling=coupling)
+        chan = synthesize_channels(scene, lay, params)
+    else:
+        weight = 0.0 if source == "dark" else 1.0
+        vecs = [weight * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(4)]
+        h_los = 0.0j if source == "dark" else complex(*rng.standard_normal(2))
+        chan = ChannelRealization(*vecs, h_los, 0.0)
+    meter = GainMeter(chan, amplitude)
+    tone = ToneParams(buffer_len=16)
+    for index in range(3):
+        config = RisConfig(lay, tuple(int(s) for s in rng.integers(0, 4, n)))
+        expected = _reference_cascade(config, chan, amplitude)
+        assert channel_gain(config, chan, amplitude) == expected
+        g = abs(expected) ** 2
+        assert meter(config) == (float(10.0 * np.log10(g)) if g else float("-inf"))
+        full_scale = 4.0 * abs(expected) if expected else 1.0
+        reading, _ = _reference_reading(config, chan, tone, full_scale, amplitude, 0, index)
+        tone_meter = TonePowerMeter(chan, tone, full_scale=full_scale, amplitude=amplitude)
+        if reading is None:
+            with pytest.raises(MeasurementFloorError):
+                tone_meter(config)
+        else:
+            assert tone_meter(config) == reading
+    if source == "dark":
+        assert meter(RisConfig.all_off(lay)) == float("-inf")
+
+
+def test_gain_meter_dark_config_reads_minus_inf_without_warning():
+    meter = GainMeter(_unit_channel(2), amplitude=1.0)
+    dark = RisConfig(RisLayout(nx=2, ny=1), (1, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert meter(dark) == float("-inf")
+
+
+@pytest.mark.parametrize("amplitude", [0.0, -0.5, 1.5, float("nan")])
+def test_meters_reject_amplitude_at_construction(amplitude):
+    chan = _unit_channel(2)
+    with pytest.raises(ValueError, match=r"amplitude must be in \(0, 1\]"):
+        GainMeter(chan, amplitude)
+    with pytest.raises(ValueError, match=r"amplitude must be in \(0, 1\]"):
+        TonePowerMeter(chan, amplitude=amplitude)
 
 
 def test_gain_meter_reports_decibels():

@@ -66,6 +66,25 @@ def test_config_all_off_and_validation():
         RisConfig(lay, (0,) * 75 + (4,))
 
 
+def test_config_stores_python_ints_from_numpy_states():
+    lay = RisLayout(nx=4, ny=1)
+    for states in (np.array([0, 1, 2, 3]), tuple(np.arange(4, dtype=np.int8))):
+        config = RisConfig(lay, states)
+        assert config.states == (0, 1, 2, 3)
+        assert all(type(s) is int for s in config.states)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_config_rejects_out_of_range_state(bad):
+    with pytest.raises(ValueError, match=r"^element states must be in 0\.\.3$"):
+        RisConfig(RisLayout(nx=4, ny=1), (0, bad, 1, 2))
+
+
+def test_config_rejects_wrong_length():
+    with pytest.raises(ValueError, match=r"^expected 4 element states, got 3$"):
+        RisConfig(RisLayout(nx=4, ny=1), (0, 1, 2))
+
+
 def test_theta_diag_signs_follow_diode_bits():
     lay = RisLayout(nx=4, ny=1)
     config = RisConfig(lay, (0, 1, 2, 3))
