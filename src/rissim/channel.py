@@ -271,7 +271,12 @@ def quantize_adc(samples, full_scale: float) -> QuantizedBuffer:
 def _code_scale(full_scale: float) -> float:
     if full_scale <= 0:
         raise ValueError("full_scale must be positive")
-    return ADC_CODE_MAX / full_scale
+    code_scale = ADC_CODE_MAX / full_scale
+    # a subnormal full scale overflows the code scale, and inf * 0 would
+    # turn a silent sample into a NaN code
+    if not math.isfinite(code_scale):
+        raise ValueError(f"full_scale {full_scale!r} gives no finite ADC code scale")
+    return code_scale
 
 
 def _round_half_away(buf: np.ndarray, scratch: np.ndarray) -> None:

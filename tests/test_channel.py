@@ -411,6 +411,10 @@ def test_state_tables_match_written_out_cascade(seed, n, amplitude, source, coup
         g = abs(expected) ** 2
         assert meter(config) == (float(10.0 * np.log10(g)) if g else float("-inf"))
         full_scale = 4.0 * abs(expected) if expected else 1.0
+        if not math.isfinite(2048 / full_scale):
+            with pytest.raises(ValueError, match="gives no finite ADC code scale"):
+                TonePowerMeter(chan, tone, full_scale=full_scale, amplitude=amplitude)
+            continue
         reading, _ = _reference_reading(config, chan, tone, full_scale, amplitude, 0, index)
         tone_meter = TonePowerMeter(chan, tone, full_scale=full_scale, amplitude=amplitude)
         if reading is None:
@@ -420,6 +424,14 @@ def test_state_tables_match_written_out_cascade(seed, n, amplitude, source, coup
             assert tone_meter(config) == reading
     if source == "dark":
         assert meter(RisConfig.all_off(lay)) == float("-inf")
+
+
+@pytest.mark.parametrize("full_scale", [5e-324, 4e-323, float("nan")])
+def test_full_scale_without_finite_code_scale_is_rejected(full_scale):
+    with pytest.raises(ValueError, match="gives no finite ADC code scale"):
+        quantize_adc(np.array([0.0j, 1e-323 + 0j]), full_scale)
+    with pytest.raises(ValueError, match="gives no finite ADC code scale"):
+        TonePowerMeter(_unit_channel(1), full_scale=full_scale)
 
 
 def test_gain_meter_dark_config_reads_minus_inf_without_warning():
