@@ -183,28 +183,32 @@ def synthesize_channels(scene: Scene, layout: RisLayout, params: ChannelModelPar
 
 
 def _state_products(chan: ChannelRealization, amplitude: float):
-    """Tables (P_h, P_v, cols): row s of P_h is theta_diag(all-s config, "H")
-    * h_h, likewise for V. Each entry is one rounding of +-amplitude * h
-    wherever it sits, so P_h[states, cols] is theta_diag(config, "H") * h_h
-    to the last bit."""
+    """Table and offsets for _cascade. Row 0 of the (2, 4n) table holds the
+    H products and row 1 the V products, element-major: column 4i + s is
+    element i in state s, theta_diag(all-s config) * h. Each entry is one
+    rounding of +-amplitude * h wherever it sits, so a gather at
+    states + offsets is theta_diag(config) * h to the last bit."""
     n = chan.n_elements
     layout = RisLayout(nx=n, ny=1)
     uniform = [RisConfig(layout, (s,) * n) for s in range(NUM_ELEMENT_STATES)]
-    p_h = np.stack([theta_diag(c, "H", amplitude) * chan.h_h for c in uniform])
-    p_v = np.stack([theta_diag(c, "V", amplitude) * chan.h_v for c in uniform])
-    return p_h, p_v, np.arange(n)
+    pols = (("H", chan.h_h), ("V", chan.h_v))
+    by_state = np.array([[theta_diag(c, pol, amplitude) * h for c in uniform] for pol, h in pols])
+    table = np.ascontiguousarray(by_state.transpose(0, 2, 1)).reshape(2, NUM_ELEMENT_STATES * n)
+    return table, np.arange(n) * NUM_ELEMENT_STATES
 
 
 def _cascade(config: RisConfig, chan: ChannelRealization, products) -> complex:
     """g_h^H diag(theta_h) h_h + g_v^H diag(theta_v) h_v + h_los, gathered
-    from the tables of _state_products."""
-    p_h, p_v, cols = products
+    from the table of _state_products."""
+    table, offsets = products
+    n = len(offsets)
     # a RisConfig holds exactly layout.n_active states
-    if len(config.states) != len(cols):
+    if len(config.states) != n:
         raise ValueError("configuration and channel have different element counts")
-    rows = np.fromiter(config.states, np.intp, len(cols))
-    total = np.vdot(chan.g_h, p_h[rows, cols]) + np.vdot(chan.g_v, p_v[rows, cols])
-    return complex(total + chan.h_los)
+    idx = np.fromiter(config.states, np.intp, n)
+    idx += offsets
+    x = table.take(idx, axis=1)
+    return complex(np.vdot(chan.g_h, x[0])) + complex(np.vdot(chan.g_v, x[1])) + chan.h_los
 
 
 def channel_gain(config: RisConfig, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> complex:
@@ -396,10 +400,15 @@ class GainMeter:
 
     def __call__(self, config: RisConfig) -> float:
         self.calls += 1
-        g = abs(_cascade(config, self.chan, self._products)) ** 2
+        g = self.power(config)
         if g == 0.0:
             return float("-inf")
         return float(10.0 * np.log10(g))
+
+    def power(self, config: RisConfig) -> float:
+        """Linear power gain of config from this meter's tables, equal to
+        end_to_end_gain; not counted as a measurement."""
+        return abs(_cascade(config, self.chan, self._products)) ** 2
 
 
 def write_iq_buffer(path, buf: QuantizedBuffer, tone: ToneParams, full_scale: float) -> None:

@@ -17,12 +17,26 @@ from .experiments import (
 )
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="scenario JSON (defaults apply if omitted)")
     parser.add_argument("--seed", type=int, metavar="N", help="override the master seed")
     parser.add_argument("--out", default="results", metavar="DIR", help="output directory")
     parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N", help="worker processes for independent points"
+        "--parallel",
+        type=_worker_count,
+        default=1,
+        metavar="N",
+        help="worker processes for independent points (N >= 1)",
     )
 
 

@@ -23,7 +23,6 @@ from .channel import (
     TonePowerMeter,
     ToneParams,
     derive_seed,
-    end_to_end_gain,
     synthesize_channels,
 )
 from .codebook import Codebook, evaluate_path, generate_codebook
@@ -36,7 +35,7 @@ from .geometry import (
     Scene,
     make_scene,
 )
-from .optimizer import PowerTrace, exhaustive_search, greedy_gap, greedy_iterative
+from .optimizer import PowerTrace, TraceEntry, exhaustive_search, greedy_gap, greedy_iterative
 from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
@@ -209,10 +208,17 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _require_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _require_keys(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _section(data: dict, name: str, schema: dict) -> dict:
+    """data[name] as a dict, checked against the keys to_dict writes there."""
+    section = dict(data.get(name, {}))
+    _require_keys(section, schema[name], name)
+    return section
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -220,33 +226,16 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     ones fall back to the defaults, and "rician_k_db": "inf" is accepted."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _require_keys(
-        data,
-        {
-            "version",
-            "seed",
-            "layout",
-            "scene",
-            "channel",
-            "tone",
-            "receiver",
-            "ris",
-            "optimizer",
-            "sweep",
-            "codebook",
-            "grouping",
-            "oracle",
-        },
-        "config",
-    )
+    defaults = ScenarioConfig()
+    # to_dict writes every accepted key, so it is the schema
+    schema = defaults.to_dict()
+    _require_keys(data, schema, "config")
     if data.get("version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config version {data.get('version')!r}")
-    defaults = ScenarioConfig()
     try:
         kw: dict = {"seed": int(data.get("seed", defaults.seed))}
 
-        lay = dict(data.get("layout", {}))
-        _require_keys(lay, {"nx", "ny", "spacing_m", "disabled", "carrier_hz"}, "layout")
+        lay = _section(data, "layout", schema)
         nx = int(lay.get("nx", 10))
         ny = int(lay.get("ny", 8))
         disabled = lay.get("disabled", "controller-corner")
@@ -262,19 +251,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             carrier_hz=float(lay.get("carrier_hz", defaults.layout.carrier_hz)),
         )
 
-        sc = dict(data.get("scene", {}))
-        _require_keys(
-            sc,
-            {
-                "tx_angle_deg",
-                "tx_distance_cm",
-                "half_beamwidth_deg",
-                "polarization",
-                "grid_angles_deg",
-                "grid_distances_cm",
-            },
-            "scene",
-        )
+        sc = _section(data, "scene", schema)
         kw["tx_angle_deg"] = float(sc.get("tx_angle_deg", defaults.tx_angle_deg))
         kw["tx_distance_cm"] = float(sc.get("tx_distance_cm", defaults.tx_distance_cm))
         kw["half_beamwidth_deg"] = float(sc.get("half_beamwidth_deg", defaults.half_beamwidth_deg))
@@ -284,12 +261,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             tuple(sc.get("grid_distances_cm", defaults.grid.distances_cm)),
         )
 
-        ch = dict(data.get("channel", {}))
-        _require_keys(
-            ch,
-            {"path_loss_exponent", "rician_k_db", "noise_variance", "cross_pol_coupling"},
-            "channel",
-        )
+        ch = _section(data, "channel", schema)
         k_db = ch.get("rician_k_db", defaults.channel.rician_k_db)
         if isinstance(k_db, str):
             k_db = float(k_db)
@@ -301,8 +273,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             cross_pol_coupling=float(ch.get("cross_pol_coupling", 0.0)),
         )
 
-        tn = dict(data.get("tone", {}))
-        _require_keys(tn, {"tone_hz", "sample_rate_hz", "buffer_len", "tx_amplitude"}, "tone")
+        tn = _section(data, "tone", schema)
         kw["tone"] = ToneParams(
             tone_hz=float(tn.get("tone_hz", defaults.tone.tone_hz)),
             sample_rate_hz=float(tn.get("sample_rate_hz", defaults.tone.sample_rate_hz)),
@@ -310,28 +281,23 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             tx_amplitude=float(tn.get("tx_amplitude", defaults.tone.tx_amplitude)),
         )
 
-        rc = dict(data.get("receiver", {}))
-        _require_keys(rc, {"full_scale"}, "receiver")
+        rc = _section(data, "receiver", schema)
         fs = rc.get("full_scale")
         kw["full_scale"] = defaults.full_scale if fs is None else float(fs)
 
-        ris = dict(data.get("ris", {}))
-        _require_keys(ris, {"element_amplitude"}, "ris")
+        ris = _section(data, "ris", schema)
         kw["element_amplitude"] = float(ris.get("element_amplitude", defaults.element_amplitude))
 
-        op = dict(data.get("optimizer", {}))
-        _require_keys(op, {"num_states", "group_size"}, "optimizer")
+        op = _section(data, "optimizer", schema)
         kw["num_states"] = int(op.get("num_states", defaults.num_states))
         kw["group_size"] = int(op.get("group_size", defaults.group_size))
 
-        sw = dict(data.get("sweep", {}))
-        _require_keys(sw, {"points"}, "sweep")
+        sw = _section(data, "sweep", schema)
         pts = sw.get("points")
         if pts is not None:
             kw["sweep_points"] = tuple((float(a), float(d)) for a, d in pts)
 
-        cb = dict(data.get("codebook", {}))
-        _require_keys(cb, {"reference_angles_deg", "reference_distance_cm", "path"}, "codebook")
+        cb = _section(data, "codebook", schema)
         kw["codebook_angles_deg"] = tuple(
             float(a) for a in cb.get("reference_angles_deg", defaults.codebook_angles_deg)
         )
@@ -342,16 +308,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if path is not None:
             kw["path"] = tuple((float(a), float(d)) for a, d in path)
 
-        gp = dict(data.get("grouping", {}))
-        _require_keys(gp, {"group_sizes", "angles_deg", "distance_cm"}, "grouping")
+        gp = _section(data, "grouping", schema)
         kw["grouping_sizes"] = tuple(int(g) for g in gp.get("group_sizes", defaults.grouping_sizes))
         kw["grouping_angles_deg"] = tuple(
             float(a) for a in gp.get("angles_deg", defaults.grouping_angles_deg)
         )
         kw["grouping_distance_cm"] = float(gp.get("distance_cm", defaults.grouping_distance_cm))
 
-        orc = dict(data.get("oracle", {}))
-        _require_keys(orc, {"nx", "ny", "num_states", "instances", "cap"}, "oracle")
+        orc = _section(data, "oracle", schema)
         kw["oracle_nx"] = int(orc.get("nx", defaults.oracle_nx))
         kw["oracle_ny"] = int(orc.get("ny", defaults.oracle_ny))
         kw["oracle_num_states"] = int(orc.get("num_states", defaults.oracle_num_states))
@@ -409,13 +373,7 @@ def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
 
 def _trace_rows(baseline: float | None, trace: PowerTrace):
     if baseline is not None:
-        yield {
-            "measurement_index": 0,
-            "group_index": -1,
-            "candidate_state": 0,
-            "p_r_dbfs": baseline,
-            "p_max_dbfs": baseline,
-        }
+        yield TraceEntry(0, -1, 0, baseline, baseline)._asdict()
     yield from trace.csv_rows()
 
 
@@ -706,37 +664,42 @@ def run_codebook_experiment(
 
 
 def _oracle_layout(config: ScenarioConfig) -> RisLayout:
-    return RisLayout(
-        nx=config.oracle_nx,
-        ny=config.oracle_ny,
-        spacing=config.layout.spacing,
-        carrier_hz=config.layout.carrier_hz,
-    )
+    """The small panel the oracle enumerates, checked against oracle.cap."""
+    try:
+        layout = RisLayout(
+            config.oracle_nx, config.oracle_ny, config.layout.spacing, carrier_hz=config.layout.carrier_hz
+        )
+    except ValueError as exc:
+        raise ConfigError(f"oracle layout: {exc}") from exc
+    budget = config.oracle_num_states**layout.n_active
+    if budget > config.oracle_cap:
+        raise ConfigError(
+            f"oracle enumeration needs {budget} measurements, above oracle.cap {config.oracle_cap}"
+        )
+    return layout
 
 
 def _oracle_job(args):
-    config, instance = args
-    layout = _oracle_layout(config)
+    config, layout, scene, grouping, instance = args
     params = dataclasses.replace(
         config.channel,
         seed=derive_seed(config.seed, "oracle", instance),
         noise_variance=0.0,
     )
-    scene = config.base_scene()
     chan = synthesize_channels(scene, layout, params)
-    oracle_meter = GainMeter(chan, config.element_amplitude)
-    greedy_meter = GainMeter(chan, config.element_amplitude)
-    best, _ = exhaustive_search(oracle_meter, layout, config.oracle_num_states, config.oracle_cap)
-    _, trace = greedy_iterative(greedy_meter, layout, config.oracle_num_states)
-    oracle_db = 10.0 * math.log10(max(end_to_end_gain(best, chan, config.element_amplitude), 1e-300))
+    meter = GainMeter(chan, config.element_amplitude)
+    best, _ = exhaustive_search(meter, layout, config.oracle_num_states, config.oracle_cap)
+    oracle_measurements = meter.calls
+    _, trace = greedy_iterative(meter, layout, config.oracle_num_states, grouping)
+    oracle_db = 10.0 * math.log10(max(meter.power(best), 1e-300))
     greedy_db = trace.final_power
     return {
         "instance": instance,
         "oracle_db": oracle_db,
         "greedy_db": greedy_db,
         "gap_db": greedy_gap(oracle_db, greedy_db),
-        "oracle_measurements": oracle_meter.calls,
-        "greedy_measurements": greedy_meter.calls,
+        "oracle_measurements": oracle_measurements,
+        "greedy_measurements": meter.calls - oracle_measurements,
     }
 
 
@@ -744,7 +707,9 @@ def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict
     """Exhaustive-vs-greedy gap over seeded noiseless instances on a small
     layout. A negative gap fails the run."""
     out = Path(out_dir)
-    jobs = [(config, i) for i in range(config.oracle_instances)]
+    layout = _oracle_layout(config)
+    shared = (config, layout, config.base_scene(), make_grouping(layout, 1))
+    jobs = [(*shared, i) for i in range(config.oracle_instances)]
     rows = list(parallel_map(_oracle_job, jobs, parallel))
     _write_csv(
         out / "gaps.csv",
@@ -755,7 +720,7 @@ def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict
     gaps = [r["gap_db"] for r in rows]
     summary = {
         "instances": len(rows),
-        "elements": _oracle_layout(config).n_active,
+        "elements": layout.n_active,
         "num_states": config.oracle_num_states,
         "min_gap_db": min(gaps),
         "median_gap_db": _median(gaps),

@@ -9,7 +9,7 @@ both at the surface's height.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,13 +140,17 @@ class Scene:
     tx: Terminal
     rx: Terminal
     grid: MeasurementGrid = MeasurementGrid()
+    # (in-plane axis, normal) from _frame(ris_normal), for point_at and
+    # element_positions
+    _axes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         center = np.asarray(self.ris_center, dtype=np.float64).copy()
         center.setflags(write=False)
         object.__setattr__(self, "ris_center", center)
-        u, n = _frame(self.ris_normal)
+        _, n = _frame(self.ris_normal)
         object.__setattr__(self, "ris_normal", n)
+        object.__setattr__(self, "_axes", _frame(n))
         for name, term in (("tx", self.tx), ("rx", self.rx)):
             if float((term.position - center) @ n) <= 0:
                 raise ValueError(f"{name} must sit on the reflective side of the surface")
@@ -157,12 +161,12 @@ class Scene:
             raise ValueError("distance must be positive")
         a = math.radians(angle_deg)
         d = distance_cm / 100.0
-        u, n = _frame(self.ris_normal)
+        u, n = self._axes
         return self.ris_center + d * (math.cos(a) * u + math.sin(a) * n)
 
     def element_positions(self, layout: RisLayout) -> np.ndarray:
         """(N, 3) world positions of the layout's active elements."""
-        u, _ = _frame(self.ris_normal)
+        u, _ = self._axes
         off = layout.element_offsets()
         return self.ris_center + off[:, :1] * u + off[:, 1:] * UP
 

@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .ris import GroupingScheme, NUM_ELEMENT_STATES, RisConfig, RisLayout, make_grouping
+from .ris import GroupingScheme, NUM_ELEMENT_STATES, RisConfig, RisLayout, _unchecked_config, make_grouping
 
 MeasureFn = Callable[[RisConfig], float]
 
 DEFAULT_ENUMERATION_CAP = 2**20
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     measurement_index: int
     group_index: int
     candidate_state: int
@@ -53,13 +52,7 @@ class PowerTrace:
 
     def csv_rows(self):
         for e in self.entries:
-            yield {
-                "measurement_index": e.measurement_index,
-                "group_index": e.group_index,
-                "candidate_state": e.candidate_state,
-                "p_r_dbfs": e.p_r_dbfs,
-                "p_max_dbfs": e.p_max_dbfs,
-            }
+            yield e._asdict()
 
 
 class MeasurementFailure(RuntimeError):
@@ -117,7 +110,8 @@ def greedy_iterative(
         for s in range(num_states):
             for i in group:
                 states[i] = s
-            config = RisConfig(layout, tuple(states))
+            # states from range(num_states), num_states checked above
+            config = _unchecked_config(layout, tuple(states))
             index += 1
             try:
                 p = float(measure(config))
@@ -156,7 +150,7 @@ def exhaustive_search(
     p_max = float("-inf")
     index = 0
     for states in itertools.product(range(num_states), repeat=n):
-        config = RisConfig(layout, states)
+        config = _unchecked_config(layout, states)
         index += 1
         try:
             p = float(measure(config))

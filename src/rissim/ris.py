@@ -131,12 +131,14 @@ class RisConfig:
     def all_off(cls, layout: RisLayout) -> "RisConfig":
         return cls(layout, (0,) * layout.n_active)
 
-    def with_states(self, indices, state: int) -> "RisConfig":
-        """Copy of this config with every index in ``indices`` set to ``state``."""
-        s = list(self.states)
-        for i in indices:
-            s[i] = state
-        return RisConfig(self.layout, tuple(s))
+
+def _unchecked_config(layout: RisLayout, states: tuple[int, ...]) -> RisConfig:
+    """RisConfig without __post_init__'s checks, for search candidates the
+    caller built valid: a tuple of layout.n_active Python ints in 0..3."""
+    config = object.__new__(RisConfig)
+    object.__setattr__(config, "layout", layout)
+    object.__setattr__(config, "states", states)
+    return config
 
 
 def theta_diag(config: RisConfig, polarization: str, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> np.ndarray:

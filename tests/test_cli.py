@@ -118,3 +118,31 @@ def test_assertion_failure_exits_three(tmp_path, config_path, monkeypatch):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+@pytest.mark.parametrize(
+    "oracle, message",
+    [
+        ({"nx": 0}, "error: oracle layout: grid dimensions must be positive\n"),
+        (
+            {"nx": 3, "ny": 3, "cap": 1000},
+            "error: oracle enumeration needs 262144 measurements, above oracle.cap 1000\n",
+        ),
+    ],
+)
+def test_bad_oracle_panel_exits_two(tmp_path, capsys, oracle, message):
+    p = tmp_path / "bad_oracle.json"
+    p.write_text(json.dumps({**SMALL, "oracle": oracle}))
+    rc = cli.main(["oracle-check", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_parallel_below_one_is_rejected(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--parallel", value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from rissim.channel import derive_seed, end_to_end_gain, synthesize_channels
+from rissim.channel import GainMeter, derive_seed, end_to_end_gain, synthesize_channels
 from rissim.experiments import (
     ConfigError,
     ScenarioConfig,
+    _oracle_job,
     config_from_dict,
     load_config,
     run_codebook_experiment,
@@ -18,7 +19,8 @@ from rissim.experiments import (
     run_oracle_check,
     run_sweep,
 )
-from rissim.ris import SPEED_OF_LIGHT, RisConfig, RisLayout
+from rissim.optimizer import exhaustive_search, greedy_iterative
+from rissim.ris import SPEED_OF_LIGHT, RisConfig, RisLayout, make_grouping
 
 SMALL = {
     "seed": 3,
@@ -241,3 +243,32 @@ def test_oracle_layout_follows_configured_carrier(tmp_path):
             for states in itertools.product(range(4), repeat=4)
         )
         assert float(row["oracle_db"]) == pytest.approx(10.0 * math.log10(best), rel=1e-12)
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 1)])
+def test_oracle_job_matches_two_meter_formulation(nx, ny):
+    cfg = config_from_dict({**SMALL, "oracle": {"nx": nx, "ny": ny, "num_states": 4, "instances": 1}})
+    layout = RisLayout(nx, ny, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
+    scene = cfg.base_scene()
+    n = layout.n_active
+    for instance in range(6):
+        params = dataclasses.replace(
+            cfg.channel, seed=derive_seed(cfg.seed, "oracle", instance), noise_variance=0.0
+        )
+        chan = synthesize_channels(scene, layout, params)
+        oracle_meter = GainMeter(chan, cfg.element_amplitude)
+        greedy_meter = GainMeter(chan, cfg.element_amplitude)
+        best, _ = exhaustive_search(oracle_meter, layout, 4, cfg.oracle_cap)
+        _, trace = greedy_iterative(greedy_meter, layout, 4)
+        oracle_db = 10.0 * math.log10(max(end_to_end_gain(best, chan, cfg.element_amplitude), 1e-300))
+        row = _oracle_job((cfg, layout, scene, make_grouping(layout, 1), instance))
+        assert row == {
+            "instance": instance,
+            "oracle_db": oracle_db,
+            "greedy_db": trace.final_power,
+            "gap_db": oracle_db - trace.final_power,
+            "oracle_measurements": 4**n,
+            "greedy_measurements": 4 * n,
+        }
+        assert oracle_meter.calls == 4**n and greedy_meter.calls == 4 * n
+

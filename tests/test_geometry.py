@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rissim.geometry import (
+    UP,
     MeasurementGrid,
+    Scene,
+    _frame,
     Terminal,
     antenna_gain,
     grid_point,
@@ -121,3 +124,26 @@ def test_los_blocked_cases():
     assert los_blocked(
         make_scene(rx_angle_deg=145.0, rx_distance_cm=170.0, half_beamwidth_deg=5.0)
     )
+
+
+
+def test_stored_frame_matches_recomputed_frame():
+    # point_at and element_positions reuse the frame taken at construction;
+    # it must equal _frame of the stored normal, which they used to
+    # recompute. Re-normalizing a unit vector often moves its last bit, so
+    # random tilted normals tell the two apart where round ones cannot.
+    rng = np.random.default_rng(5)
+    layout = RisLayout(nx=3, ny=2)
+    off = layout.element_offsets()
+    for _ in range(40):
+        normal = rng.uniform(-1.0, 1.0, 3) * (3.0, 3.0, 0.3)
+        bench = make_scene(ris_normal=normal)
+        raw = Scene(bench.ris_center, normal, bench.tx, bench.rx)
+        for scene in (raw, raw.with_rx_at(70.0, 170.0)):
+            u, n = _frame(scene.ris_normal)
+            angle, dist = rng.uniform(1.0, 179.0), rng.uniform(10.0, 500.0)
+            a = math.radians(angle)
+            expected = scene.ris_center + dist / 100.0 * (math.cos(a) * u + math.sin(a) * n)
+            assert np.array_equal(scene.point_at(angle, dist), expected)
+            expected = scene.ris_center + off[:, :1] * u + off[:, 1:] * UP
+            assert np.array_equal(scene.element_positions(layout), expected)

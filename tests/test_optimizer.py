@@ -209,3 +209,49 @@ def test_greedy_never_beats_exhaustive_on_random_quadratics(seed):
     _, etrace = exhaustive_search(measure, lay, num_states=2)
     _, gtrace = greedy_iterative(measure, lay, num_states=2)
     assert etrace.final_power >= gtrace.final_power - 1e-12
+
+
+# --- search candidates built without RisConfig's checks ----------------
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(2, 4),
+    st.sampled_from([1, 2, 4, 8]),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_candidates_pass_risconfig_validation(nx, ny, num_states, size, seed):
+    lay = RisLayout(nx=nx, ny=ny)
+    rng = np.random.default_rng(seed)
+    seen = []
+
+    def measure(config):
+        rebuilt = RisConfig(lay, config.states)
+        assert rebuilt == config
+        assert type(config.states) is tuple
+        assert all(type(s) is int for s in config.states)
+        seen.append(config)
+        return float(rng.normal())
+
+    _, trace = greedy_iterative(measure, lay, num_states, make_grouping(lay, size))
+    assert len(seen) == trace.measurement_count
+    seen.clear()
+    best, trace = exhaustive_search(measure, lay, num_states)
+    assert len(seen) == num_states**lay.n_active == trace.measurement_count
+    assert best in seen
+
+
+def test_trace_entry_fields_are_fixed_and_read_only():
+    e = TraceEntry(3, 1, 2, -4.5, -4.0)
+    assert TraceEntry._fields == (
+        "measurement_index",
+        "group_index",
+        "candidate_state",
+        "p_r_dbfs",
+        "p_max_dbfs",
+    )
+    assert tuple(e) == (3, 1, 2, -4.5, -4.0)
+    with pytest.raises(AttributeError):
+        e.p_max_dbfs = 0.0
