@@ -13,10 +13,8 @@ identical bits and parallel evaluation order cannot change results.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -410,18 +408,3 @@ class GainMeter:
         end_to_end_gain; not counted as a measurement."""
         return abs(_cascade(config, self.chan, self._products)) ** 2
 
-
-def write_iq_buffer(path, buf: QuantizedBuffer, tone: ToneParams, full_scale: float) -> None:
-    """Dump codes as interleaved little-endian int16 I/Q plus a JSON sidecar."""
-    path = Path(path)
-    raw = np.ascontiguousarray(buf.iq, dtype="<i2")  # row-major: I0 Q0 I1 Q1 ...
-    path.write_bytes(raw.tobytes())
-    sidecar = {
-        "format": "interleaved int16 I/Q, little-endian",
-        "buffer_len": int(buf.iq.shape[0]),
-        "sample_rate_hz": tone.sample_rate_hz,
-        "tone_hz": tone.tone_hz,
-        "full_scale": full_scale,
-        "clip_fraction": buf.clip_fraction,
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")

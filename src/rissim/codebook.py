@@ -145,17 +145,26 @@ class _Campaign:
         placed = self.scene.with_rx_at(angle_deg, distance_cm)
         return synthesize_channels(placed, self.layout, self.channel_params)
 
-    def meter(self, chan, stream: str, index: int) -> TonePowerMeter:
+    def meter(self, chan, stream: str, *index) -> TonePowerMeter:
+        """Tone meter whose noise is keyed (seed, stream, *index)."""
         return TonePowerMeter(
             chan,
             self.tone,
             full_scale=self.full_scale,
             amplitude=self.element_amplitude,
-            noise_seed=(self.channel_params.seed, stream, index),
+            noise_seed=(self.channel_params.seed, stream, *index),
         )
 
     def greedy(self, meter):
         return greedy_iterative(meter, self.layout, self.num_states, self.grouping)
+
+    def measure_spot(self, angle_deg: float, distance_cm: float, stream: str, *index):
+        """All-off baseline, then one greedy sweep, on one meter at one
+        receiver spot; returns (baseline dBFS, trace)."""
+        meter = self.meter(self.channel(angle_deg, distance_cm), stream, *index)
+        baseline = meter(RisConfig.all_off(self.layout))
+        _, trace = self.greedy(meter)
+        return baseline, trace
 
 
 def _campaign(
@@ -198,12 +207,14 @@ def generate_codebook(
         scene, layout, channel_params, tone, full_scale, element_amplitude, num_states, group_size
     )
     points = [(float(a), float(d)) for a, d in reference_points]
+    k_db = channel_params.rician_k_db
     meta = {
         "seed": channel_params.seed,
         "layout": _layout_meta(layout),
         "channel": {
             "path_loss_exponent": channel_params.path_loss_exponent,
-            "rician_k_db": channel_params.rician_k_db,
+            # strict JSON has no Infinity; "inf" is how configs spell it
+            "rician_k_db": k_db if math.isfinite(k_db) else str(k_db),
             "noise_variance": channel_params.noise_variance,
             "cross_pol_coupling": channel_params.cross_pol_coupling,
         },

@@ -14,18 +14,18 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .channel import (
     ChannelModelParams,
     DEFAULT_FULL_SCALE,
     GainMeter,
-    TonePowerMeter,
     ToneParams,
     derive_seed,
     synthesize_channels,
 )
-from .codebook import Codebook, evaluate_path, generate_codebook
+from .codebook import Codebook, _Campaign, _campaign, evaluate_path, generate_codebook
 from .geometry import (
     DEFAULT_GRID_ANGLES_DEG,
     DEFAULT_HALF_BEAMWIDTH_DEG,
@@ -40,7 +40,6 @@ from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
     GROUP_SIZES,
-    RisConfig,
     RisLayout,
     controller_corner,
     make_grouping,
@@ -95,6 +94,19 @@ class ExperimentAssertionError(RuntimeError):
     """An experiment-level sanity assertion failed."""
 
 
+def _in_scene(angle_deg, distance_cm) -> tuple[float, float]:
+    """The receiver spot as floats; ConfigError when it is outside the scene."""
+    angle_deg, distance_cm = float(angle_deg), float(distance_cm)
+    if not 0.0 < angle_deg < 180.0 or distance_cm <= 0:
+        raise ConfigError(f"point ({angle_deg}, {distance_cm}) is outside the scene")
+    return angle_deg, distance_cm
+
+
+def _distinct(values, what: str) -> None:
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{what} must not repeat: {list(values)}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 7
@@ -136,6 +148,16 @@ class ScenarioConfig:
             raise ConfigError(f"grouping sizes must come from {GROUP_SIZES}")
         if self.oracle_instances < 1:
             raise ConfigError("oracle_instances must be positive")
+        _distinct(self.grouping_sizes, "grouping sizes")
+        _distinct(self.grouping_angles_deg, "grouping angles")
+        _distinct(self.codebook_angles_deg, "codebook reference angles")
+        # sweep points are checked per point by run_sweep, which still
+        # writes the good points' files
+        spots = [(a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
+        spots += self.path
+        spots += [(a, self.grouping_distance_cm) for a in self.grouping_angles_deg]
+        for angle_deg, distance_cm in spots:
+            _in_scene(angle_deg, distance_cm)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(self, seed=int(seed))
@@ -146,66 +168,123 @@ class ScenarioConfig:
             tx_distance_cm=self.tx_distance_cm,
             half_beamwidth_deg=self.half_beamwidth_deg,
             polarization=self.polarization,
-            grid=self.grid,
         )
 
     def to_dict(self) -> dict:
-        return {
-            "version": CONFIG_SCHEMA_VERSION,
-            "seed": self.seed,
-            "layout": {
-                "nx": self.layout.nx,
-                "ny": self.layout.ny,
-                "spacing_m": self.layout.spacing,
-                "disabled": sorted([list(c) for c in self.layout.disabled]),
-                "carrier_hz": self.layout.carrier_hz,
-            },
-            "scene": {
-                "tx_angle_deg": self.tx_angle_deg,
-                "tx_distance_cm": self.tx_distance_cm,
-                "half_beamwidth_deg": self.half_beamwidth_deg,
-                "polarization": self.polarization,
-                "grid_angles_deg": list(self.grid.angles_deg),
-                "grid_distances_cm": list(self.grid.distances_cm),
-            },
-            "channel": {
-                "path_loss_exponent": self.channel.path_loss_exponent,
-                "rician_k_db": self.channel.rician_k_db,
-                "noise_variance": self.channel.noise_variance,
-                "cross_pol_coupling": self.channel.cross_pol_coupling,
-            },
-            "tone": {
-                "tone_hz": self.tone.tone_hz,
-                "sample_rate_hz": self.tone.sample_rate_hz,
-                "buffer_len": self.tone.buffer_len,
-                "tx_amplitude": self.tone.tx_amplitude,
-            },
-            "receiver": {"full_scale": self.full_scale},
-            "ris": {"element_amplitude": self.element_amplitude},
-            "optimizer": {"num_states": self.num_states, "group_size": self.group_size},
-            "sweep": {"points": [list(p) for p in self.sweep_points]},
-            "codebook": {
-                "reference_angles_deg": list(self.codebook_angles_deg),
-                "reference_distance_cm": self.codebook_distance_cm,
-                "path": [list(p) for p in self.path],
-            },
-            "grouping": {
-                "group_sizes": list(self.grouping_sizes),
-                "angles_deg": list(self.grouping_angles_deg),
-                "distance_cm": self.grouping_distance_cm,
-            },
-            "oracle": {
-                "nx": self.oracle_nx,
-                "ny": self.oracle_ny,
-                "num_states": self.oracle_num_states,
-                "instances": self.oracle_instances,
-                "cap": self.oracle_cap,
-            },
-        }
+        out: dict = {"version": CONFIG_SCHEMA_VERSION}
+        for section, key, field, _, dump in _SCHEMA:
+            target = out if section is None else out.setdefault(section, {})
+            target[key] = dump(attrgetter(field)(self))
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# config schema
+
+
+def _same(value):
+    return value
+
+
+def _int(value) -> int:
+    """An integer key: integral floats such as 4.0 pass, booleans and
+    fractions do not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _optional(parse):
+    """parse, except that null keeps the default."""
+    return lambda value: None if value is None else parse(value)
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _ints(values) -> tuple:
+    return tuple(_int(v) for v in values)
+
+
+def _points(values) -> tuple:
+    return tuple((float(a), float(d)) for a, d in values)
+
+
+def _point_lists(points) -> list:
+    return [list(p) for p in points]
+
+
+_CONTROLLER_CORNER = "controller-corner"
+
+
+def _cells(values):
+    if values == _CONTROLLER_CORNER:
+        return values
+    return frozenset((_int(r), _int(c)) for r, c in values)
+
+
+def _cell_lists(cells) -> list:
+    return sorted([list(c) for c in cells])
+
+
+def _layout(disabled=_CONTROLLER_CORNER, **fields) -> RisLayout:
+    """RisLayout from its config fields. "controller-corner", also the
+    default, disables the top-right 2x2 block of the final nx x ny grid."""
+    if disabled == _CONTROLLER_CORNER:
+        shape = RisLayout(**fields)
+        disabled = controller_corner(shape.nx, shape.ny)
+    return RisLayout(disabled=disabled, **fields)
+
+
+# (section, key, ScenarioConfig field, parse, dump), one row per config key.
+# section None is the top level; a dotted field names a field of a nested
+# parameter object, built from its collected fields. A missing key, or a
+# parse result of None (null where _optional allows it), keeps the default.
+_SCHEMA = (
+    (None, "seed", "seed", _int, _same),
+    ("layout", "nx", "layout.nx", _int, _same),
+    ("layout", "ny", "layout.ny", _int, _same),
+    # passed as written; RisLayout checks it, and null means lambda/2
+    ("layout", "spacing_m", "layout.spacing", _same, _same),
+    ("layout", "disabled", "layout.disabled", _cells, _cell_lists),
+    ("layout", "carrier_hz", "layout.carrier_hz", float, _same),
+    ("scene", "tx_angle_deg", "tx_angle_deg", float, _same),
+    ("scene", "tx_distance_cm", "tx_distance_cm", float, _same),
+    ("scene", "half_beamwidth_deg", "half_beamwidth_deg", float, _same),
+    ("scene", "polarization", "polarization", float, _same),
+    ("scene", "grid_angles_deg", "grid.angles_deg", _floats, list),
+    ("scene", "grid_distances_cm", "grid.distances_cm", _floats, list),
+    ("channel", "path_loss_exponent", "channel.path_loss_exponent", float, _same),
+    # float() also reads the string "inf"
+    ("channel", "rician_k_db", "channel.rician_k_db", float, _same),
+    ("channel", "noise_variance", "channel.noise_variance", _optional(float), _same),
+    ("channel", "cross_pol_coupling", "channel.cross_pol_coupling", float, _same),
+    ("tone", "tone_hz", "tone.tone_hz", float, _same),
+    ("tone", "sample_rate_hz", "tone.sample_rate_hz", float, _same),
+    ("tone", "buffer_len", "tone.buffer_len", _int, _same),
+    ("tone", "tx_amplitude", "tone.tx_amplitude", float, _same),
+    ("receiver", "full_scale", "full_scale", _optional(float), _same),
+    ("ris", "element_amplitude", "element_amplitude", float, _same),
+    ("optimizer", "num_states", "num_states", _int, _same),
+    ("optimizer", "group_size", "group_size", _int, _same),
+    ("sweep", "points", "sweep_points", _optional(_points), _point_lists),
+    ("codebook", "reference_angles_deg", "codebook_angles_deg", _floats, list),
+    ("codebook", "reference_distance_cm", "codebook_distance_cm", float, _same),
+    ("codebook", "path", "path", _optional(_points), _point_lists),
+    ("grouping", "group_sizes", "grouping_sizes", _ints, list),
+    ("grouping", "angles_deg", "grouping_angles_deg", _floats, list),
+    ("grouping", "distance_cm", "grouping_distance_cm", float, _same),
+    ("oracle", "nx", "oracle_nx", _int, _same),
+    ("oracle", "ny", "oracle_ny", _int, _same),
+    ("oracle", "num_states", "oracle_num_states", _int, _same),
+    ("oracle", "instances", "oracle_instances", _int, _same),
+    ("oracle", "cap", "oracle_cap", _int, _same),
+)
 
 
 def _require_keys(section: dict, allowed, where: str) -> None:
@@ -214,118 +293,38 @@ def _require_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _section(data: dict, name: str, schema: dict) -> dict:
-    """data[name] as a dict, checked against the keys to_dict writes there."""
-    section = dict(data.get(name, {}))
-    _require_keys(section, schema[name], name)
-    return section
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Build a config from parsed JSON; unknown keys are rejected, missing
-    ones fall back to the defaults, and "rician_k_db": "inf" is accepted."""
+    """Build a config from parsed JSON through _SCHEMA; unknown keys are
+    rejected and missing ones keep the ScenarioConfig defaults."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    defaults = ScenarioConfig()
-    # to_dict writes every accepted key, so it is the schema
-    schema = defaults.to_dict()
-    _require_keys(data, schema, "config")
+    keys: dict = {}
+    for section, key, *_ in _SCHEMA:
+        keys.setdefault(section, []).append(key)
+    _require_keys(data, ["version", *(s or k for s, k, *_ in _SCHEMA)], "config")
     if data.get("version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config version {data.get('version')!r}")
     try:
-        kw: dict = {"seed": int(data.get("seed", defaults.seed))}
-
-        lay = _section(data, "layout", schema)
-        nx = int(lay.get("nx", 10))
-        ny = int(lay.get("ny", 8))
-        disabled = lay.get("disabled", "controller-corner")
-        if disabled == "controller-corner":
-            disabled = controller_corner(nx, ny)
-        else:
-            disabled = frozenset((int(r), int(c)) for r, c in disabled)
-        kw["layout"] = RisLayout(
-            nx=nx,
-            ny=ny,
-            spacing=lay.get("spacing_m"),
-            disabled=disabled,
-            carrier_hz=float(lay.get("carrier_hz", defaults.layout.carrier_hz)),
-        )
-
-        sc = _section(data, "scene", schema)
-        kw["tx_angle_deg"] = float(sc.get("tx_angle_deg", defaults.tx_angle_deg))
-        kw["tx_distance_cm"] = float(sc.get("tx_distance_cm", defaults.tx_distance_cm))
-        kw["half_beamwidth_deg"] = float(sc.get("half_beamwidth_deg", defaults.half_beamwidth_deg))
-        kw["polarization"] = float(sc.get("polarization", defaults.polarization))
-        kw["grid"] = MeasurementGrid(
-            tuple(sc.get("grid_angles_deg", defaults.grid.angles_deg)),
-            tuple(sc.get("grid_distances_cm", defaults.grid.distances_cm)),
-        )
-
-        ch = _section(data, "channel", schema)
-        k_db = ch.get("rician_k_db", defaults.channel.rician_k_db)
-        if isinstance(k_db, str):
-            k_db = float(k_db)
-        noise = ch.get("noise_variance")
-        kw["channel"] = ChannelModelParams(
-            path_loss_exponent=float(ch.get("path_loss_exponent", defaults.channel.path_loss_exponent)),
-            rician_k_db=float(k_db),
-            noise_variance=defaults.channel.noise_variance if noise is None else float(noise),
-            cross_pol_coupling=float(ch.get("cross_pol_coupling", 0.0)),
-        )
-
-        tn = _section(data, "tone", schema)
-        kw["tone"] = ToneParams(
-            tone_hz=float(tn.get("tone_hz", defaults.tone.tone_hz)),
-            sample_rate_hz=float(tn.get("sample_rate_hz", defaults.tone.sample_rate_hz)),
-            buffer_len=int(tn.get("buffer_len", defaults.tone.buffer_len)),
-            tx_amplitude=float(tn.get("tx_amplitude", defaults.tone.tx_amplitude)),
-        )
-
-        rc = _section(data, "receiver", schema)
-        fs = rc.get("full_scale")
-        kw["full_scale"] = defaults.full_scale if fs is None else float(fs)
-
-        ris = _section(data, "ris", schema)
-        kw["element_amplitude"] = float(ris.get("element_amplitude", defaults.element_amplitude))
-
-        op = _section(data, "optimizer", schema)
-        kw["num_states"] = int(op.get("num_states", defaults.num_states))
-        kw["group_size"] = int(op.get("group_size", defaults.group_size))
-
-        sw = _section(data, "sweep", schema)
-        pts = sw.get("points")
-        if pts is not None:
-            kw["sweep_points"] = tuple((float(a), float(d)) for a, d in pts)
-
-        cb = _section(data, "codebook", schema)
-        kw["codebook_angles_deg"] = tuple(
-            float(a) for a in cb.get("reference_angles_deg", defaults.codebook_angles_deg)
-        )
-        kw["codebook_distance_cm"] = float(
-            cb.get("reference_distance_cm", defaults.codebook_distance_cm)
-        )
-        path = cb.get("path")
-        if path is not None:
-            kw["path"] = tuple((float(a), float(d)) for a, d in path)
-
-        gp = _section(data, "grouping", schema)
-        kw["grouping_sizes"] = tuple(int(g) for g in gp.get("group_sizes", defaults.grouping_sizes))
-        kw["grouping_angles_deg"] = tuple(
-            float(a) for a in gp.get("angles_deg", defaults.grouping_angles_deg)
-        )
-        kw["grouping_distance_cm"] = float(gp.get("distance_cm", defaults.grouping_distance_cm))
-
-        orc = _section(data, "oracle", schema)
-        kw["oracle_nx"] = int(orc.get("nx", defaults.oracle_nx))
-        kw["oracle_ny"] = int(orc.get("ny", defaults.oracle_ny))
-        kw["oracle_num_states"] = int(orc.get("num_states", defaults.oracle_num_states))
-        kw["oracle_instances"] = int(orc.get("instances", defaults.oracle_instances))
-        kw["oracle_cap"] = int(orc.get("cap", defaults.oracle_cap))
-
+        sections = {None: data}
+        kw: dict = {}
+        nested: dict = {}
+        for section, key, field, parse, _ in _SCHEMA:
+            if section not in sections:
+                sections[section] = dict(data.get(section, {}))
+                _require_keys(sections[section], keys[section], section)
+            head, _, attr = field.partition(".")
+            fields = nested.setdefault(head, {}) if attr else kw
+            if key in sections[section]:
+                value = parse(sections[section][key])
+                if value is not None:
+                    fields[attr or field] = value
+        for head, fields in nested.items():
+            cls = type(getattr(ScenarioConfig, head))
+            kw[head] = (_layout if cls is RisLayout else cls)(**fields)
         return ScenarioConfig(**kw)
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -402,20 +401,15 @@ class PointResult:
     trace: PowerTrace
 
 
+def _campaign_of(config: ScenarioConfig, group_size: int) -> _Campaign:
+    settings = (config.tone, config.full_scale, config.element_amplitude, config.num_states)
+    return _campaign(config.base_scene(), config.layout, config.channel, *settings, group_size)
+
+
 def sweep_point(config: ScenarioConfig, angle_deg: float, distance_cm: float, point_index: int = 0) -> PointResult:
     """Baseline measurement plus one greedy sweep at a single Rx spot."""
-    scene = config.base_scene().with_rx_at(float(angle_deg), float(distance_cm))
-    chan = synthesize_channels(scene, config.layout, config.channel)
-    meter = TonePowerMeter(
-        chan,
-        config.tone,
-        full_scale=config.full_scale,
-        amplitude=config.element_amplitude,
-        noise_seed=(config.seed, "sweep", point_index),
-    )
-    baseline = meter(RisConfig.all_off(config.layout))
-    grouping = make_grouping(config.layout, config.group_size)
-    _, trace = greedy_iterative(meter, config.layout, config.num_states, grouping)
+    campaign = _campaign_of(config, config.group_size)
+    baseline, trace = campaign.measure_spot(float(angle_deg), float(distance_cm), "sweep", point_index)
     final = trace.final_power
     return PointResult(
         float(angle_deg),
@@ -441,9 +435,7 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     errors = []
     for i, point in enumerate(config.sweep_points):
         try:
-            angle_deg, distance_cm = (float(point[0]), float(point[1]))
-            if not 0.0 < angle_deg < 180.0 or distance_cm <= 0:
-                raise ConfigError(f"point ({angle_deg}, {distance_cm}) is outside the scene")
+            angle_deg, distance_cm = _in_scene(point[0], point[1])
             jobs.append((config, i, angle_deg, distance_cm))
         except (ConfigError, TypeError, ValueError, IndexError) as exc:
             errors.append({"point": list(point), "error": str(exc)})
@@ -502,18 +494,9 @@ def _median(values) -> float:
 
 def _grouping_job(args):
     config, angle_index, angle_deg, size = args
-    scene = config.base_scene().with_rx_at(angle_deg, config.grouping_distance_cm)
-    chan = synthesize_channels(scene, config.layout, config.channel)
-    meter = TonePowerMeter(
-        chan,
-        config.tone,
-        full_scale=config.full_scale,
-        amplitude=config.element_amplitude,
-        noise_seed=(config.seed, "grouping", angle_index, size),
+    baseline, trace = _campaign_of(config, size).measure_spot(
+        angle_deg, config.grouping_distance_cm, "grouping", angle_index, size
     )
-    baseline = meter(RisConfig.all_off(config.layout))
-    grouping = make_grouping(config.layout, size)
-    _, trace = greedy_iterative(meter, config.layout, config.num_states, grouping)
     return angle_deg, size, baseline, trace
 
 
@@ -602,6 +585,14 @@ def run_codebook_experiment(
     out = Path(out_dir)
     scene = config.base_scene()
     refs = [(a, config.codebook_distance_cm) for a in config.codebook_angles_deg]
+    shared = dict(
+        tone=config.tone,
+        full_scale=config.full_scale,
+        element_amplitude=config.element_amplitude,
+        num_states=config.num_states,
+        group_size=config.group_size,
+        parallel=parallel,
+    )
     if load_codebook is not None:
         try:
             book = Codebook.load(load_codebook)
@@ -610,34 +601,11 @@ def run_codebook_experiment(
         if book.layout is not None and book.layout != config.layout:
             raise ConfigError("loaded codebook was built for a different layout")
     else:
-        book = generate_codebook(
-            scene,
-            config.layout,
-            refs,
-            config.channel,
-            tone=config.tone,
-            full_scale=config.full_scale,
-            element_amplitude=config.element_amplitude,
-            num_states=config.num_states,
-            group_size=config.group_size,
-            parallel=parallel,
-        )
+        book = generate_codebook(scene, config.layout, refs, config.channel, **shared)
     out.mkdir(parents=True, exist_ok=True)
     book.save(out / "codebook.json")
 
-    evaluation = evaluate_path(
-        book,
-        config.path,
-        scene,
-        config.layout,
-        config.channel,
-        tone=config.tone,
-        full_scale=config.full_scale,
-        element_amplitude=config.element_amplitude,
-        num_states=config.num_states,
-        group_size=config.group_size,
-        parallel=parallel,
-    )
+    evaluation = evaluate_path(book, config.path, scene, config.layout, config.channel, **shared)
     _write_csv(
         out / "path.csv",
         config,

@@ -133,13 +133,12 @@ def grid_point(angle_deg: float, distance_cm: float, center=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """One bench placement: surface pose, both terminals, and the grid."""
+    """One bench placement: surface pose and both terminals."""
 
     ris_center: np.ndarray
     ris_normal: np.ndarray
     tx: Terminal
     rx: Terminal
-    grid: MeasurementGrid = MeasurementGrid()
     # (in-plane axis, normal) from _frame(ris_normal), for point_at and
     # element_positions
     _axes: tuple = field(init=False, repr=False)
@@ -191,7 +190,6 @@ def make_scene(
     tx_distance_cm: float = DEFAULT_TX_DISTANCE_CM,
     half_beamwidth_deg: float = DEFAULT_HALF_BEAMWIDTH_DEG,
     polarization: float = 0.5,
-    grid: MeasurementGrid | None = None,
     ris_center=(0.0, 0.0, 0.0),
     ris_normal=(0.0, 1.0, 0.0),
 ) -> Scene:
@@ -212,7 +210,6 @@ def make_scene(
         n,
         place(tx_angle_deg, tx_distance_cm),
         place(rx_angle_deg, rx_distance_cm),
-        grid if grid is not None else MeasurementGrid(),
     )
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -22,7 +21,6 @@ from rissim.channel import (
     quantize_adc,
     synthesize_channels,
     tone_waveform,
-    write_iq_buffer,
 )
 from rissim.geometry import make_scene
 from rissim.ris import RisConfig, RisLayout, theta_diag
@@ -459,22 +457,3 @@ def test_gain_meter_reports_decibels():
     assert meter(RisConfig(lay, (1, 0))) == float("-inf")
     assert meter.calls == 2
 
-
-# --- capture files -----------------------------------------------------
-
-
-def test_iq_buffer_round_trip(tmp_path):
-    tone = ToneParams(buffer_len=256)
-    chan = _unit_channel(1)
-    c = channel_gain(RisConfig.all_off(RisLayout(nx=1, ny=1)), chan)
-    r = c * tone_waveform(tone)
-    buf = quantize_adc(r, full_scale=2.0)
-    path = tmp_path / "capture.iq"
-    write_iq_buffer(path, buf, tone, full_scale=2.0)
-    codes = np.frombuffer(path.read_bytes(), dtype="<i2").reshape(-1, 2)
-    assert np.array_equal(codes, buf.iq)
-    sidecar = json.loads((tmp_path / "capture.iq.json").read_text())
-    assert sidecar["buffer_len"] == 256
-    assert sidecar["full_scale"] == 2.0
-    assert sidecar["clip_fraction"] == buf.clip_fraction
-    assert "int16" in sidecar["format"]

@@ -146,3 +146,33 @@ def test_parallel_below_one_is_rejected(tmp_path, capsys, value):
     assert exc.value.code == 2
     assert "--parallel" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("codebook", {"codebook": {**SMALL["codebook"], "path": [[200.0, 50.0]]}}, "(200.0, 50.0)"),
+        (
+            "codebook",
+            {"codebook": {**SMALL["codebook"], "reference_distance_cm": -5}},
+            "(70.0, -5.0)",
+        ),
+        ("grouping", {"grouping": {**SMALL["grouping"], "angles_deg": [200]}}, "(200.0, 170.0)"),
+    ],
+)
+def test_point_outside_scene_exits_two(tmp_path, capsys, command, section, message):
+    p = tmp_path / "bad_point.json"
+    p.write_text(json.dumps({**SMALL, **section}))
+    rc = cli.main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: point {message} is outside the scene\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_group_sizes_flag_exits_two(tmp_path, capsys, config_path):
+    rc = cli.main(
+        ["grouping", "--config", str(config_path), "--group-sizes", "8,8", "--out", str(tmp_path / "g")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: grouping sizes must not repeat: [8, 8]\n"
+    assert not (tmp_path / "g").exists()

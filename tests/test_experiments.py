@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from rissim.channel import GainMeter, derive_seed, end_to_end_gain, synthesize_c
 from rissim.experiments import (
     ConfigError,
     ScenarioConfig,
+    _SCHEMA,
     _oracle_job,
     config_from_dict,
     load_config,
@@ -77,6 +79,99 @@ def test_field_validation_maps_to_config_error():
 def test_rician_inf_accepted():
     cfg = config_from_dict({"channel": {"rician_k_db": "inf"}})
     assert cfg.channel.rician_k_db == float("inf")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"seed": 7.9},
+        {"oracle": {"instances": 2.5}},
+        {"layout": {"nx": 4.7}},
+        {"tone": {"buffer_len": True}},
+    ],
+)
+def test_integer_keys_reject_fractions_and_booleans(data):
+    with pytest.raises(ConfigError, match="expected an integer"):
+        config_from_dict(data)
+
+
+def test_integer_keys_accept_integral_floats():
+    cfg = config_from_dict({"seed": 3.0, "layout": {"nx": 4.0, "ny": 2, "disabled": [[0.0, 1]]}})
+    assert cfg == config_from_dict({"seed": 3, "layout": {"nx": 4, "ny": 2, "disabled": [[0, 1]]}})
+    assert type(cfg.seed) is int and type(cfg.layout.nx) is int
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"grouping": {"group_sizes": [8, 8]}}, "grouping sizes must not repeat: [8, 8]"),
+        ({"grouping": {"angles_deg": [70, 90, 70]}}, "grouping angles must not repeat"),
+        (
+            {"codebook": {"reference_angles_deg": [70, 70.0]}},
+            "codebook reference angles must not repeat",
+        ),
+    ],
+)
+def test_repeated_sizes_and_angles_rejected(data, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert str(exc.value).startswith(message)
+
+
+# Every schema key set away from its default, in the form to_dict writes.
+EVERY_KEY = {
+    "version": 1,
+    "seed": 11,
+    "layout": {"nx": 6, "ny": 4, "spacing_m": 0.03, "disabled": [[0, 0], [3, 5]], "carrier_hz": 2.4e9},
+    "scene": {
+        "tx_angle_deg": 60.0,
+        "tx_distance_cm": 120.0,
+        "half_beamwidth_deg": 30.0,
+        "polarization": 0.25,
+        "grid_angles_deg": [60.0, 120.0],
+        "grid_distances_cm": [100.0, 200.0],
+    },
+    "channel": {"path_loss_exponent": 2.2, "rician_k_db": 6.0, "noise_variance": 0.02, "cross_pol_coupling": 0.1},
+    "tone": {"tone_hz": 2e5, "sample_rate_hz": 2e6, "buffer_len": 4096, "tx_amplitude": 0.5},
+    "receiver": {"full_scale": 500.0},
+    "ris": {"element_amplitude": 0.8},
+    "optimizer": {"num_states": 2, "group_size": 2},
+    "sweep": {"points": [[60.0, 150.0]]},
+    "codebook": {"reference_angles_deg": [60.0, 120.0], "reference_distance_cm": 150.0, "path": [[65.0, 150.0]]},
+    "grouping": {"group_sizes": [2, 4], "angles_deg": [80.0], "distance_cm": 150.0},
+    "oracle": {"nx": 3, "ny": 1, "num_states": 3, "instances": 5, "cap": 1000},
+}
+
+
+def test_every_key_serializes_as_pinned():
+    defaults = ScenarioConfig().to_dict()
+    for section, body in EVERY_KEY.items():
+        if isinstance(body, dict):
+            assert set(body) == set(defaults[section])
+            assert all(body[key] != defaults[section][key] for key in body)
+    assert set(EVERY_KEY) == set(defaults)
+    cfg = config_from_dict(EVERY_KEY)
+    assert cfg.to_dict() == EVERY_KEY
+    assert config_from_dict(cfg.to_dict()) == cfg
+    # the hash the hand-written schema gave this config
+    assert cfg.config_hash() == "240ce0f5faec5eaa"
+
+
+def _readme_config_keys():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Configuration", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    block = re.sub(r"//[^\n]*", "", block)
+    keys = set()
+    for section, body in re.findall(r'"(\w+)":\s*\{([^}]*)\}', block):
+        keys.update((section, key) for key in re.findall(r'"(\w+)":', body))
+    top = re.sub(r'"\w+":\s*\{[^}]*\}', "", block)
+    keys.update((None, key) for key in re.findall(r'"(\w+)":', top))
+    return keys
+
+
+def test_readme_config_block_lists_the_schema_keys():
+    schema = {(section, key) for section, key, *_ in _SCHEMA}
+    assert _readme_config_keys() == schema | {(None, "version"), (None, "seed")}
 
 
 def test_load_config_errors(tmp_path):
@@ -272,3 +367,12 @@ def test_oracle_job_matches_two_meter_formulation(nx, ny):
         }
         assert oracle_meter.calls == 4**n and greedy_meter.calls == 4 * n
 
+
+
+def test_codebook_json_is_strict_with_infinite_k(tmp_path):
+    cfg = config_from_dict({**SMALL, "channel": {"noise_variance": 0.0, "rician_k_db": "inf"}})
+    run_codebook_experiment(cfg, tmp_path / "book")
+    meta = _strict_json(tmp_path / "book" / "codebook.json")["metadata"]
+    assert meta["channel"]["rician_k_db"] == "inf"
+    again = config_from_dict({"channel": {"rician_k_db": meta["channel"]["rician_k_db"]}})
+    assert again.channel.rician_k_db == cfg.channel.rician_k_db
