@@ -53,13 +53,30 @@ def _entropy_words(parts) -> list[int]:
 
 
 def derive_rng(*parts) -> np.random.Generator:
-    """Generator keyed on a mixed tuple of ints, floats, strings, arrays."""
-    return np.random.default_rng(_entropy_words(parts))
+    """Generator keyed on a mixed tuple of ints, floats, strings, arrays.
+
+    The seed is the uint32 array SeedSequence would build from the 64-bit
+    words itself (a word below 2**32 is one entry, any other its low half
+    then its high half), so the stream is default_rng(_entropy_words(parts))
+    without numpy's per-int coercion. A list of words from _entropy_words
+    keys the same stream as the parts it came from.
+    """
+    entropy: list[int] = []
+    for w in _entropy_words(parts):
+        entropy.extend((w & 0xFFFFFFFF, w >> 32) if w >> 32 else (w,))
+    return np.random.default_rng(np.array(entropy, dtype=np.uint32))
 
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit sub-seed from the same kind of mixed key."""
     return int(np.random.SeedSequence(_entropy_words(parts)).generate_state(1, np.uint64)[0])
+
+
+def _check_noise_variance(noise_variance: float) -> None:
+    # NaN would run a noiseless campaign (NaN > 0 is false) and inf would
+    # clip every sample
+    if not 0.0 <= noise_variance < math.inf:
+        raise ValueError("noise_variance must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -73,10 +90,12 @@ class ChannelModelParams:
     cross_pol_coupling: float = 0.0
 
     def __post_init__(self):
-        if self.path_loss_exponent < 1.0:
-            raise ValueError("path_loss_exponent must be at least 1")
-        if self.noise_variance < 0.0:
-            raise ValueError("noise_variance must be non-negative")
+        # chained comparisons are false for NaN, so NaN fails each check
+        if not 1.0 <= self.path_loss_exponent < math.inf:
+            raise ValueError("path_loss_exponent must be finite and at least 1")
+        if math.isnan(self.rician_k_db):
+            raise ValueError("rician_k_db must not be NaN")
+        _check_noise_variance(self.noise_variance)
         if not 0.0 <= self.cross_pol_coupling <= 1.0:
             raise ValueError("cross_pol_coupling must be in [0, 1]")
 
@@ -107,8 +126,7 @@ class ChannelRealization:
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
         object.__setattr__(self, "h_los", complex(self.h_los))
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be non-negative")
+        _check_noise_variance(self.noise_variance)
 
     @property
     def n_elements(self) -> int:
@@ -265,7 +283,7 @@ def quantize_adc(samples, full_scale: float) -> QuantizedBuffer:
     code_scale = _code_scale(full_scale)
     x = np.asarray(samples, dtype=np.complex128)
     buf = np.stack([x.real, x.imag]) * code_scale
-    _round_half_away(buf, np.empty_like(buf))
+    np.copysign(_round_magnitudes(buf, np.empty_like(buf)), buf, out=buf)
     clip_fraction = _clip_codes(buf)
     return QuantizedBuffer(np.moveaxis(buf, 0, -1).astype(np.int16, order="C"), clip_fraction)
 
@@ -281,12 +299,12 @@ def _code_scale(full_scale: float) -> float:
     return code_scale
 
 
-def _round_half_away(buf: np.ndarray, scratch: np.ndarray) -> None:
-    """Round buf half away from zero in place; scratch has buf's shape."""
-    np.abs(buf, out=scratch)
-    scratch += 0.5
-    np.floor(scratch, out=scratch)
-    np.copysign(scratch, buf, out=buf)
+def _round_magnitudes(buf: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """Put floor(|buf| + 0.5) into mags, of buf's shape, and return it: the
+    magnitudes of buf rounded half away from zero."""
+    np.abs(buf, out=mags)
+    mags += 0.5
+    return np.floor(mags, out=mags)
 
 
 def _clip_codes(buf: np.ndarray) -> float:
@@ -356,28 +374,33 @@ class TonePowerMeter:
         self.last_clip_fraction = 0.0
         self._code_scale = _code_scale(self.full_scale)
         self._waveform = tone_waveform(self.tone)
+        self._noise_words = _entropy_words([noise_seed])
         self._noise_scale = math.sqrt(self.chan.noise_variance / 2.0)
         self._buf = np.empty((2, self.tone.buffer_len))
-        self._scratch = np.empty_like(self._buf)
+        self._mags = np.empty_like(self._buf)
         self._products = _state_products(chan, self.amplitude)
 
     def __call__(self, config: RisConfig) -> float:
         index = self.calls
         self.calls += 1
         c = _cascade(config, self.chan, self._products)
-        r = c * self._waveform
+        # the I and Q rows of c * w as one (2, K) view
+        r = (c * self._waveform).view(np.float64).reshape(-1, 2).T
         buf = self._buf
         if self.chan.noise_variance > 0.0:
             # fills the rows in the order standard_normal((2, K)) draws them
-            derive_rng(self.noise_seed, index).standard_normal(out=buf)
+            derive_rng(self._noise_words, index).standard_normal(out=buf)
             buf *= self._noise_scale
-            buf[0] += r.real
-            buf[1] += r.imag
+            buf += r
         else:
-            buf[0] = r.real
-            buf[1] = r.imag
+            buf[...] = r
         buf *= self._code_scale
-        _round_half_away(buf, self._scratch)
+        mags = _round_magnitudes(buf, self._mags)
+        if mags.max() < ADC_CODE_MAX:
+            # no code can leave (-2047, 2048], and the power ignores signs
+            self.last_clip_fraction = 0.0
+            return _codes_dbfs(mags, buf.shape[1])
+        np.copysign(mags, buf, out=buf)
         self.last_clip_fraction = _clip_codes(buf)
         return _codes_dbfs(buf, buf.shape[1])
 

@@ -198,13 +198,25 @@ def _int(value) -> int:
     return int(value)
 
 
+def _not_bool(value):
+    """value itself, unless it is a boolean, which Python would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return value
+
+
+def _float(value) -> float:
+    """A float key: numbers and numeric strings such as "inf"; no booleans."""
+    return float(_not_bool(value))
+
+
 def _optional(parse):
     """parse, except that null keeps the default."""
     return lambda value: None if value is None else parse(value)
 
 
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(_float(v) for v in values)
 
 
 def _ints(values) -> tuple:
@@ -212,7 +224,7 @@ def _ints(values) -> tuple:
 
 
 def _points(values) -> tuple:
-    return tuple((float(a), float(d)) for a, d in values)
+    return tuple((_float(a), _float(d)) for a, d in values)
 
 
 def _point_lists(points) -> list:
@@ -249,36 +261,37 @@ _SCHEMA = (
     (None, "seed", "seed", _int, _same),
     ("layout", "nx", "layout.nx", _int, _same),
     ("layout", "ny", "layout.ny", _int, _same),
-    # passed as written; RisLayout checks it, and null means lambda/2
-    ("layout", "spacing_m", "layout.spacing", _same, _same),
+    # passed as written, so an integer spacing keeps its config_hash;
+    # RisLayout checks it, and null means lambda/2
+    ("layout", "spacing_m", "layout.spacing", _not_bool, _same),
     ("layout", "disabled", "layout.disabled", _cells, _cell_lists),
-    ("layout", "carrier_hz", "layout.carrier_hz", float, _same),
-    ("scene", "tx_angle_deg", "tx_angle_deg", float, _same),
-    ("scene", "tx_distance_cm", "tx_distance_cm", float, _same),
-    ("scene", "half_beamwidth_deg", "half_beamwidth_deg", float, _same),
-    ("scene", "polarization", "polarization", float, _same),
+    ("layout", "carrier_hz", "layout.carrier_hz", _float, _same),
+    ("scene", "tx_angle_deg", "tx_angle_deg", _float, _same),
+    ("scene", "tx_distance_cm", "tx_distance_cm", _float, _same),
+    ("scene", "half_beamwidth_deg", "half_beamwidth_deg", _float, _same),
+    ("scene", "polarization", "polarization", _float, _same),
     ("scene", "grid_angles_deg", "grid.angles_deg", _floats, list),
     ("scene", "grid_distances_cm", "grid.distances_cm", _floats, list),
-    ("channel", "path_loss_exponent", "channel.path_loss_exponent", float, _same),
-    # float() also reads the string "inf"
-    ("channel", "rician_k_db", "channel.rician_k_db", float, _same),
-    ("channel", "noise_variance", "channel.noise_variance", _optional(float), _same),
-    ("channel", "cross_pol_coupling", "channel.cross_pol_coupling", float, _same),
-    ("tone", "tone_hz", "tone.tone_hz", float, _same),
-    ("tone", "sample_rate_hz", "tone.sample_rate_hz", float, _same),
+    ("channel", "path_loss_exponent", "channel.path_loss_exponent", _float, _same),
+    # _float also reads the string "inf"
+    ("channel", "rician_k_db", "channel.rician_k_db", _float, _same),
+    ("channel", "noise_variance", "channel.noise_variance", _optional(_float), _same),
+    ("channel", "cross_pol_coupling", "channel.cross_pol_coupling", _float, _same),
+    ("tone", "tone_hz", "tone.tone_hz", _float, _same),
+    ("tone", "sample_rate_hz", "tone.sample_rate_hz", _float, _same),
     ("tone", "buffer_len", "tone.buffer_len", _int, _same),
-    ("tone", "tx_amplitude", "tone.tx_amplitude", float, _same),
-    ("receiver", "full_scale", "full_scale", _optional(float), _same),
-    ("ris", "element_amplitude", "element_amplitude", float, _same),
+    ("tone", "tx_amplitude", "tone.tx_amplitude", _float, _same),
+    ("receiver", "full_scale", "full_scale", _optional(_float), _same),
+    ("ris", "element_amplitude", "element_amplitude", _float, _same),
     ("optimizer", "num_states", "num_states", _int, _same),
     ("optimizer", "group_size", "group_size", _int, _same),
     ("sweep", "points", "sweep_points", _optional(_points), _point_lists),
     ("codebook", "reference_angles_deg", "codebook_angles_deg", _floats, list),
-    ("codebook", "reference_distance_cm", "codebook_distance_cm", float, _same),
+    ("codebook", "reference_distance_cm", "codebook_distance_cm", _float, _same),
     ("codebook", "path", "path", _optional(_points), _point_lists),
     ("grouping", "group_sizes", "grouping_sizes", _ints, list),
     ("grouping", "angles_deg", "grouping_angles_deg", _floats, list),
-    ("grouping", "distance_cm", "grouping_distance_cm", float, _same),
+    ("grouping", "distance_cm", "grouping_distance_cm", _float, _same),
     ("oracle", "nx", "oracle_nx", _int, _same),
     ("oracle", "ny", "oracle_ny", _int, _same),
     ("oracle", "num_states", "oracle_num_states", _int, _same),

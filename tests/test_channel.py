@@ -1,5 +1,7 @@
 import math
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rissim.channel import (
+    DEFAULT_FULL_SCALE,
+    DEFAULT_NOISE_VARIANCE,
     ChannelModelParams,
     ChannelRealization,
     GainMeter,
@@ -21,6 +25,7 @@ from rissim.channel import (
     quantize_adc,
     synthesize_channels,
     tone_waveform,
+    _entropy_words,
 )
 from rissim.geometry import make_scene
 from rissim.ris import RisConfig, RisLayout, theta_diag
@@ -53,6 +58,29 @@ def test_derive_seed_mixes_arrays_and_strings():
     assert s1 == s3
     with pytest.raises(TypeError):
         derive_seed(object())
+
+
+# ints on both sides of the 32- and 64-bit word edges, negative ones
+# included, so the split into uint32 entries is exercised at each edge
+_EDGE_INTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, -1, -(2**32), -(2**63)])
+_SEED_ATOMS = st.one_of(
+    _EDGE_INTS,
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.floats(), max_size=4).map(np.array),
+)
+_SEED_PARTS = st.recursive(_SEED_ATOMS, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8)
+
+
+@given(parts=st.lists(_SEED_PARTS, max_size=4), key=_SEED_PARTS, index=st.integers(0, 2**40))
+@settings(max_examples=200, deadline=None)
+def test_derive_rng_seeds_the_stream_of_its_words(parts, key, index):
+    expected = np.random.default_rng(_entropy_words(parts)).bit_generator.state
+    assert derive_rng(*parts).bit_generator.state == expected
+    # the meter keys each call on its precomputed noise-seed words
+    from_words = derive_rng(_entropy_words([key]), index).bit_generator.state
+    assert from_words == derive_rng(key, index).bit_generator.state
 
 
 # --- synthesis ---------------------------------------------------------
@@ -312,6 +340,19 @@ def test_meter_floor_error_on_dark_channel():
         meter(RisConfig.all_off(RisLayout(nx=1, ny=1)))
 
 
+@pytest.mark.parametrize("h_los, clip_fraction", [(2048.0, 0.0), (-2048.0, 1.0)])
+def test_meter_reading_at_the_clip_edge(h_los, clip_fraction):
+    # one code per unit: +2048 is the top code, -2048 clamps to -2047
+    dark = np.zeros(1, np.complex128)
+    tone = ToneParams(buffer_len=1)
+    meter = TonePowerMeter(ChannelRealization(dark, dark, dark, dark, h_los, 0.0), tone, full_scale=2048.0)
+    reading = meter(RisConfig.all_off(RisLayout(nx=1, ny=1)))
+    assert meter.last_clip_fraction == clip_fraction
+    q = quantize_adc(h_los * tone_waveform(tone), 2048.0)
+    assert q.clip_fraction == clip_fraction
+    assert reading == power_dbfs(q.iq)
+
+
 def _reference_cascade(config, chan, amplitude):
     """The cascade written out with theta_diag products and no per-state
     tables: g_h^H (theta_h * h_h) + g_v^H (theta_v * h_v) + h_los."""
@@ -430,6 +471,46 @@ def test_full_scale_without_finite_code_scale_is_rejected(full_scale):
         quantize_adc(np.array([0.0j, 1e-323 + 0j]), full_scale)
     with pytest.raises(ValueError, match="gives no finite ADC code scale"):
         TonePowerMeter(_unit_channel(1), full_scale=full_scale)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("noise_variance", math.nan),
+        ("noise_variance", math.inf),
+        ("noise_variance", -1.0),
+        ("path_loss_exponent", math.nan),
+        ("path_loss_exponent", math.inf),
+        ("path_loss_exponent", 0.5),
+        ("rician_k_db", math.nan),
+    ],
+)
+def test_channel_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ChannelModelParams(**{field: value})
+
+
+def test_channel_params_keep_infinite_rician_k():
+    assert ChannelModelParams(rician_k_db=math.inf).rician_k_db == math.inf
+
+
+@pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0])
+def test_realization_rejects_bad_noise_variance(noise):
+    with pytest.raises(ValueError, match="noise_variance must be finite and non-negative"):
+        _unit_channel(noise=noise)
+
+
+def test_calibration_script_reproduces_the_frozen_defaults(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_defaults.py"
+    runpy.run_path(str(script), run_name="__main__")
+    printed = dict(
+        line.split(" = ") for line in capsys.readouterr().out.splitlines() if line.startswith("DEFAULT_")
+    )
+    # repr round-trips a float exactly, so equal strings are equal bits
+    assert printed == {
+        "DEFAULT_FULL_SCALE": repr(DEFAULT_FULL_SCALE),
+        "DEFAULT_NOISE_VARIANCE": repr(DEFAULT_NOISE_VARIANCE),
+    }
 
 
 def test_gain_meter_dark_config_reads_minus_inf_without_warning():

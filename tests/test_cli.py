@@ -176,3 +176,14 @@ def test_repeated_group_sizes_flag_exits_two(tmp_path, capsys, config_path):
     assert rc == 2
     assert capsys.readouterr().err == "error: grouping sizes must not repeat: [8, 8]\n"
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_noise_variance_exits_two(tmp_path, capsys, value):
+    p = tmp_path / "bad_noise.json"
+    # json writes these as NaN and Infinity, which json.loads reads back
+    p.write_text(json.dumps({**SMALL, "channel": {"noise_variance": value}}))
+    rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: noise_variance must be finite and non-negative\n"
+    assert not (tmp_path / "out").exists()

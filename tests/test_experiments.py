@@ -95,6 +95,46 @@ def test_integer_keys_reject_fractions_and_booleans(data):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"scene": {"polarization": True}},
+        {"channel": {"rician_k_db": False}},
+        {"layout": {"spacing_m": True}},
+        {"receiver": {"full_scale": True}},
+        {"codebook": {"reference_angles_deg": [70.0, True]}},
+        {"sweep": {"points": [[True, 170.0]]}},
+    ],
+)
+def test_float_keys_reject_booleans(data):
+    with pytest.raises(ConfigError, match="expected a number, got (True|False)"):
+        config_from_dict(data)
+
+
+def test_spacing_is_kept_as_written():
+    # an integer spacing is written back as an integer, so its config_hash
+    # does not move
+    for spacing in (1, 0.03):
+        cfg = config_from_dict({"layout": {"spacing_m": spacing}})
+        assert type(cfg.to_dict()["layout"]["spacing_m"]) is type(spacing)
+        assert config_from_dict(cfg.to_dict()).config_hash() == cfg.config_hash()
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        {"noise_variance": float("nan")},
+        {"noise_variance": float("inf")},
+        {"path_loss_exponent": float("nan")},
+        {"path_loss_exponent": float("inf")},
+        {"rician_k_db": float("nan")},
+    ],
+)
+def test_non_finite_channel_keys_are_config_errors(channel):
+    with pytest.raises(ConfigError, match=next(iter(channel))):
+        config_from_dict({"channel": channel})
+
+
 def test_integer_keys_accept_integral_floats():
     cfg = config_from_dict({"seed": 3.0, "layout": {"nx": 4.0, "ny": 2, "disabled": [[0.0, 1]]}})
     assert cfg == config_from_dict({"seed": 3, "layout": {"nx": 4, "ny": 2, "disabled": [[0, 1]]}})
