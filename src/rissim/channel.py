@@ -248,14 +248,15 @@ class ToneParams:
     tx_amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        # chained comparisons are false for NaN, so NaN fails each check
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise ValueError("sample_rate_hz must be finite and positive")
         if not 0.0 < self.tone_hz < self.sample_rate_hz / 2.0:
             raise ValueError("tone_hz must sit below Nyquist")
         if self.buffer_len < 1:
             raise ValueError("buffer_len must be at least 1")
-        if self.tx_amplitude <= 0:
-            raise ValueError("tx_amplitude must be positive")
+        if not 0.0 < self.tx_amplitude < math.inf:
+            raise ValueError("tx_amplitude must be finite and positive")
 
 
 def tone_waveform(tone: ToneParams) -> np.ndarray:
@@ -280,23 +281,24 @@ def quantize_adc(samples, full_scale: float) -> QuantizedBuffer:
     Rounding is half away from zero. Components beyond full scale clamp
     silently; the fraction of samples touched by clamping is reported.
     """
-    code_scale = _code_scale(full_scale)
     x = np.asarray(samples, dtype=np.complex128)
-    buf = np.stack([x.real, x.imag]) * code_scale
+    buf = np.stack([x.real, x.imag]) * code_scale(full_scale)
     np.copysign(_round_magnitudes(buf, np.empty_like(buf)), buf, out=buf)
     clip_fraction = _clip_codes(buf)
     return QuantizedBuffer(np.moveaxis(buf, 0, -1).astype(np.int16, order="C"), clip_fraction)
 
 
-def _code_scale(full_scale: float) -> float:
+def code_scale(full_scale: float) -> float:
+    """ADC codes per unit of amplitude; ValueError unless full_scale is
+    positive and gives a finite one."""
     if full_scale <= 0:
         raise ValueError("full_scale must be positive")
-    code_scale = ADC_CODE_MAX / full_scale
+    scale = ADC_CODE_MAX / full_scale
     # a subnormal full scale overflows the code scale, and inf * 0 would
     # turn a silent sample into a NaN code
-    if not math.isfinite(code_scale):
+    if not math.isfinite(scale):
         raise ValueError(f"full_scale {full_scale!r} gives no finite ADC code scale")
-    return code_scale
+    return scale
 
 
 def _round_magnitudes(buf: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -372,7 +374,7 @@ class TonePowerMeter:
         self.noise_seed = noise_seed
         self.calls = 0
         self.last_clip_fraction = 0.0
-        self._code_scale = _code_scale(self.full_scale)
+        self._code_scale = code_scale(self.full_scale)
         self._waveform = tone_waveform(self.tone)
         self._noise_words = _entropy_words([noise_seed])
         self._noise_scale = math.sqrt(self.chan.noise_variance / 2.0)

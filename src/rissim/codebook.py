@@ -7,25 +7,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import (
-    ChannelModelParams,
-    DEFAULT_FULL_SCALE,
-    TonePowerMeter,
-    ToneParams,
-    synthesize_channels,
-)
-from .geometry import Scene, grid_point
+from .channel import ChannelModelParams, TonePowerMeter, ToneParams, synthesize_channels
+from .geometry import Scene, check_spot, grid_point
 from .optimizer import greedy_iterative
 from .parallel import parallel_map
-from .ris import (
-    DEFAULT_ELEMENT_AMPLITUDE,
-    GroupingScheme,
-    RisConfig,
-    RisLayout,
-    from_bit_array,
-    make_grouping,
-    to_bit_array,
-)
+from .ris import GroupingScheme, RisConfig, RisLayout, from_bit_array, to_bit_array
 
 CODEBOOK_SCHEMA_VERSION = 1
 SWITCH_TIME_MS = 1.0  # nominal controller latency per codeword swap
@@ -50,7 +36,7 @@ class Codebook:
         seen = set()
         layout = None
         for e in self.entries:
-            key = (e.angle_deg, e.distance_cm)
+            key = check_spot(e.angle_deg, e.distance_cm)
             if key in seen:
                 raise ValueError(f"duplicate reference point {key}")
             seen.add(key)
@@ -129,8 +115,9 @@ class CodebookGenerationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _Campaign:
-    """What every per-point greedy campaign shares; sent to pool workers."""
+class Campaign:
+    """The settings of a greedy measurement campaign, shared by every
+    receiver spot it visits; sent to pool workers."""
 
     scene: Scene
     layout: RisLayout
@@ -167,16 +154,6 @@ class _Campaign:
         return baseline, trace
 
 
-def _campaign(
-    scene, layout, channel_params, tone, full_scale, element_amplitude, num_states, group_size
-) -> _Campaign:
-    tone = tone if tone is not None else ToneParams()
-    grouping = make_grouping(layout, group_size)
-    return _Campaign(
-        scene, layout, channel_params, tone, full_scale, element_amplitude, num_states, grouping
-    )
-
-
 def _train_codeword(job) -> RisConfig:
     campaign, index, angle_deg, distance_cm = job
     meter = campaign.meter(campaign.channel(angle_deg, distance_cm), "codebook", index)
@@ -184,43 +161,30 @@ def _train_codeword(job) -> RisConfig:
     return config
 
 
-def generate_codebook(
-    scene: Scene,
-    layout: RisLayout,
-    reference_points,
-    channel_params: ChannelModelParams,
-    *,
-    tone: ToneParams | None = None,
-    full_scale: float = DEFAULT_FULL_SCALE,
-    element_amplitude: float = DEFAULT_ELEMENT_AMPLITUDE,
-    num_states: int = 4,
-    group_size: int = 1,
-    parallel: int = 1,
-) -> Codebook:
-    """Train one codeword per reference point with the greedy sweep.
+def generate_codebook(campaign: Campaign, reference_points, parallel: int = 1) -> Codebook:
+    """Train one codeword per reference point with the campaign's greedy
+    sweep.
 
     Each point gets its own channel realization and measurement noise
     stream, both keyed on the scenario seed, so regeneration is exact and
     the points can train on ``parallel`` worker processes.
     """
-    campaign = _campaign(
-        scene, layout, channel_params, tone, full_scale, element_amplitude, num_states, group_size
-    )
+    params = campaign.channel_params
     points = [(float(a), float(d)) for a, d in reference_points]
-    k_db = channel_params.rician_k_db
+    k_db = params.rician_k_db
     meta = {
-        "seed": channel_params.seed,
-        "layout": _layout_meta(layout),
+        "seed": params.seed,
+        "layout": _layout_meta(campaign.layout),
         "channel": {
-            "path_loss_exponent": channel_params.path_loss_exponent,
+            "path_loss_exponent": params.path_loss_exponent,
             # strict JSON has no Infinity; "inf" is how configs spell it
             "rician_k_db": k_db if math.isfinite(k_db) else str(k_db),
-            "noise_variance": channel_params.noise_variance,
-            "cross_pol_coupling": channel_params.cross_pol_coupling,
+            "noise_variance": params.noise_variance,
+            "cross_pol_coupling": params.cross_pol_coupling,
         },
-        "optimizer": {"num_states": num_states, "group_size": group_size},
-        "full_scale": full_scale,
-        "element_amplitude": element_amplitude,
+        "optimizer": {"num_states": campaign.num_states, "group_size": campaign.grouping.group_size},
+        "full_scale": campaign.full_scale,
+        "element_amplitude": campaign.element_amplitude,
     }
     jobs = [(campaign, i, a, d) for i, (a, d) in enumerate(points)]
     configs = parallel_map(_train_codeword, jobs, parallel)
@@ -242,7 +206,7 @@ def _planar_cm(angle_deg: float, distance_cm: float) -> tuple[float, float]:
     return float(100.0 * p[0]), float(100.0 * p[1])
 
 
-def lookup_nearest(book: Codebook, rx_angle_deg: float, rx_distance_cm: float) -> tuple[RisConfig, CodebookEntry]:
+def lookup_nearest(book: Codebook, rx_angle_deg: float, rx_distance_cm: float) -> CodebookEntry:
     """Pick the codeword for a query point: smallest angular offset first,
     then planar distance, then the smaller reference angle."""
     if not book.entries:
@@ -257,8 +221,7 @@ def lookup_nearest(book: Codebook, rx_angle_deg: float, rx_distance_cm: float) -
             e.angle_deg,
         )
 
-    entry = min(book.entries, key=key)
-    return entry.config, entry
+    return min(book.entries, key=key)
 
 
 @dataclass(frozen=True)
@@ -319,30 +282,14 @@ def _replay_point(job) -> tuple[float, float, float]:
     return p_off, p_codebook, trace.final_power
 
 
-def evaluate_path(
-    book: Codebook,
-    path,
-    scene: Scene,
-    layout: RisLayout,
-    channel_params: ChannelModelParams,
-    *,
-    tone: ToneParams | None = None,
-    full_scale: float = DEFAULT_FULL_SCALE,
-    element_amplitude: float = DEFAULT_ELEMENT_AMPLITUDE,
-    num_states: int = 4,
-    group_size: int = 1,
-    parallel: int = 1,
-) -> PathEvaluation:
+def evaluate_path(book: Codebook, path, campaign: Campaign, parallel: int = 1) -> PathEvaluation:
     """Walk the path; at each point measure all-off, codeword, and online
     greedy power on one shared channel realization. Points are independent,
     so they replay on ``parallel`` worker processes."""
     if not book.entries:
         raise ValueError("codebook is empty")
-    campaign = _campaign(
-        scene, layout, channel_params, tone, full_scale, element_amplitude, num_states, group_size
-    )
     points = [(float(a), float(d)) for a, d in path]
-    entries = [lookup_nearest(book, a, d)[1] for a, d in points]
+    entries = [lookup_nearest(book, a, d) for a, d in points]
     jobs = [(campaign, i, a, d, e.config) for i, ((a, d), e) in enumerate(zip(points, entries))]
     replays = parallel_map(_replay_point, jobs, parallel)
     records: list[PathPointRecord] = []

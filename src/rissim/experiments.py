@@ -22,10 +22,11 @@ from .channel import (
     DEFAULT_FULL_SCALE,
     GainMeter,
     ToneParams,
+    code_scale,
     derive_seed,
     synthesize_channels,
 )
-from .codebook import Codebook, _Campaign, _campaign, evaluate_path, generate_codebook
+from .codebook import Campaign, Codebook, evaluate_path, generate_codebook
 from .geometry import (
     DEFAULT_GRID_ANGLES_DEG,
     DEFAULT_HALF_BEAMWIDTH_DEG,
@@ -33,6 +34,7 @@ from .geometry import (
     DEFAULT_TX_DISTANCE_CM,
     MeasurementGrid,
     Scene,
+    check_spot,
     make_scene,
 )
 from .optimizer import PowerTrace, TraceEntry, exhaustive_search, greedy_gap, greedy_iterative
@@ -95,11 +97,11 @@ class ExperimentAssertionError(RuntimeError):
 
 
 def _in_scene(angle_deg, distance_cm) -> tuple[float, float]:
-    """The receiver spot as floats; ConfigError when it is outside the scene."""
-    angle_deg, distance_cm = float(angle_deg), float(distance_cm)
-    if not 0.0 < angle_deg < 180.0 or distance_cm <= 0:
-        raise ConfigError(f"point ({angle_deg}, {distance_cm}) is outside the scene")
-    return angle_deg, distance_cm
+    """geometry.check_spot, with ConfigError for a spot outside the scene."""
+    try:
+        return check_spot(angle_deg, distance_cm)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _distinct(values, what: str) -> None:
@@ -148,16 +150,24 @@ class ScenarioConfig:
             raise ConfigError(f"grouping sizes must come from {GROUP_SIZES}")
         if self.oracle_instances < 1:
             raise ConfigError("oracle_instances must be positive")
+        if not 0.0 < self.element_amplitude <= 1.0:
+            raise ConfigError("element_amplitude must be in (0, 1]")
         _distinct(self.grouping_sizes, "grouping sizes")
         _distinct(self.grouping_angles_deg, "grouping angles")
         _distinct(self.codebook_angles_deg, "codebook reference angles")
         # sweep points are checked per point by run_sweep, which still
         # writes the good points' files
-        spots = [(a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
+        spots = [(self.tx_angle_deg, self.tx_distance_cm)]
+        spots += [(a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
         spots += self.path
         spots += [(a, self.grouping_distance_cm) for a in self.grouping_angles_deg]
         for angle_deg, distance_cm in spots:
             _in_scene(angle_deg, distance_cm)
+        try:
+            self.base_scene()  # the terminals check beamwidth and polarization
+            code_scale(self.full_scale)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(self, seed=int(seed))
@@ -168,6 +178,20 @@ class ScenarioConfig:
             tx_distance_cm=self.tx_distance_cm,
             half_beamwidth_deg=self.half_beamwidth_deg,
             polarization=self.polarization,
+        )
+
+    def campaign(self, group_size: int) -> Campaign:
+        """The greedy measurement campaign this config runs at every
+        receiver spot, with elements grouped by ``group_size``."""
+        return Campaign(
+            self.base_scene(),
+            self.layout,
+            self.channel,
+            self.tone,
+            self.full_scale,
+            self.element_amplitude,
+            self.num_states,
+            make_grouping(self.layout, group_size),
         )
 
     def to_dict(self) -> dict:
@@ -414,14 +438,9 @@ class PointResult:
     trace: PowerTrace
 
 
-def _campaign_of(config: ScenarioConfig, group_size: int) -> _Campaign:
-    settings = (config.tone, config.full_scale, config.element_amplitude, config.num_states)
-    return _campaign(config.base_scene(), config.layout, config.channel, *settings, group_size)
-
-
 def sweep_point(config: ScenarioConfig, angle_deg: float, distance_cm: float, point_index: int = 0) -> PointResult:
     """Baseline measurement plus one greedy sweep at a single Rx spot."""
-    campaign = _campaign_of(config, config.group_size)
+    campaign = config.campaign(config.group_size)
     baseline, trace = campaign.measure_spot(float(angle_deg), float(distance_cm), "sweep", point_index)
     final = trace.final_power
     return PointResult(
@@ -507,7 +526,7 @@ def _median(values) -> float:
 
 def _grouping_job(args):
     config, angle_index, angle_deg, size = args
-    baseline, trace = _campaign_of(config, size).measure_spot(
+    baseline, trace = config.campaign(size).measure_spot(
         angle_deg, config.grouping_distance_cm, "grouping", angle_index, size
     )
     return angle_deg, size, baseline, trace
@@ -596,16 +615,7 @@ def run_codebook_experiment(
     """Generate (or load) the reference codebook, then replay the configured
     path comparing all-off, codeword, and online greedy powers."""
     out = Path(out_dir)
-    scene = config.base_scene()
-    refs = [(a, config.codebook_distance_cm) for a in config.codebook_angles_deg]
-    shared = dict(
-        tone=config.tone,
-        full_scale=config.full_scale,
-        element_amplitude=config.element_amplitude,
-        num_states=config.num_states,
-        group_size=config.group_size,
-        parallel=parallel,
-    )
+    campaign = config.campaign(config.group_size)
     if load_codebook is not None:
         try:
             book = Codebook.load(load_codebook)
@@ -614,11 +624,12 @@ def run_codebook_experiment(
         if book.layout is not None and book.layout != config.layout:
             raise ConfigError("loaded codebook was built for a different layout")
     else:
-        book = generate_codebook(scene, config.layout, refs, config.channel, **shared)
+        refs = [(a, config.codebook_distance_cm) for a in config.codebook_angles_deg]
+        book = generate_codebook(campaign, refs, parallel)
     out.mkdir(parents=True, exist_ok=True)
     book.save(out / "codebook.json")
 
-    evaluation = evaluate_path(book, config.path, scene, config.layout, config.channel, **shared)
+    evaluation = evaluate_path(book, config.path, campaign, parallel)
     _write_csv(
         out / "path.csv",
         config,

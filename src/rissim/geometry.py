@@ -118,17 +118,34 @@ class MeasurementGrid:
         return len(self.angles_deg) * len(self.distances_cm)
 
 
-def grid_point(angle_deg: float, distance_cm: float, center=None) -> np.ndarray:
+def check_spot(angle_deg, distance_cm) -> tuple[float, float]:
+    """A receiver spot as floats; ValueError unless it is in the scene:
+    0 < angle < 180 degrees and a finite positive range."""
+    angle_deg, distance_cm = float(angle_deg), float(distance_cm)
+    # chained comparisons are false for NaN, so NaN fails the check
+    if not (0.0 < angle_deg < 180.0 and 0.0 < distance_cm < math.inf):
+        raise ValueError(f"point ({angle_deg}, {distance_cm}) is outside the scene")
+    return angle_deg, distance_cm
+
+
+def grid_point(angle_deg: float, distance_cm: float) -> np.ndarray:
     """World position of a polar grid coordinate, surface at the origin
-    facing +y unless ``center`` shifts it."""
+    facing +y."""
     if distance_cm <= 0:
         raise ValueError("distance must be positive")
     a = math.radians(angle_deg)
     d = distance_cm / 100.0
-    p = np.array([d * math.cos(a), d * math.sin(a), 0.0])
-    if center is not None:
-        p = p + np.asarray(center, dtype=np.float64)
-    return p
+    return np.array([d * math.cos(a), d * math.sin(a), 0.0])
+
+
+def _polar(center, axes, angle_deg: float, distance_cm: float) -> np.ndarray:
+    """World position of a grid coordinate around center; axes is the
+    surface's (in-plane axis, normal) pair."""
+    if distance_cm <= 0:
+        raise ValueError("distance must be positive")
+    a = math.radians(angle_deg)
+    u, n = axes
+    return center + (distance_cm / 100.0) * (math.cos(a) * u + math.sin(a) * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,12 +173,7 @@ class Scene:
 
     def point_at(self, angle_deg: float, distance_cm: float) -> np.ndarray:
         """Grid coordinate to world position in this scene's frame."""
-        if distance_cm <= 0:
-            raise ValueError("distance must be positive")
-        a = math.radians(angle_deg)
-        d = distance_cm / 100.0
-        u, n = self._axes
-        return self.ris_center + d * (math.cos(a) * u + math.sin(a) * n)
+        return _polar(self.ris_center, self._axes, angle_deg, distance_cm)
 
     def element_positions(self, layout: RisLayout) -> np.ndarray:
         """(N, 3) world positions of the layout's active elements."""
@@ -173,13 +185,8 @@ class Scene:
         """Same scene with the receiver moved to a grid coordinate, re-aimed
         at the surface center."""
         pos = self.point_at(angle_deg, distance_cm)
-        rx = Terminal(
-            pos,
-            _normalized(self.ris_center - pos, "boresight"),
-            self.rx.half_beamwidth_deg,
-            self.rx.polarization,
-        )
-        return replace(self, rx=rx)
+        bore = _normalized(self.ris_center - pos, "boresight")
+        return replace(self, rx=replace(self.rx, position=pos, boresight=bore))
 
 
 def make_scene(
@@ -198,12 +205,8 @@ def make_scene(
     u, n = _frame(ris_normal)
 
     def place(angle_deg, distance_cm):
-        if distance_cm <= 0:
-            raise ValueError("distance must be positive")
-        a = math.radians(angle_deg)
-        pos = center + (distance_cm / 100.0) * (math.cos(a) * u + math.sin(a) * n)
-        bore = _normalized(center - pos, "boresight")
-        return Terminal(pos, bore, half_beamwidth_deg, polarization)
+        pos = _polar(center, (u, n), angle_deg, distance_cm)
+        return Terminal(pos, _normalized(center - pos, "boresight"), half_beamwidth_deg, polarization)
 
     return Scene(
         center,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .ris import GroupingScheme, NUM_ELEMENT_STATES, RisConfig, RisLayout, _unchecked_config, make_grouping
 
@@ -78,7 +78,6 @@ def greedy_iterative(
     layout: RisLayout,
     num_states: int = NUM_ELEMENT_STATES,
     grouping: GroupingScheme | None = None,
-    order: Sequence[int] | None = None,
 ) -> tuple[RisConfig, PowerTrace]:
     """One greedy sweep: per group, try every state and keep the argmax.
 
@@ -93,19 +92,12 @@ def greedy_iterative(
     if grouping is None:
         grouping = make_grouping(layout, 1)
     _check_partition(grouping, layout)
-    if order is None:
-        order = range(grouping.n_groups)
-    else:
-        order = [int(i) for i in order]
-        if sorted(order) != list(range(grouping.n_groups)):
-            raise ValueError("order must be a permutation of the group indices")
 
     states = [0] * layout.n_active
     entries: list[TraceEntry] = []
     p_max = float("-inf")
     index = 0
-    for gi in order:
-        group = grouping.groups[gi]
+    for gi, group in enumerate(grouping.groups):
         best_state = states[group[0]]
         for s in range(num_states):
             for i in group:

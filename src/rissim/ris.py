@@ -8,6 +8,7 @@ vertical phase. A state of 0 means both diodes off (no phase shift).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,8 +49,9 @@ class RisLayout:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid dimensions must be positive")
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
+        # chained comparisons are false for NaN, so NaN fails each check
+        if not 0.0 < self.carrier_hz < math.inf:
+            raise ValueError("carrier_hz must be finite and positive")
         disabled = frozenset((int(r), int(c)) for r, c in self.disabled)
         object.__setattr__(self, "disabled", disabled)
         for r, c in disabled:
@@ -59,8 +61,8 @@ class RisLayout:
             raise ValueError("layout has no active elements")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("spacing must be finite and positive")
 
     @classmethod
     def default(cls) -> "RisLayout":

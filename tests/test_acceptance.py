@@ -171,10 +171,7 @@ def test_criterion_6_codebook_behavior():
     cfg0 = _noiseless(ScenarioConfig(seed=0))
     scene = cfg0.base_scene()
     refs = [(a, cfg0.codebook_distance_cm) for a in cfg0.codebook_angles_deg]
-    book = generate_codebook(
-        scene, cfg0.layout, refs, cfg0.channel, tone=cfg0.tone,
-        full_scale=cfg0.full_scale, element_amplitude=cfg0.element_amplitude,
-    )
+    book = generate_codebook(cfg0.campaign(cfg0.group_size), refs)
     exact = True
     for entry in book.entries:
         placed = scene.with_rx_at(entry.angle_deg, entry.distance_cm)
@@ -192,16 +189,10 @@ def test_criterion_6_codebook_behavior():
     diffs, beats = [], []
     for seed in range(20):
         cfg = ScenarioConfig(seed=seed)
-        scene = cfg.base_scene()
+        campaign = cfg.campaign(cfg.group_size)
         refs = [(a, cfg.codebook_distance_cm) for a in cfg.codebook_angles_deg]
-        book = generate_codebook(
-            scene, cfg.layout, refs, cfg.channel, tone=cfg.tone,
-            full_scale=cfg.full_scale, element_amplitude=cfg.element_amplitude,
-        )
-        ev = evaluate_path(
-            book, cfg.path, scene, cfg.layout, cfg.channel, tone=cfg.tone,
-            full_scale=cfg.full_scale, element_amplitude=cfg.element_amplitude,
-        )
+        book = generate_codebook(campaign, refs)
+        ev = evaluate_path(book, cfg.path, campaign)
         for r in ev.records:
             diffs.append(r.p_online_dbfs - r.p_codebook_dbfs)
             beats.append(r.p_codebook_dbfs > r.p_off_dbfs)

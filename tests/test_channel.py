@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rissim.channel import (
@@ -27,7 +27,7 @@ from rissim.channel import (
     tone_waveform,
     _entropy_words,
 )
-from rissim.geometry import make_scene
+from rissim.geometry import Scene, make_scene
 from rissim.ris import RisConfig, RisLayout, theta_diag
 
 
@@ -214,6 +214,31 @@ def test_gain_invariant_to_global_phase(phi):
     lay = RisLayout(nx=3, ny=2)
     config = RisConfig(lay, (0, 1, 2, 3, 0, 1))
     assert end_to_end_gain(config, spun) == pytest.approx(end_to_end_gain(config, chan), rel=1e-9)
+
+
+_SPOT = st.tuples(st.floats(20.0, 160.0), st.floats(50.0, 420.0))
+
+
+@given(
+    tx=_SPOT,
+    rx=_SPOT,
+    polarization=st.floats(0.0, 1.0),
+    coupling=st.sampled_from([0.0, 0.3]),
+    states=st.lists(st.integers(0, 3), min_size=76, max_size=76),
+)
+@settings(max_examples=60, deadline=None)
+def test_channel_gain_is_reciprocal(tx, rx, polarization, coupling, states):
+    # without scatter the link depends only on where the terminals sit, so
+    # swapping Tx and Rx keeps the end-to-end coefficient
+    assume(tx != rx)
+    lay = RisLayout.default()
+    params = ChannelModelParams(rician_k_db=math.inf, seed=3, cross_pol_coupling=coupling)
+    scene = make_scene(*rx, tx_angle_deg=tx[0], tx_distance_cm=tx[1], polarization=polarization)
+    swapped = Scene(scene.ris_center, scene.ris_normal, scene.rx, scene.tx)
+    config = RisConfig(lay, tuple(states))
+    forward = channel_gain(config, synthesize_channels(scene, lay, params))
+    backward = channel_gain(config, synthesize_channels(swapped, lay, params))
+    assert abs(backward - forward) <= 1e-12 * abs(forward)
 
 
 # --- tone, noise -------------------------------------------------------

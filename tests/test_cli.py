@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,14 @@ def test_parallel_below_one_is_rejected(tmp_path, capsys, value):
             "(70.0, -5.0)",
         ),
         ("grouping", {"grouping": {**SMALL["grouping"], "angles_deg": [200]}}, "(200.0, 170.0)"),
+        ("sweep", {"scene": {"tx_angle_deg": 200.0}}, "(200.0, 100.0)"),
+        ("sweep", {"scene": {"tx_angle_deg": float("nan")}}, "(nan, 100.0)"),
+        ("sweep", {"scene": {"tx_distance_cm": float("inf")}}, "(78.0, inf)"),
+        (
+            "codebook",
+            {"codebook": {**SMALL["codebook"], "reference_distance_cm": float("inf")}},
+            "(70.0, inf)",
+        ),
     ],
 )
 def test_point_outside_scene_exits_two(tmp_path, capsys, command, section, message):
@@ -187,3 +198,85 @@ def test_non_finite_noise_variance_exits_two(tmp_path, capsys, value):
     assert rc == 2
     assert capsys.readouterr().err == "error: noise_variance must be finite and non-negative\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        (
+            {"scene": {"half_beamwidth_deg": 95.0}},
+            "half_beamwidth_deg must be in (0, 90) for the directional pattern",
+        ),
+        ({"scene": {"polarization": 2.0}}, "polarization must be in [0, 1]"),
+        ({"ris": {"element_amplitude": 2.0}}, "element_amplitude must be in (0, 1]"),
+        (
+            {"layout": {**SMALL["layout"], "carrier_hz": float("nan")}},
+            "carrier_hz must be finite and positive",
+        ),
+        ({"tone": {"tx_amplitude": float("inf")}}, "tx_amplitude must be finite and positive"),
+        ({"receiver": {"full_scale": 0.0}}, "full_scale must be positive"),
+        ({"receiver": {"full_scale": float("nan")}}, "full_scale nan gives no finite ADC code scale"),
+    ],
+)
+def test_bad_setting_exits_two(tmp_path, capsys, section, message):
+    p = tmp_path / "bad_setting.json"
+    p.write_text(json.dumps({**SMALL, **section}))
+    for command in ("sweep", "codebook"):
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_infinite_sweep_point_is_a_per_point_error(tmp_path, capsys):
+    p = tmp_path / "mixed_points.json"
+    p.write_text(json.dumps({**SMALL, "sweep": {"points": [[70.0, 170.0], [90.0, float("inf")]]}}))
+    rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: point [90.0, inf]: point (90.0, inf) is outside the scene" in capsys.readouterr().err
+    assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 3
+    assert (tmp_path / "out" / "traces" / "sweep_a70_d170.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("distance_cm", -5.0), ("angle_deg", float("nan")), ("angle_deg", 200.0)]
+)
+def test_loaded_codebook_point_outside_scene_exits_two(tmp_path, capsys, config_path, key, value):
+    assert cli.main(["codebook", "--config", str(config_path), "--out", str(tmp_path / "a")]) == 0
+    book = json.loads((tmp_path / "a" / "codebook.json").read_text())
+    book["entries"][0][key] = value
+    bad = tmp_path / "bad_book.json"
+    bad.write_text(json.dumps(book))
+    capsys.readouterr()
+    out = tmp_path / "b"
+    rc = cli.main(
+        ["codebook", "--config", str(config_path), "--out", str(out), "--load-codebook", str(bad)]
+    )
+    assert rc == 2
+    assert "is outside the scene" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_targets_resolve_and_codebook_spans_fire(tmp_path, config_path):
+    # the benchmark tracer patches rissim by module and attribute name, so a
+    # renamed or moved target would silently drop its spans
+    tracing = _tracing()
+    for _, module, attr in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for _, module, cls, attr in tracing.METHODS:
+        assert attr in vars(getattr(importlib.import_module(module), cls)), (module, cls, attr)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        rc = cli.main(["codebook", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    for name in ("codebook.generate", "codebook.evaluate_path", "codebook.lookup"):
+        assert tracer.spans[name].calls > 0, name

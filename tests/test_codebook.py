@@ -5,6 +5,7 @@ import pytest
 
 from rissim.channel import ChannelModelParams, ToneParams, synthesize_channels, TonePowerMeter
 from rissim.codebook import (
+    Campaign,
     Codebook,
     CodebookEntry,
     CodebookGenerationError,
@@ -15,7 +16,7 @@ from rissim.codebook import (
 )
 from rissim.geometry import make_scene
 from rissim.optimizer import greedy_iterative
-from rissim.ris import RisConfig, RisLayout
+from rissim.ris import DEFAULT_ELEMENT_AMPLITUDE, RisConfig, RisLayout, make_grouping
 
 LAY = RisLayout(nx=3, ny=2)
 NOISELESS = ChannelModelParams(noise_variance=0.0, seed=2)
@@ -23,12 +24,14 @@ TONE = ToneParams(buffer_len=1000)
 FS = 1.0
 
 
+def _campaign(layout, params):
+    grouping = make_grouping(layout, 1)
+    return Campaign(make_scene(), layout, params, TONE, FS, DEFAULT_ELEMENT_AMPLITUDE, 4, grouping)
+
+
 def _book(refs, seed=2):
-    scene = make_scene()
     params = ChannelModelParams(noise_variance=0.0, seed=seed)
-    return generate_codebook(
-        scene, LAY, refs, params, tone=TONE, full_scale=FS
-    )
+    return generate_codebook(_campaign(LAY, params), refs)
 
 
 def test_generation_one_codeword_per_reference():
@@ -54,14 +57,11 @@ def test_codeword_matches_online_rerun_at_reference():
 
 
 def test_generation_failure_keeps_partial_book():
-    lay = RisLayout(nx=1, ny=1)
-    scene = make_scene()
+    campaign = _campaign(RisLayout(nx=1, ny=1), NOISELESS)
     refs = [(70.0, 170.0), (90.0, 1e-8), (110.0, 170.0)]
     for parallel in (1, 2):
         with pytest.raises(CodebookGenerationError) as err:
-            generate_codebook(
-                scene, lay, refs, NOISELESS, tone=TONE, full_scale=FS, parallel=parallel
-            )
+            generate_codebook(campaign, refs, parallel)
         assert len(err.value.partial.entries) == 1
         assert err.value.partial.entries[0].angle_deg == 70.0
         assert isinstance(err.value.__cause__, ValueError)
@@ -88,16 +88,13 @@ def test_lookup_prefers_angle_then_distance_then_lower_angle():
         tuple(CodebookEntry(a, 170.0, cfg) for a in (50.0, 70.0, 90.0, 110.0, 130.0, 145.0))
     )
     # equidistant in angle and in the plane: the lower reference angle wins
-    _, entry = lookup_nearest(book, 60.0, 170.0)
-    assert entry.angle_deg == 50.0
-    _, entry = lookup_nearest(book, 95.0, 220.0)
-    assert entry.angle_deg == 90.0
+    assert lookup_nearest(book, 60.0, 170.0).angle_deg == 50.0
+    assert lookup_nearest(book, 95.0, 220.0).angle_deg == 90.0
     # distance branch: same angle at two ranges
     book2 = Codebook(
         (CodebookEntry(90.0, 120.0, cfg), CodebookEntry(90.0, 220.0, cfg))
     )
-    _, entry = lookup_nearest(book2, 90.0, 200.0)
-    assert entry.distance_cm == 220.0
+    assert lookup_nearest(book2, 90.0, 200.0).distance_cm == 220.0
 
 
 def test_lookup_empty_book():
@@ -124,12 +121,9 @@ def test_unknown_schema_rejected():
 def test_path_evaluation_counts_switches_including_first_load():
     refs = [(70.0, 170.0), (110.0, 170.0)]
     book = _book(refs)
-    scene = make_scene()
     # near A, near A again, over to B, back to A: three loads
     path = [(68.0, 165.0), (72.0, 175.0), (112.0, 170.0), (70.0, 180.0)]
-    ev = evaluate_path(
-        book, path, scene, LAY, NOISELESS, tone=TONE, full_scale=FS
-    )
+    ev = evaluate_path(book, path, _campaign(LAY, NOISELESS))
     assert ev.switch_count == 3
     assert ev.reconfiguration_time_ms == pytest.approx(3.0)
     assert [r.codeword_angle_deg for r in ev.records] == [70.0, 70.0, 110.0, 70.0]
@@ -143,15 +137,11 @@ def test_path_evaluation_counts_switches_including_first_load():
 
 
 def test_path_failure_wraps_with_partial_records():
-    lay = RisLayout(nx=1, ny=1)
-    scene = make_scene()
-    params = ChannelModelParams(noise_variance=0.0, seed=4)
-    book = generate_codebook(scene, lay, [(90.0, 170.0)], params, tone=TONE, full_scale=FS)
+    campaign = _campaign(RisLayout(nx=1, ny=1), ChannelModelParams(noise_variance=0.0, seed=4))
+    book = generate_codebook(campaign, [(90.0, 170.0)])
     path = [(90.0, 150.0), (90.0, 1e-8), (90.0, 190.0)]
     for parallel in (1, 2):
         with pytest.raises(PathEvaluationError) as err:
-            evaluate_path(
-                book, path, scene, lay, params, tone=TONE, full_scale=FS, parallel=parallel
-            )
+            evaluate_path(book, path, campaign, parallel)
         assert len(err.value.partial_records) == 1
         assert err.value.partial_records[0].distance_cm == 150.0

@@ -105,15 +105,6 @@ def test_group_members_move_together():
     greedy_iterative(measure, lay, 4, grouping)
 
 
-def test_order_permutation_validated():
-    lay = RisLayout(nx=2, ny=1)
-    with pytest.raises(ValueError):
-        greedy_iterative(_scripted(range(8)), lay, order=[0, 0])
-    final, trace = greedy_iterative(_scripted([1.0] * 8), lay, order=[1, 0])
-    assert trace.entries[0].group_index == 1
-    assert trace.measurement_count == 8
-
-
 def test_non_partition_grouping_rejected():
     lay = RisLayout(nx=2, ny=1)
     partial = GroupingScheme(1, ((0,),))
