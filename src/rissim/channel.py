@@ -328,7 +328,7 @@ def _codes_dbfs(codes: np.ndarray, n_samples: int) -> float:
     # 2**53, so the float64 sum is exact in any order
     p = float(np.einsum("ij,ij->", codes, codes)) / n_samples
     if p == 0.0:
-        raise MeasurementFloorError("buffer is identically zero")
+        raise MeasurementFloorError("ADC buffer is identically zero: no measurable power")
     # via the RMS so a constant-amplitude-A buffer lands on 20*log10(A) to
     # the last bit (sqrt(A*A) is exactly A in IEEE arithmetic)
     return float(20.0 * np.log10(math.sqrt(p)))

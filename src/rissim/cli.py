@@ -8,6 +8,7 @@ import sys
 from .experiments import (
     ConfigError,
     ExperimentAssertionError,
+    MeasurementFloorError,
     ScenarioConfig,
     load_config,
     run_codebook_experiment,
@@ -101,7 +102,7 @@ def main(argv=None) -> int:
             summary = run_oracle_check(config, args.out, parallel=args.parallel)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, MeasurementFloorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExperimentAssertionError as exc:

@@ -106,14 +106,6 @@ def _layout_meta(layout: RisLayout) -> dict:
     }
 
 
-class CodebookGenerationError(RuntimeError):
-    """Generation failed part-way; the completed codewords ride along."""
-
-    def __init__(self, message: str, partial: Codebook):
-        super().__init__(message)
-        self.partial = partial
-
-
 @dataclass(frozen=True)
 class Campaign:
     """The settings of a greedy measurement campaign, shared by every
@@ -188,17 +180,8 @@ def generate_codebook(campaign: Campaign, reference_points, parallel: int = 1) -
     }
     jobs = [(campaign, i, a, d) for i, (a, d) in enumerate(points)]
     configs = parallel_map(_train_codeword, jobs, parallel)
-    entries: list[CodebookEntry] = []
-    try:
-        for (angle_deg, distance_cm), config in zip(points, configs):
-            entries.append(CodebookEntry(angle_deg, distance_cm, config))
-    except Exception as exc:
-        angle_deg, distance_cm = points[len(entries)]
-        raise CodebookGenerationError(
-            f"codeword for ({angle_deg}, {distance_cm}) failed",
-            Codebook(tuple(entries), meta),
-        ) from exc
-    return Codebook(tuple(entries), meta)
+    entries = tuple(CodebookEntry(a, d, c) for (a, d), c in zip(points, configs))
+    return Codebook(entries, meta)
 
 
 def _planar_cm(angle_deg: float, distance_cm: float) -> tuple[float, float]:
@@ -264,14 +247,6 @@ class PathEvaluation:
             }
 
 
-class PathEvaluationError(RuntimeError):
-    """Path replay failed part-way; completed point records ride along."""
-
-    def __init__(self, message: str, partial):
-        super().__init__(message)
-        self.partial_records = tuple(partial)
-
-
 def _replay_point(job) -> tuple[float, float, float]:
     campaign, index, angle_deg, distance_cm, codeword = job
     chan = campaign.channel(angle_deg, distance_cm)
@@ -292,16 +267,10 @@ def evaluate_path(book: Codebook, path, campaign: Campaign, parallel: int = 1) -
     entries = [lookup_nearest(book, a, d) for a, d in points]
     jobs = [(campaign, i, a, d, e.config) for i, ((a, d), e) in enumerate(zip(points, entries))]
     replays = parallel_map(_replay_point, jobs, parallel)
-    records: list[PathPointRecord] = []
-    try:
-        for (a, d), entry, powers in zip(points, entries, replays):
-            records.append(
-                PathPointRecord(
-                    a, d, *_planar_cm(a, d), *powers, entry.angle_deg, entry.distance_cm
-                )
-            )
-    except Exception as exc:
-        raise PathEvaluationError(f"path point {len(records)} failed", records) from exc
+    records = tuple(
+        PathPointRecord(a, d, *_planar_cm(a, d), *powers, e.angle_deg, e.distance_cm)
+        for (a, d), e, powers in zip(points, entries, replays)
+    )
     loads = [(r.codeword_angle_deg, r.codeword_distance_cm) for r in records]
     switches = sum(prev != cur for prev, cur in zip([None] + loads, loads))
-    return PathEvaluation(tuple(records), switches)
+    return PathEvaluation(records, switches)

@@ -21,6 +21,7 @@ from .channel import (
     ChannelModelParams,
     DEFAULT_FULL_SCALE,
     GainMeter,
+    MeasurementFloorError,
     ToneParams,
     code_scale,
     derive_seed,
@@ -472,7 +473,7 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
         except (ConfigError, TypeError, ValueError, IndexError) as exc:
             errors.append({"point": list(point), "error": str(exc)})
 
-    results: list[PointResult] = list(parallel_map(_sweep_job, jobs, parallel))
+    results: list[PointResult] = parallel_map(_sweep_job, jobs, parallel)
 
     rows = [
         {
@@ -626,10 +627,9 @@ def run_codebook_experiment(
     else:
         refs = [(a, config.codebook_distance_cm) for a in config.codebook_angles_deg]
         book = generate_codebook(campaign, refs, parallel)
+    evaluation = evaluate_path(book, config.path, campaign, parallel)
     out.mkdir(parents=True, exist_ok=True)
     book.save(out / "codebook.json")
-
-    evaluation = evaluate_path(book, config.path, campaign, parallel)
     _write_csv(
         out / "path.csv",
         config,
@@ -681,9 +681,12 @@ def _oracle_job(args):
     chan = synthesize_channels(scene, layout, params)
     meter = GainMeter(chan, config.element_amplitude)
     best, _ = exhaustive_search(meter, layout, config.oracle_num_states, config.oracle_cap)
+    best_power = meter.power(best)
+    if best_power == 0.0:
+        raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
     oracle_measurements = meter.calls
     _, trace = greedy_iterative(meter, layout, config.oracle_num_states, grouping)
-    oracle_db = 10.0 * math.log10(max(meter.power(best), 1e-300))
+    oracle_db = 10.0 * math.log10(best_power)
     greedy_db = trace.final_power
     return {
         "instance": instance,
@@ -702,7 +705,7 @@ def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict
     layout = _oracle_layout(config)
     shared = (config, layout, config.base_scene(), make_grouping(layout, 1))
     jobs = [(*shared, i) for i in range(config.oracle_instances)]
-    rows = list(parallel_map(_oracle_job, jobs, parallel))
+    rows = parallel_map(_oracle_job, jobs, parallel)
     _write_csv(
         out / "gaps.csv",
         config,

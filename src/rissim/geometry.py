@@ -67,6 +67,11 @@ class Terminal:
         object.__setattr__(self, "boresight", _normalized(self.boresight, "boresight"))
         if not 0.0 < self.half_beamwidth_deg < 90.0:
             raise ValueError("half_beamwidth_deg must be in (0, 90) for the directional pattern")
+        if math.cos(math.radians(self.half_beamwidth_deg)) == 1.0:
+            # _gain_exponent divides by log(cos(half_beamwidth))
+            raise ValueError(
+                f"half_beamwidth_deg {self.half_beamwidth_deg!r} is too narrow: its cosine rounds to 1"
+            )
         if not 0.0 <= self.polarization <= 1.0:
             raise ValueError("polarization must be in [0, 1]")
 

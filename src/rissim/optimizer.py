@@ -55,18 +55,6 @@ class PowerTrace:
             yield e._asdict()
 
 
-class MeasurementFailure(RuntimeError):
-    """A measurement raised mid-run; entries gathered so far ride along."""
-
-    def __init__(self, message: str, entries):
-        super().__init__(message)
-        self.partial_entries = tuple(entries)
-
-    def __reduce__(self):
-        # a pool worker sends it back pickled; unpickling calls __init__
-        return type(self), (self.args[0], self.partial_entries)
-
-
 def _check_partition(grouping: GroupingScheme, layout: RisLayout) -> None:
     flat = sorted(i for g in grouping.groups for i in g)
     if flat != list(range(layout.n_active)):
@@ -105,12 +93,7 @@ def greedy_iterative(
             # states from range(num_states), num_states checked above
             config = _unchecked_config(layout, tuple(states))
             index += 1
-            try:
-                p = float(measure(config))
-            except Exception as exc:
-                raise MeasurementFailure(
-                    f"measurement {index} (group {gi}, state {s}) failed", entries
-                ) from exc
+            p = float(measure(config))
             if p > p_max:
                 p_max = p
                 best_state = s
@@ -138,16 +121,14 @@ def exhaustive_search(
     if budget > cap:
         raise ValueError(f"enumeration needs {budget} measurements, above the cap of {cap}")
     entries: list[TraceEntry] = []
-    best_config = None
+    # the first candidate, kept if every reading is -inf
+    best_config = _unchecked_config(layout, (0,) * n)
     p_max = float("-inf")
     index = 0
     for states in itertools.product(range(num_states), repeat=n):
         config = _unchecked_config(layout, states)
         index += 1
-        try:
-            p = float(measure(config))
-        except Exception as exc:
-            raise MeasurementFailure(f"measurement {index} failed", entries) from exc
+        p = float(measure(config))
         if p > p_max:
             p_max = p
             best_config = config

@@ -216,6 +216,10 @@ def test_non_finite_noise_variance_exits_two(tmp_path, capsys, value):
         ({"tone": {"tx_amplitude": float("inf")}}, "tx_amplitude must be finite and positive"),
         ({"receiver": {"full_scale": 0.0}}, "full_scale must be positive"),
         ({"receiver": {"full_scale": float("nan")}}, "full_scale nan gives no finite ADC code scale"),
+        (
+            {"scene": {"half_beamwidth_deg": 1e-320}},
+            "half_beamwidth_deg 1e-320 is too narrow: its cosine rounds to 1",
+        ),
     ],
 )
 def test_bad_setting_exits_two(tmp_path, capsys, section, message):
@@ -226,6 +230,38 @@ def test_bad_setting_exits_two(tmp_path, capsys, section, message):
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+_NO_POWER = "ADC buffer is identically zero: no measurable power"
+# noiseless settings whose tone rounds to all-zero ADC codes
+_FLOORS = (
+    {"channel": {"noise_variance": 0.0, "path_loss_exponent": 200}},
+    {"receiver": {"full_scale": 1e300}},
+)
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize(
+    "command, section, message",
+    [(command, floor, _NO_POWER) for floor in _FLOORS for command in ("sweep", "grouping", "codebook")]
+    + [
+        # the codebook trains at 170 cm, then the replay floors
+        ("codebook", {"codebook": {**SMALL["codebook"], "path": [[72.0, 1e7]]}}, _NO_POWER),
+        (
+            "oracle-check",
+            {"ris": {"element_amplitude": 1e-320}},
+            "oracle instance 0: every configuration has zero gain",
+        ),
+    ],
+)
+def test_no_measurable_power_exits_two(tmp_path, capsys, command, section, message, parallel):
+    p = tmp_path / "floor.json"
+    p.write_text(json.dumps({**SMALL, **section}))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(p), "--out", str(out), "--parallel", str(parallel)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_infinite_sweep_point_is_a_per_point_error(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import itertools
-import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from rissim.channel import ChannelModelParams, GainMeter, synthesize_channels
 from rissim.geometry import make_scene
 from rissim.optimizer import (
-    MeasurementFailure,
     PowerTrace,
     TraceEntry,
     exhaustive_search,
@@ -112,24 +110,6 @@ def test_non_partition_grouping_rejected():
         greedy_iterative(_scripted(range(4)), lay, grouping=partial)
 
 
-def test_measurement_failure_carries_partial_trace():
-    lay = RisLayout(nx=1, ny=1)
-
-    def measure(config):
-        if config.states[0] == 2:
-            raise RuntimeError("adc hiccup")
-        return 1.0
-
-    with pytest.raises(MeasurementFailure) as err:
-        greedy_iterative(measure, lay)
-    assert "measurement 3" in str(err.value)
-    assert len(err.value.partial_entries) == 2
-    # pool workers send failures back pickled
-    again = pickle.loads(pickle.dumps(err.value))
-    assert str(again) == str(err.value)
-    assert again.partial_entries == err.value.partial_entries
-
-
 def test_trace_rejects_decreasing_running_max():
     lay = RisLayout(nx=1, ny=1)
     cfg = RisConfig.all_off(lay)
@@ -162,6 +142,15 @@ def test_exhaustive_cap_message():
     lay = RisLayout(nx=4, ny=3)
     with pytest.raises(ValueError, match=r"16777216 measurements, above the cap of 1024"):
         exhaustive_search(_scripted([]), lay, cap=1024)
+
+
+def test_exhaustive_keeps_first_config_when_all_readings_are_minus_inf():
+    lay = RisLayout(nx=2, ny=1)
+    best, trace = exhaustive_search(lambda config: float("-inf"), lay)
+    assert best == RisConfig.all_off(lay)
+    assert trace.final_config == best
+    assert trace.measurement_count == 16
+    assert trace.final_power == float("-inf")
 
 
 def test_greedy_gap_sign():
