@@ -423,13 +423,8 @@ class GainMeter:
 
     def __call__(self, config: RisConfig) -> float:
         self.calls += 1
-        g = self.power(config)
+        g = abs(_cascade(config, self.chan, self._products)) ** 2
         if g == 0.0:
             return float("-inf")
         return float(10.0 * np.log10(g))
-
-    def power(self, config: RisConfig) -> float:
-        """Linear power gain of config from this meter's tables, equal to
-        end_to_end_gain; not counted as a measurement."""
-        return abs(_cascade(config, self.chan, self._products)) ** 2
 

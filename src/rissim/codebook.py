@@ -33,21 +33,20 @@ class Codebook:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        if not self.entries:
+            raise ValueError("a codebook needs at least one codeword")
         seen = set()
-        layout = None
         for e in self.entries:
             key = check_spot(e.angle_deg, e.distance_cm)
             if key in seen:
                 raise ValueError(f"duplicate reference point {key}")
             seen.add(key)
-            if layout is None:
-                layout = e.config.layout
-            elif e.config.layout != layout:
+            if e.config.layout != self.layout:
                 raise ValueError("codewords must share one layout")
 
     @property
-    def layout(self) -> RisLayout | None:
-        return self.entries[0].config.layout if self.entries else None
+    def layout(self) -> RisLayout:
+        return self.entries[0].config.layout
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,8 +191,6 @@ def _planar_cm(angle_deg: float, distance_cm: float) -> tuple[float, float]:
 def lookup_nearest(book: Codebook, rx_angle_deg: float, rx_distance_cm: float) -> CodebookEntry:
     """Pick the codeword for a query point: smallest angular offset first,
     then planar distance, then the smaller reference angle."""
-    if not book.entries:
-        raise ValueError("codebook is empty")
     qx, qy = _planar_cm(rx_angle_deg, rx_distance_cm)
 
     def key(e: CodebookEntry):
@@ -261,8 +258,6 @@ def evaluate_path(book: Codebook, path, campaign: Campaign, parallel: int = 1) -
     """Walk the path; at each point measure all-off, codeword, and online
     greedy power on one shared channel realization. Points are independent,
     so they replay on ``parallel`` worker processes."""
-    if not book.entries:
-        raise ValueError("codebook is empty")
     points = [(float(a), float(d)) for a, d in path]
     entries = [lookup_nearest(book, a, d) for a, d in points]
     jobs = [(campaign, i, a, d, e.config) for i, ((a, d), e) in enumerate(zip(points, entries))]

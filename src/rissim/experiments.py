@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -33,12 +32,11 @@ from .geometry import (
     DEFAULT_HALF_BEAMWIDTH_DEG,
     DEFAULT_TX_ANGLE_DEG,
     DEFAULT_TX_DISTANCE_CM,
-    MeasurementGrid,
     Scene,
     check_spot,
     make_scene,
 )
-from .optimizer import PowerTrace, TraceEntry, exhaustive_search, greedy_gap, greedy_iterative
+from .optimizer import ENUMERATION_CAP, PowerTrace, TraceEntry, exhaustive_search, greedy_iterative
 from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
@@ -97,14 +95,6 @@ class ExperimentAssertionError(RuntimeError):
     """An experiment-level sanity assertion failed."""
 
 
-def _in_scene(angle_deg, distance_cm) -> tuple[float, float]:
-    """geometry.check_spot, with ConfigError for a spot outside the scene."""
-    try:
-        return check_spot(angle_deg, distance_cm)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _distinct(values, what: str) -> None:
     if len(set(values)) != len(values):
         raise ConfigError(f"{what} must not repeat: {list(values)}")
@@ -118,7 +108,6 @@ class ScenarioConfig:
     tx_distance_cm: float = DEFAULT_TX_DISTANCE_CM
     half_beamwidth_deg: float = DEFAULT_HALF_BEAMWIDTH_DEG
     polarization: float = 0.5
-    grid: MeasurementGrid = MeasurementGrid()
     channel: ChannelModelParams = ChannelModelParams()
     tone: ToneParams = ToneParams()
     full_scale: float = DEFAULT_FULL_SCALE
@@ -136,7 +125,6 @@ class ScenarioConfig:
     oracle_ny: int = 2
     oracle_num_states: int = 4
     oracle_instances: int = 20
-    oracle_cap: int = 2**20
 
     def __post_init__(self):
         # the channel draw is keyed on the master seed
@@ -155,6 +143,8 @@ class ScenarioConfig:
             raise ConfigError("element_amplitude must be in (0, 1]")
         _distinct(self.grouping_sizes, "grouping sizes")
         _distinct(self.grouping_angles_deg, "grouping angles")
+        if not self.codebook_angles_deg:
+            raise ConfigError("codebook reference angles must not be empty")
         _distinct(self.codebook_angles_deg, "codebook reference angles")
         # sweep points are checked per point by run_sweep, which still
         # writes the good points' files
@@ -162,9 +152,9 @@ class ScenarioConfig:
         spots += [(a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
         spots += self.path
         spots += [(a, self.grouping_distance_cm) for a in self.grouping_angles_deg]
-        for angle_deg, distance_cm in spots:
-            _in_scene(angle_deg, distance_cm)
         try:
+            for angle_deg, distance_cm in spots:
+                check_spot(angle_deg, distance_cm)
             self.base_scene()  # the terminals check beamwidth and polarization
             code_scale(self.full_scale)
         except ValueError as exc:
@@ -295,8 +285,6 @@ _SCHEMA = (
     ("scene", "tx_distance_cm", "tx_distance_cm", _float, _same),
     ("scene", "half_beamwidth_deg", "half_beamwidth_deg", _float, _same),
     ("scene", "polarization", "polarization", _float, _same),
-    ("scene", "grid_angles_deg", "grid.angles_deg", _floats, list),
-    ("scene", "grid_distances_cm", "grid.distances_cm", _floats, list),
     ("channel", "path_loss_exponent", "channel.path_loss_exponent", _float, _same),
     # _float also reads the string "inf"
     ("channel", "rician_k_db", "channel.rician_k_db", _float, _same),
@@ -321,7 +309,6 @@ _SCHEMA = (
     ("oracle", "ny", "oracle_ny", _int, _same),
     ("oracle", "num_states", "oracle_num_states", _int, _same),
     ("oracle", "instances", "oracle_instances", _int, _same),
-    ("oracle", "cap", "oracle_cap", _int, _same),
 )
 
 
@@ -468,9 +455,9 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     errors = []
     for i, point in enumerate(config.sweep_points):
         try:
-            angle_deg, distance_cm = _in_scene(point[0], point[1])
+            angle_deg, distance_cm = check_spot(point[0], point[1])
             jobs.append((config, i, angle_deg, distance_cm))
-        except (ConfigError, TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError) as exc:
             errors.append({"point": list(point), "error": str(exc)})
 
     results: list[PointResult] = parallel_map(_sweep_job, jobs, parallel)
@@ -622,7 +609,7 @@ def run_codebook_experiment(
             book = Codebook.load(load_codebook)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load codebook: {exc}") from exc
-        if book.layout is not None and book.layout != config.layout:
+        if book.layout != config.layout:
             raise ConfigError("loaded codebook was built for a different layout")
     else:
         refs = [(a, config.codebook_distance_cm) for a in config.codebook_angles_deg]
@@ -656,7 +643,8 @@ def run_codebook_experiment(
 
 
 def _oracle_layout(config: ScenarioConfig) -> RisLayout:
-    """The small panel the oracle enumerates, checked against oracle.cap."""
+    """The small panel the oracle enumerates, checked against the
+    enumeration cap."""
     try:
         layout = RisLayout(
             config.oracle_nx, config.oracle_ny, config.layout.spacing, carrier_hz=config.layout.carrier_hz
@@ -664,9 +652,9 @@ def _oracle_layout(config: ScenarioConfig) -> RisLayout:
     except ValueError as exc:
         raise ConfigError(f"oracle layout: {exc}") from exc
     budget = config.oracle_num_states**layout.n_active
-    if budget > config.oracle_cap:
+    if budget > ENUMERATION_CAP:
         raise ConfigError(
-            f"oracle enumeration needs {budget} measurements, above oracle.cap {config.oracle_cap}"
+            f"oracle enumeration needs {budget} measurements, above the cap of {ENUMERATION_CAP}"
         )
     return layout
 
@@ -680,21 +668,19 @@ def _oracle_job(args):
     )
     chan = synthesize_channels(scene, layout, params)
     meter = GainMeter(chan, config.element_amplitude)
-    best, _ = exhaustive_search(meter, layout, config.oracle_num_states, config.oracle_cap)
-    best_power = meter.power(best)
-    if best_power == 0.0:
+    # one meter reads both searches, and greedy's configurations are a
+    # subset of the enumeration's, so the gap is exactly >= 0
+    _, etrace = exhaustive_search(meter, layout, config.oracle_num_states)
+    if etrace.final_power == float("-inf"):
         raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
-    oracle_measurements = meter.calls
-    _, trace = greedy_iterative(meter, layout, config.oracle_num_states, grouping)
-    oracle_db = 10.0 * math.log10(best_power)
-    greedy_db = trace.final_power
+    _, gtrace = greedy_iterative(meter, layout, config.oracle_num_states, grouping)
     return {
         "instance": instance,
-        "oracle_db": oracle_db,
-        "greedy_db": greedy_db,
-        "gap_db": greedy_gap(oracle_db, greedy_db),
-        "oracle_measurements": oracle_measurements,
-        "greedy_measurements": meter.calls - oracle_measurements,
+        "oracle_db": etrace.final_power,
+        "greedy_db": gtrace.final_power,
+        "gap_db": etrace.final_power - gtrace.final_power,
+        "oracle_measurements": etrace.measurement_count,
+        "greedy_measurements": gtrace.measurement_count,
     }
 
 
@@ -722,7 +708,7 @@ def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict
         "max_gap_db": max(gaps),
     }
     _write_json(out / "summary.json", config, summary)
-    if any(g < -1e-9 for g in gaps):
+    if min(gaps) < 0.0:
         raise ExperimentAssertionError(
             f"greedy exceeded the exhaustive maximum (min gap {min(gaps):.3e} dB)"
         )

@@ -22,7 +22,6 @@ GAIN_FLOOR = 1e-3  # -30 dB side/backlobe floor
 LOS_GAIN_PRODUCT_THRESHOLD = 1e-4
 
 DEFAULT_GRID_ANGLES_DEG = (50.0, 70.0, 90.0, 110.0, 130.0, 145.0)
-DEFAULT_GRID_DISTANCES_CM = (70.0, 120.0, 170.0, 220.0, 270.0, 320.0, 420.0)
 
 DEFAULT_TX_ANGLE_DEG = 78.0
 DEFAULT_TX_DISTANCE_CM = 100.0
@@ -95,32 +94,6 @@ def gains_toward(term: Terminal, directions: np.ndarray, floor: float = GAIN_FLO
     """Vectorized antenna_gain over an (N, 3) stack of unit directions."""
     c = np.clip(np.asarray(directions, dtype=np.float64) @ term.boresight, 0.0, None)
     return np.maximum(c ** _gain_exponent(term.half_beamwidth_deg), floor)
-
-
-@dataclass(frozen=True)
-class MeasurementGrid:
-    """Polar grid of candidate receiver spots."""
-
-    angles_deg: tuple[float, ...] = DEFAULT_GRID_ANGLES_DEG
-    distances_cm: tuple[float, ...] = DEFAULT_GRID_DISTANCES_CM
-
-    def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles_deg)
-        dists = tuple(float(d) for d in self.distances_cm)
-        object.__setattr__(self, "angles_deg", angles)
-        object.__setattr__(self, "distances_cm", dists)
-        if not angles or not dists:
-            raise ValueError("grid must have at least one angle and one distance")
-        if any(not 0.0 < a < 180.0 for a in angles):
-            raise ValueError("grid angles must be in (0, 180) degrees")
-        if any(d <= 0 for d in dists):
-            raise ValueError("grid distances must be positive")
-        if list(angles) != sorted(set(angles)) or list(dists) != sorted(set(dists)):
-            raise ValueError("grid angles and distances must be strictly increasing")
-
-    @property
-    def n_points(self) -> int:
-        return len(self.angles_deg) * len(self.distances_cm)
 
 
 def check_spot(angle_deg, distance_cm) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from .ris import GroupingScheme, NUM_ELEMENT_STATES, RisConfig, RisLayout, _unch
 
 MeasureFn = Callable[[RisConfig], float]
 
-DEFAULT_ENUMERATION_CAP = 2**20
+ENUMERATION_CAP = 2**20  # most measurements exhaustive_search will make
 
 
 class TraceEntry(NamedTuple):
@@ -109,17 +109,16 @@ def exhaustive_search(
     measure: MeasureFn,
     layout: RisLayout,
     num_states: int = NUM_ELEMENT_STATES,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[RisConfig, PowerTrace]:
     """Measure every configuration in lexicographic order; ties keep the
     first (lowest) state tuple. Refuses layouts whose enumeration would
-    exceed ``cap`` measurements."""
+    exceed ENUMERATION_CAP measurements."""
     if not 2 <= num_states <= NUM_ELEMENT_STATES:
         raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
     n = layout.n_active
     budget = num_states**n
-    if budget > cap:
-        raise ValueError(f"enumeration needs {budget} measurements, above the cap of {cap}")
+    if budget > ENUMERATION_CAP:
+        raise ValueError(f"enumeration needs {budget} measurements, above the cap of {ENUMERATION_CAP}")
     entries: list[TraceEntry] = []
     # the first candidate, kept if every reading is -inf
     best_config = _unchecked_config(layout, (0,) * n)
@@ -134,9 +133,3 @@ def exhaustive_search(
             best_config = config
         entries.append(TraceEntry(index, -1, -1, p, p_max))
     return best_config, PowerTrace(tuple(entries), best_config)
-
-
-def greedy_gap(oracle_db: float, greedy_db: float) -> float:
-    """Oracle power minus greedy power, in dB. Negative would mean the
-    greedy beat a true exhaustive maximum on the same measure."""
-    return float(oracle_db) - float(greedy_db)

@@ -251,7 +251,7 @@ def test_criterion_8_reruns_byte_identical(tmp_path):
             "path": [[72.0, 165.0], [108.0, 175.0]],
         },
         "grouping": {"group_sizes": [1, 8], "angles_deg": [70.0], "distance_cm": 170.0},
-        "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 3, "cap": 1 << 20},
+        "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 3},
     }
     cfg = config_from_dict(raw)
     runners = {

@@ -19,7 +19,7 @@ SMALL = {
         "path": [[72.0, 165.0]],
     },
     "grouping": {"group_sizes": [1, 8], "angles_deg": [70.0], "distance_cm": 170.0},
-    "oracle": {"nx": 2, "ny": 1, "num_states": 2, "instances": 2, "cap": 1 << 20},
+    "oracle": {"nx": 2, "ny": 1, "num_states": 2, "instances": 2},
 }
 
 
@@ -128,8 +128,8 @@ def test_parser_requires_subcommand():
     [
         ({"nx": 0}, "error: oracle layout: grid dimensions must be positive\n"),
         (
-            {"nx": 3, "ny": 3, "cap": 1000},
-            "error: oracle enumeration needs 262144 measurements, above oracle.cap 1000\n",
+            {"nx": 4, "ny": 3},
+            "error: oracle enumeration needs 16777216 measurements, above the cap of 1048576\n",
         ),
     ],
 )
@@ -260,6 +260,37 @@ def test_no_measurable_power_exits_two(tmp_path, capsys, command, section, messa
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(p), "--out", str(out), "--parallel", str(parallel)])
     assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+_EMPTY_BOOK = {
+    "schema_version": 1,
+    "metadata": {"layout": {"nx": 4, "ny": 2, "spacing": 0.03, "disabled": [], "carrier_hz": 5.2e9}},
+    "entries": [],
+}
+
+
+@pytest.mark.parametrize(
+    "section, book, message",
+    [
+        (
+            {"codebook": {**SMALL["codebook"], "reference_angles_deg": []}},
+            None,
+            "codebook reference angles must not be empty",
+        ),
+        ({}, _EMPTY_BOOK, "cannot load codebook: a codebook needs at least one codeword"),
+    ],
+)
+def test_empty_codebook_exits_two(tmp_path, capsys, section, book, message):
+    p = tmp_path / "empty_book.json"
+    p.write_text(json.dumps({**SMALL, **section}))
+    out = tmp_path / "out"
+    args = ["codebook", "--config", str(p), "--out", str(out)]
+    if book is not None:
+        (tmp_path / "book.json").write_text(json.dumps(book))
+        args += ["--load-codebook", str(tmp_path / "book.json")]
+    assert cli.main(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -85,8 +85,9 @@ def test_lookup_prefers_angle_then_distance_then_lower_angle():
 
 
 def test_lookup_empty_book():
-    with pytest.raises(ValueError):
-        lookup_nearest(Codebook(()), 90.0, 170.0)
+    # an empty book cannot be built, so lookup never sees one
+    with pytest.raises(ValueError, match="at least one codeword"):
+        Codebook(())
 
 
 def test_json_round_trip_is_byte_identical(tmp_path):

@@ -35,7 +35,7 @@ SMALL = {
         "path": [[72.0, 165.0], [108.0, 175.0]],
     },
     "grouping": {"group_sizes": [1, 8], "angles_deg": [70.0], "distance_cm": 170.0},
-    "oracle": {"nx": 2, "ny": 1, "num_states": 2, "instances": 3, "cap": 1 << 20},
+    "oracle": {"nx": 2, "ny": 1, "num_states": 2, "instances": 3},
 }
 
 
@@ -65,6 +65,10 @@ def test_unknown_keys_rejected():
         config_from_dict({"channel": {"noise": 0.0}})
     with pytest.raises(ConfigError):
         config_from_dict({"version": 99})
+    with pytest.raises(ConfigError, match="grid_angles_deg"):
+        config_from_dict({"scene": {"grid_angles_deg": [90.0]}})
+    with pytest.raises(ConfigError, match="cap"):
+        config_from_dict({"oracle": {"cap": 1 << 20}})
 
 
 def test_field_validation_maps_to_config_error():
@@ -168,8 +172,6 @@ EVERY_KEY = {
         "tx_distance_cm": 120.0,
         "half_beamwidth_deg": 30.0,
         "polarization": 0.25,
-        "grid_angles_deg": [60.0, 120.0],
-        "grid_distances_cm": [100.0, 200.0],
     },
     "channel": {"path_loss_exponent": 2.2, "rician_k_db": 6.0, "noise_variance": 0.02, "cross_pol_coupling": 0.1},
     "tone": {"tone_hz": 2e5, "sample_rate_hz": 2e6, "buffer_len": 4096, "tx_amplitude": 0.5},
@@ -179,7 +181,7 @@ EVERY_KEY = {
     "sweep": {"points": [[60.0, 150.0]]},
     "codebook": {"reference_angles_deg": [60.0, 120.0], "reference_distance_cm": 150.0, "path": [[65.0, 150.0]]},
     "grouping": {"group_sizes": [2, 4], "angles_deg": [80.0], "distance_cm": 150.0},
-    "oracle": {"nx": 3, "ny": 1, "num_states": 3, "instances": 5, "cap": 1000},
+    "oracle": {"nx": 3, "ny": 1, "num_states": 3, "instances": 5},
 }
 
 
@@ -193,8 +195,8 @@ def test_every_key_serializes_as_pinned():
     cfg = config_from_dict(EVERY_KEY)
     assert cfg.to_dict() == EVERY_KEY
     assert config_from_dict(cfg.to_dict()) == cfg
-    # the hash the hand-written schema gave this config
-    assert cfg.config_hash() == "240ce0f5faec5eaa"
+    # sha256 of the sorted compact JSON of EVERY_KEY
+    assert cfg.config_hash() == "fe21a82a4fd7bb56"
 
 
 def _readme_config_keys():
@@ -329,9 +331,20 @@ def test_run_oracle_check_outputs(tmp_path):
     summary = run_oracle_check(cfg, out)
     assert summary["instances"] == 3
     assert summary["elements"] == 2
-    assert summary["min_gap_db"] >= -1e-9
+    assert summary["min_gap_db"] >= 0.0
     rows = _read_lines(out / "gaps.csv")
     assert len(rows) == 2 + 3
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_single_element_oracle_gaps_are_exactly_zero(tmp_path, seed):
+    # greedy tries every configuration of one element, so it reads the optimum
+    cfg = config_from_dict({**SMALL, "seed": seed, "oracle": {"nx": 1, "ny": 1, "instances": 40}})
+    run_oracle_check(cfg, tmp_path)
+    rows = list(csv.DictReader(_read_lines(tmp_path / "gaps.csv")[1:]))
+    assert len(rows) == 40
+    assert all(float(r["gap_db"]) == 0.0 for r in rows)
+    assert all(r["oracle_db"] == r["greedy_db"] for r in rows)
 
 
 def _strict_json(path):
@@ -381,7 +394,7 @@ def test_oracle_layout_follows_configured_carrier(tmp_path):
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 1)])
-def test_oracle_job_matches_two_meter_formulation(nx, ny):
+def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
     cfg = config_from_dict({**SMALL, "oracle": {"nx": nx, "ny": ny, "num_states": 4, "instances": 1}})
     layout = RisLayout(nx, ny, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
     scene = cfg.base_scene()
@@ -391,21 +404,20 @@ def test_oracle_job_matches_two_meter_formulation(nx, ny):
             cfg.channel, seed=derive_seed(cfg.seed, "oracle", instance), noise_variance=0.0
         )
         chan = synthesize_channels(scene, layout, params)
-        oracle_meter = GainMeter(chan, cfg.element_amplitude)
-        greedy_meter = GainMeter(chan, cfg.element_amplitude)
-        best, _ = exhaustive_search(oracle_meter, layout, 4, cfg.oracle_cap)
-        _, trace = greedy_iterative(greedy_meter, layout, 4)
-        oracle_db = 10.0 * math.log10(max(end_to_end_gain(best, chan, cfg.element_amplitude), 1e-300))
+        meter = GainMeter(chan, cfg.element_amplitude)
+        _, etrace = exhaustive_search(meter, layout, 4)
+        _, gtrace = greedy_iterative(meter, layout, 4)
         row = _oracle_job((cfg, layout, scene, make_grouping(layout, 1), instance))
         assert row == {
             "instance": instance,
-            "oracle_db": oracle_db,
-            "greedy_db": trace.final_power,
-            "gap_db": oracle_db - trace.final_power,
+            "oracle_db": etrace.final_power,
+            "greedy_db": gtrace.final_power,
+            "gap_db": etrace.final_power - gtrace.final_power,
             "oracle_measurements": 4**n,
             "greedy_measurements": 4 * n,
         }
-        assert oracle_meter.calls == 4**n and greedy_meter.calls == 4 * n
+        assert row["gap_db"] >= 0.0
+        assert meter.calls == 4**n + 4 * n
 
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rissim.geometry import (
     UP,
-    MeasurementGrid,
     Scene,
     _frame,
     Terminal,
@@ -74,17 +73,6 @@ def test_terminal_validation():
         Terminal(np.zeros(3), np.array([0.0, 1.0, 0.0]), half_beamwidth_deg=90.0)
     with pytest.raises(ValueError):
         Terminal(np.zeros(3), np.array([0.0, 1.0, 0.0]), polarization=1.5)
-
-
-def test_measurement_grid_defaults_and_validation():
-    grid = MeasurementGrid()
-    assert grid.angles_deg == (50.0, 70.0, 90.0, 110.0, 130.0, 145.0)
-    assert grid.distances_cm == (70.0, 120.0, 170.0, 220.0, 270.0, 320.0, 420.0)
-    assert grid.n_points == 42
-    with pytest.raises(ValueError):
-        MeasurementGrid(angles_deg=(0.0,))
-    with pytest.raises(ValueError):
-        MeasurementGrid(distances_cm=())
 
 
 def test_scene_terminals_face_the_surface():

@@ -26,14 +26,14 @@ CRITERION_8_CONFIG = {
         "path": [[72.0, 165.0], [108.0, 175.0]],
     },
     "grouping": {"group_sizes": [1, 8], "angles_deg": [70.0], "distance_cm": 170.0},
-    "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 3, "cap": 1 << 20},
+    "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 3},
 }
 
 GOLDEN = {
-    "sweep": "f699e61fbb02c5d7b87cb3abb6773e3fa50ddabb2db094570bb0a0e3c953c67d",
-    "codebook": "fc6bd5286467eeb3d9d7d7357d0f65df0c7dca47a23f46e6461827a9e0521adb",
-    "grouping": "ced3321ee424c161561f9165c94b531a7baa403268cb7006244ba04e8b852c04",
-    "oracle": "eaff6323f6c48543e91d6f3d8a2128e2872e0c890d70adb17b2ec45a1b9a2484",
+    "sweep": "056323f48165522d75bb47c4479af06fd3a7691504508eade3bb7eee607a81ac",
+    "codebook": "f7469ad9fe711d26e2e25d8b673ab4fcf4fba1e81eeb472a93deffcbec51e79f",
+    "grouping": "b161d876829da02d094ee68ddcae949bdb06c6a4f38e5971a0df2cb51d0f6cf7",
+    "oracle": "0fd01fe6f01f3dd6d461fa7bc3588d82b07680b7d70dfd3c2a19b10d49317bc7",
 }
 
 
