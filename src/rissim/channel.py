@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, antenna_gain, gains_toward, los_blocked
+from .geometry import Scene, direct_path, gains_toward
 from .ris import DEFAULT_ELEMENT_AMPLITUDE, NUM_ELEMENT_STATES, RisConfig, RisLayout, theta_diag
 
 ADC_CODE_MAX = 2048
@@ -172,7 +172,7 @@ def synthesize_channels(scene: Scene, layout: RisLayout, params: ChannelModelPar
     rx position), so reruns are bit-identical while distinct placements get
     independent scatter.
     """
-    elem_pos = scene.element_positions(layout)
+    elem_pos = layout.element_positions()
     rng = derive_rng(params.seed, scene.tx.position, scene.rx.position)
     h_h, h_v = _side_vectors(scene.tx, elem_pos, layout.wavelength, params, rng, conjugate_phase=False)
     g_h, g_v = _side_vectors(scene.rx, elem_pos, layout.wavelength, params, rng, conjugate_phase=True)
@@ -183,13 +183,11 @@ def synthesize_channels(scene: Scene, layout: RisLayout, params: ChannelModelPar
         h_h, h_v = a * h_h + b * h_v, a * h_v + b * h_h
         g_h, g_v = a * g_h + b * g_v, a * g_v + b * g_h
 
-    if los_blocked(scene):
+    path = direct_path(scene)
+    if path is None:
         h_los = 0.0j
     else:
-        sep = scene.rx.position - scene.tx.position
-        dist = float(np.linalg.norm(sep))
-        d = sep / dist
-        product = antenna_gain(scene.tx, d) * antenna_gain(scene.rx, -d)
+        dist, product = path
         h_los = (
             math.sqrt(product)
             * dist ** (-params.path_loss_exponent / 2.0)
@@ -231,11 +229,6 @@ def channel_gain(config: RisConfig, chan: ChannelRealization, amplitude: float =
     """Complex end-to-end coefficient: per-polarization g^H diag(theta) h
     cascades plus the direct term."""
     return _cascade(config, chan, _state_products(chan, amplitude))
-
-
-def end_to_end_gain(config: RisConfig, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> float:
-    """Power gain |sum of cascades + direct|^2 for one configuration."""
-    return abs(channel_gain(config, chan, amplitude)) ** 2
 
 
 @dataclass(frozen=True)

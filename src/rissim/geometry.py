@@ -1,21 +1,17 @@
 """Terminal placement, the polar measurement grid, and antenna gains.
 
-Positions are meters in a fixed world frame; the surface center sits at the
-origin by default with its normal along +y. Grid coordinates are an angle
-measured from the surface line (90 degrees is broadside) and a range in cm,
-both at the surface's height.
+Positions are meters in the surface's frame: the surface center sits at the
+origin with its normal along +y and its columns along +x. Grid coordinates
+are an angle measured from the surface line (90 degrees is broadside) and a
+range in cm, both at the surface's height.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .ris import RisLayout
-
-UP = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_HALF_BEAMWIDTH_DEG = 40.0
 GAIN_FLOOR = 1e-3  # -30 dB side/backlobe floor
@@ -35,15 +31,6 @@ def _normalized(v, what: str) -> np.ndarray:
     out = v / n
     out.setflags(write=False)
     return out
-
-
-def _frame(normal) -> tuple[np.ndarray, np.ndarray]:
-    """In-plane horizontal axis and unit normal for a surface orientation."""
-    n = _normalized(normal, "surface normal")
-    if abs(float(n @ UP)) > 0.99:
-        raise ValueError("surface normal must be roughly horizontal")
-    u = np.cross(n, UP)
-    return _normalized(u, "surface axis"), n
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,64 +94,38 @@ def check_spot(angle_deg, distance_cm) -> tuple[float, float]:
 
 
 def grid_point(angle_deg: float, distance_cm: float) -> np.ndarray:
-    """World position of a polar grid coordinate, surface at the origin
-    facing +y."""
-    if distance_cm <= 0:
-        raise ValueError("distance must be positive")
+    """World position of a polar grid coordinate; ValueError unless the
+    spot is in the scene (see check_spot)."""
+    angle_deg, distance_cm = check_spot(angle_deg, distance_cm)
     a = math.radians(angle_deg)
     d = distance_cm / 100.0
     return np.array([d * math.cos(a), d * math.sin(a), 0.0])
 
 
-def _polar(center, axes, angle_deg: float, distance_cm: float) -> np.ndarray:
-    """World position of a grid coordinate around center; axes is the
-    surface's (in-plane axis, normal) pair."""
-    if distance_cm <= 0:
-        raise ValueError("distance must be positive")
-    a = math.radians(angle_deg)
-    u, n = axes
-    return center + (distance_cm / 100.0) * (math.cos(a) * u + math.sin(a) * n)
+def _horn(angle_deg, distance_cm, half_beamwidth_deg, polarization) -> Terminal:
+    """A horn at a grid coordinate, aimed at the surface center."""
+    pos = grid_point(angle_deg, distance_cm)
+    return Terminal(pos, _normalized(0.0 - pos, "boresight"), half_beamwidth_deg, polarization)
 
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """One bench placement: surface pose and both terminals."""
+    """One bench placement: both terminals in front of the surface."""
 
-    ris_center: np.ndarray
-    ris_normal: np.ndarray
     tx: Terminal
     rx: Terminal
-    # (in-plane axis, normal) from _frame(ris_normal), for point_at and
-    # element_positions
-    _axes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        center = np.asarray(self.ris_center, dtype=np.float64).copy()
-        center.setflags(write=False)
-        object.__setattr__(self, "ris_center", center)
-        _, n = _frame(self.ris_normal)
-        object.__setattr__(self, "ris_normal", n)
-        object.__setattr__(self, "_axes", _frame(n))
         for name, term in (("tx", self.tx), ("rx", self.rx)):
-            if float((term.position - center) @ n) <= 0:
+            # false for NaN, so a NaN position fails too
+            if not term.position[1] > 0:
                 raise ValueError(f"{name} must sit on the reflective side of the surface")
-
-    def point_at(self, angle_deg: float, distance_cm: float) -> np.ndarray:
-        """Grid coordinate to world position in this scene's frame."""
-        return _polar(self.ris_center, self._axes, angle_deg, distance_cm)
-
-    def element_positions(self, layout: RisLayout) -> np.ndarray:
-        """(N, 3) world positions of the layout's active elements."""
-        u, _ = self._axes
-        off = layout.element_offsets()
-        return self.ris_center + off[:, :1] * u + off[:, 1:] * UP
 
     def with_rx_at(self, angle_deg: float, distance_cm: float) -> "Scene":
         """Same scene with the receiver moved to a grid coordinate, re-aimed
         at the surface center."""
-        pos = self.point_at(angle_deg, distance_cm)
-        bore = _normalized(self.ris_center - pos, "boresight")
-        return replace(self, rx=replace(self.rx, position=pos, boresight=bore))
+        rx = self.rx
+        return Scene(self.tx, _horn(angle_deg, distance_cm, rx.half_beamwidth_deg, rx.polarization))
 
 
 def make_scene(
@@ -175,31 +136,20 @@ def make_scene(
     tx_distance_cm: float = DEFAULT_TX_DISTANCE_CM,
     half_beamwidth_deg: float = DEFAULT_HALF_BEAMWIDTH_DEG,
     polarization: float = 0.5,
-    ris_center=(0.0, 0.0, 0.0),
-    ris_normal=(0.0, 1.0, 0.0),
 ) -> Scene:
     """L-shaped bench scene with both horns aimed at the surface center."""
-    center = np.asarray(ris_center, dtype=np.float64)
-    u, n = _frame(ris_normal)
-
-    def place(angle_deg, distance_cm):
-        pos = _polar(center, (u, n), angle_deg, distance_cm)
-        return Terminal(pos, _normalized(center - pos, "boresight"), half_beamwidth_deg, polarization)
-
     return Scene(
-        center,
-        n,
-        place(tx_angle_deg, tx_distance_cm),
-        place(rx_angle_deg, rx_distance_cm),
+        _horn(tx_angle_deg, tx_distance_cm, half_beamwidth_deg, polarization),
+        _horn(rx_angle_deg, rx_distance_cm, half_beamwidth_deg, polarization),
     )
 
 
-def los_blocked(scene: Scene) -> bool:
-    """Whether the direct Tx-Rx path falls outside the antennas' beams.
+def direct_path(scene: Scene) -> tuple[float, float] | None:
+    """Tx-Rx distance and two-way horn gain product of the direct path, or
+    None when the path falls outside the antennas' beams.
 
     The path counts as blocked unless each terminal sees the other inside
-    twice its half beamwidth and the two-way gain product clears a -40 dB
-    threshold.
+    twice its half beamwidth and the gain product clears a -40 dB threshold.
     """
     sep = scene.rx.position - scene.tx.position
     dist = float(np.linalg.norm(sep))
@@ -215,4 +165,6 @@ def los_blocked(scene: Scene) -> bool:
         or off_rx > 2.0 * scene.rx.half_beamwidth_deg
     )
     product = antenna_gain(scene.tx, d) * antenna_gain(scene.rx, -d)
-    return outside or product < LOS_GAIN_PRODUCT_THRESHOLD
+    if outside or product < LOS_GAIN_PRODUCT_THRESHOLD:
+        return None
+    return dist, product

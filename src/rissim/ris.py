@@ -95,20 +95,21 @@ class RisLayout:
         return self._actives
 
     @cached_property
-    def _offsets(self) -> np.ndarray:
+    def _positions(self) -> np.ndarray:
         cells = np.array(self._actives, dtype=np.float64)
-        u = (cells[:, 1] - (self.nx - 1) / 2.0) * self.spacing
-        v = ((self.ny - 1) / 2.0 - cells[:, 0]) * self.spacing
-        out = np.column_stack([u, v])
+        x = (cells[:, 1] - (self.nx - 1) / 2.0) * self.spacing
+        z = ((self.ny - 1) / 2.0 - cells[:, 0]) * self.spacing
+        out = np.column_stack([x, np.zeros_like(x), z])
         out.setflags(write=False)
         return out
 
-    def element_offsets(self) -> np.ndarray:
-        """(N, 2) grid-centered in-plane offsets in meters.
+    def element_positions(self) -> np.ndarray:
+        """(N, 3) read-only positions in meters of the active elements, the
+        grid centered at the origin in the y = 0 plane.
 
-        Column u grows with the column index, v with height (row 0 on top).
+        x grows with the column index, z with height (row 0 on top).
         """
-        return self._offsets
+        return self._positions
 
 
 @dataclass(frozen=True)

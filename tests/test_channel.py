@@ -1,3 +1,4 @@
+import hashlib
 import math
 import runpy
 import warnings
@@ -20,13 +21,13 @@ from rissim.channel import (
     channel_gain,
     derive_rng,
     derive_seed,
-    end_to_end_gain,
     power_dbfs,
     quantize_adc,
     synthesize_channels,
     tone_waveform,
     _entropy_words,
 )
+from rissim.experiments import DEFAULT_SWEEP_POINTS, ScenarioConfig
 from rissim.geometry import Scene, make_scene
 from rissim.ris import RisConfig, RisLayout, theta_diag
 
@@ -99,6 +100,27 @@ def test_synthesis_is_bit_deterministic():
     assert not np.array_equal(a.h_h, c.h_h)
 
 
+# sha256 over the channel bytes at the default sweep points plus the
+# 145 deg / 170 cm grouping spot, seed 7
+CHANNEL_DIGEST = "d19f212a42992297e4fc43eaa1456d8b3f30f19b07e1159982f6b0da1ef32114"
+
+
+def test_default_spot_channels_match_digest():
+    # every spot of the golden runs has a blocked direct path, so these
+    # bytes are the ones that pin a non-zero h_los (130/120 and 145/170)
+    campaign = ScenarioConfig(seed=7).campaign(1)
+    h = hashlib.sha256()
+    clear = []
+    for angle, dist in DEFAULT_SWEEP_POINTS + ((145.0, 170.0),):
+        chan = campaign.channel(angle, dist)
+        for vec in (chan.h_h, chan.h_v, chan.g_h, chan.g_v, np.complex128(chan.h_los)):
+            h.update(vec.tobytes())
+        if chan.h_los != 0.0:
+            clear.append((angle, dist))
+    assert clear == [(130.0, 120.0), (145.0, 170.0)]
+    assert h.hexdigest() == CHANNEL_DIGEST
+
+
 def test_deterministic_part_mirror_symmetric():
     # pure deterministic channel on a symmetric panel, transmitter on
     # broadside: mirrored receiver angles see the same all-off magnitude
@@ -160,8 +182,8 @@ def test_two_element_cascade_extremes():
     lay = RisLayout(nx=2, ny=1)
     aligned = RisConfig(lay, (0, 0))
     opposed = RisConfig(lay, (1, 0))
-    assert end_to_end_gain(aligned, chan, amplitude=1.0) == pytest.approx(4.0)
-    assert end_to_end_gain(opposed, chan, amplitude=1.0) == pytest.approx(0.0, abs=1e-15)
+    assert abs(channel_gain(aligned, chan, amplitude=1.0)) ** 2 == pytest.approx(4.0)
+    assert abs(channel_gain(opposed, chan, amplitude=1.0)) ** 2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_v_diode_flips_only_v_branch():
@@ -169,9 +191,9 @@ def test_v_diode_flips_only_v_branch():
     chan = ChannelRealization(ones, ones, ones, ones, 0.0j, 0.0)
     lay = RisLayout(nx=2, ny=1)
     # state 2 engages V on both elements: H sums +2, V sums -2
-    assert end_to_end_gain(RisConfig(lay, (2, 2)), chan, amplitude=1.0) == pytest.approx(0.0, abs=1e-15)
+    assert abs(channel_gain(RisConfig(lay, (2, 2)), chan, amplitude=1.0)) ** 2 == pytest.approx(0.0, abs=1e-15)
     # state 3 flips both branches the same way: full power again
-    assert end_to_end_gain(RisConfig(lay, (3, 3)), chan, amplitude=1.0) == pytest.approx(16.0)
+    assert abs(channel_gain(RisConfig(lay, (3, 3)), chan, amplitude=1.0)) ** 2 == pytest.approx(16.0)
 
 
 def test_channel_gain_matches_direct_formula():
@@ -213,7 +235,7 @@ def test_gain_invariant_to_global_phase(phi):
     )
     lay = RisLayout(nx=3, ny=2)
     config = RisConfig(lay, (0, 1, 2, 3, 0, 1))
-    assert end_to_end_gain(config, spun) == pytest.approx(end_to_end_gain(config, chan), rel=1e-9)
+    assert abs(channel_gain(config, spun)) ** 2 == pytest.approx(abs(channel_gain(config, chan)) ** 2, rel=1e-9)
 
 
 _SPOT = st.tuples(st.floats(20.0, 160.0), st.floats(50.0, 420.0))
@@ -234,7 +256,7 @@ def test_channel_gain_is_reciprocal(tx, rx, polarization, coupling, states):
     lay = RisLayout.default()
     params = ChannelModelParams(rician_k_db=math.inf, seed=3, cross_pol_coupling=coupling)
     scene = make_scene(*rx, tx_angle_deg=tx[0], tx_distance_cm=tx[1], polarization=polarization)
-    swapped = Scene(scene.ris_center, scene.ris_normal, scene.rx, scene.tx)
+    swapped = Scene(scene.rx, scene.tx)
     config = RisConfig(lay, tuple(states))
     forward = channel_gain(config, synthesize_channels(scene, lay, params))
     backward = channel_gain(config, synthesize_channels(swapped, lay, params))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rissim.channel import GainMeter, derive_seed, end_to_end_gain, synthesize_channels
+from rissim.channel import GainMeter, channel_gain, derive_seed, synthesize_channels
 from rissim.experiments import (
     ConfigError,
     ScenarioConfig,
@@ -387,7 +387,7 @@ def test_oracle_layout_follows_configured_carrier(tmp_path):
         )
         chan = synthesize_channels(cfg.base_scene(), layout, params)
         best = max(
-            end_to_end_gain(RisConfig(layout, states), chan, cfg.element_amplitude)
+            abs(channel_gain(RisConfig(layout, states), chan, cfg.element_amplitude)) ** 2
             for states in itertools.product(range(4), repeat=4)
         )
         assert float(row["oracle_db"]) == pytest.approx(10.0 * math.log10(best), rel=1e-12)

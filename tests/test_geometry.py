@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rissim.geometry import (
-    UP,
     Scene,
-    _frame,
     Terminal,
     antenna_gain,
+    direct_path,
     grid_point,
-    los_blocked,
     make_scene,
 )
 from rissim.ris import RisLayout
@@ -43,6 +41,33 @@ def test_grid_point_distance_and_mirror(angle_deg, distance_cm):
 def test_grid_point_rejects_nonpositive_distance():
     with pytest.raises(ValueError):
         grid_point(90.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "angle_deg,distance_cm",
+    [(90.0, math.nan), (math.nan, 170.0), (90.0, math.inf), (90.0, 0.0), (0.0, 170.0), (180.0, 170.0)],
+)
+def test_out_of_scene_spot_raises_where_placed(angle_deg, distance_cm):
+    # a spot outside the scene must fail when a horn is placed there, not
+    # later as non-finite channel entries or a terminal behind the surface
+    for place in (
+        grid_point,
+        make_scene,
+        make_scene().with_rx_at,
+        lambda a, d: make_scene(tx_angle_deg=a, tx_distance_cm=d),
+    ):
+        with pytest.raises(ValueError, match="outside the scene"):
+            place(angle_deg, distance_cm)
+
+
+@given(st.floats(0.5, 179.5), st.floats(1.0, 1000.0))
+@settings(max_examples=100, deadline=None)
+def test_make_scene_and_with_rx_at_place_rx_alike(angle_deg, distance_cm):
+    built = make_scene(angle_deg, distance_cm).rx
+    moved = make_scene().with_rx_at(angle_deg, distance_cm).rx
+    assert built.position.tobytes() == moved.position.tobytes()
+    assert built.boresight.tobytes() == moved.boresight.tobytes()
+    assert built.position.tobytes() == grid_point(angle_deg, distance_cm).tobytes()
 
 
 def test_antenna_gain_anchors():
@@ -94,44 +119,33 @@ def test_with_rx_at_keeps_beamwidth_and_polarization():
 
 
 def test_element_positions_lie_in_surface_plane():
-    scene = make_scene()
     lay = RisLayout.default()
-    pos = scene.element_positions(lay)
+    pos = lay.element_positions()
     assert pos.shape == (76, 3)
-    assert np.allclose(pos[:, 1], 0.0, atol=1e-12)  # surface plane y = 0
+    assert np.all(pos[:, 1] == 0.0)  # surface plane y = 0
     span = pos[:, 0].max() - pos[:, 0].min()
     assert span == pytest.approx(9 * lay.spacing)
 
 
-def test_los_blocked_cases():
+def test_scene_rejects_terminal_off_the_reflective_side():
+    scene = make_scene()
+    for y in (-0.5, 0.0, math.nan):
+        rx = Terminal(np.array([0.3, y, 0.0]), scene.rx.boresight)
+        with pytest.raises(ValueError, match="reflective side"):
+            Scene(scene.tx, rx)
+
+
+def test_direct_path_cases():
     # default geometry: receiver well outside the transmit cone at 50 deg
-    assert los_blocked(make_scene(rx_angle_deg=50.0, rx_distance_cm=170.0))
+    assert direct_path(make_scene(rx_angle_deg=50.0, rx_distance_cm=170.0)) is None
     # at 145 deg the direct path clears both cones
-    assert not los_blocked(make_scene(rx_angle_deg=145.0, rx_distance_cm=170.0))
+    scene = make_scene(rx_angle_deg=145.0, rx_distance_cm=170.0)
+    dist, product = direct_path(scene)
+    assert dist == pytest.approx(np.linalg.norm(scene.rx.position - scene.tx.position))
+    assert 1e-4 <= product <= 1.0
     # narrow beams kill the direct product even when geometry lines up
-    assert los_blocked(
-        make_scene(rx_angle_deg=145.0, rx_distance_cm=170.0, half_beamwidth_deg=5.0)
+    assert (
+        direct_path(make_scene(rx_angle_deg=145.0, rx_distance_cm=170.0, half_beamwidth_deg=5.0))
+        is None
     )
 
-
-
-def test_stored_frame_matches_recomputed_frame():
-    # point_at and element_positions reuse the frame taken at construction;
-    # it must equal _frame of the stored normal, which they used to
-    # recompute. Re-normalizing a unit vector often moves its last bit, so
-    # random tilted normals tell the two apart where round ones cannot.
-    rng = np.random.default_rng(5)
-    layout = RisLayout(nx=3, ny=2)
-    off = layout.element_offsets()
-    for _ in range(40):
-        normal = rng.uniform(-1.0, 1.0, 3) * (3.0, 3.0, 0.3)
-        bench = make_scene(ris_normal=normal)
-        raw = Scene(bench.ris_center, normal, bench.tx, bench.rx)
-        for scene in (raw, raw.with_rx_at(70.0, 170.0)):
-            u, n = _frame(scene.ris_normal)
-            angle, dist = rng.uniform(1.0, 179.0), rng.uniform(10.0, 500.0)
-            a = math.radians(angle)
-            expected = scene.ris_center + dist / 100.0 * (math.cos(a) * u + math.sin(a) * n)
-            assert np.array_equal(scene.point_at(angle, dist), expected)
-            expected = scene.ris_center + off[:, :1] * u + off[:, 1:] * UP
-            assert np.array_equal(scene.element_positions(layout), expected)

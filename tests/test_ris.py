@@ -38,17 +38,18 @@ def test_default_spacing_is_half_wavelength():
     assert lay.wavelength == pytest.approx(0.0576523958, rel=1e-6)
 
 
-def test_element_offsets_centered_and_oriented():
+def test_element_positions_centered_and_oriented():
     lay = RisLayout(nx=3, ny=3)
-    off = lay.element_offsets()
-    assert off.shape == (9, 2)
-    # grid centroid at the origin
-    assert np.allclose(off.mean(axis=0), 0.0)
+    pos = lay.element_positions()
+    assert pos.shape == (9, 3)
+    # grid centroid at the origin, every element in the y = 0 plane
+    assert np.allclose(pos.mean(axis=0), 0.0)
+    assert np.all(pos[:, 1] == 0.0)
     cells = lay.active_elements()
     i_tl = cells.index((0, 0))  # top-left: leftmost column, highest row
-    assert off[i_tl, 0] < 0 and off[i_tl, 1] > 0
+    assert pos[i_tl, 0] < 0 and pos[i_tl, 2] > 0
     with pytest.raises(ValueError):
-        off[0, 0] = 1.0  # read-only
+        pos[0, 0] = 1.0  # read-only
 
 
 def test_layout_rejects_bad_disabled_cell():
