@@ -400,12 +400,34 @@ class TonePowerMeter:
         return _codes_dbfs(buf, buf.shape[1])
 
 
+def _gain_db(c: complex) -> float:
+    """|c|^2 in dB; a zero coefficient reads -inf."""
+    g = abs(c) ** 2
+    if g == 0.0:
+        return float("-inf")
+    return float(10.0 * np.log10(g))
+
+
+def _pattern_keys(bits: np.ndarray) -> np.ndarray:
+    """One exact key per row of an (M, n) matrix whose entries are 0 or one
+    fixed bit value: an int64 of the row's first 32 columns, or past 32
+    columns the bytes of one such word per 32 columns."""
+    words = [
+        bits[:, j : j + 32].astype(np.int64) @ (np.int64(1) << np.arange(min(32, bits.shape[1] - j)))
+        for j in range(0, bits.shape[1], 32)
+    ]
+    if len(words) == 1:
+        return words[0]
+    return np.column_stack(words).view(f"V{8 * len(words)}").ravel()
+
+
 class GainMeter:
     """Noiseless analytic measurement: configuration gain in dB.
 
     Shares the measurement-function contract with TonePowerMeter and its
-    per-state tables; handy as the fast measure for small exhaustive
-    searches. A configuration with zero gain reads -inf.
+    per-state tables; a configuration with zero gain reads -inf. readings()
+    reads a whole matrix of states at once, as the exhaustive search does,
+    each reading equal to a call on that row's configuration to the last bit.
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
@@ -416,8 +438,33 @@ class GainMeter:
 
     def __call__(self, config: RisConfig) -> float:
         self.calls += 1
-        g = abs(_cascade(config, self.chan, self._products)) ** 2
-        if g == 0.0:
-            return float("-inf")
-        return float(10.0 * np.log10(g))
+        return _gain_db(_cascade(config, self.chan, self._products))
 
+    def readings(self, states) -> list[float]:
+        """dB readings of the rows of an (M, n) matrix of element states.
+
+        The H cascade of a row depends only on its bit-0 pattern and the V
+        cascade only on its bit-1 pattern: the table holds each entry as one
+        rounding of +-amplitude * h, so states 0 and 2 (1 and 3) share H bits,
+        and 0 and 1 (2 and 3) share V bits. Each distinct pattern is read with
+        one np.vdot, gathered at the pattern's bit values as states, and a
+        reading is _gain_db(H + V + h_los), as in __call__.
+        """
+        table, offsets = self._products
+        states = np.asarray(states)
+        if states.ndim != 2 or states.shape[1] != len(offsets):
+            raise ValueError(f"expected an (M, {len(offsets)}) matrix of element states")
+        if not np.issubdtype(states.dtype, np.integer):
+            raise ValueError("element states must be integers")
+        if states.size and (states.min() < 0 or states.max() >= NUM_ELEMENT_STATES):
+            raise ValueError("element states must be in 0..3")
+        self.calls += len(states)
+        cascades = []
+        for row, g, bit in ((table[0], self.chan.g_h, 1), (table[1], self.chan.g_v, 2)):
+            bits = states & bit
+            _, first, inverse = np.unique(_pattern_keys(bits), return_index=True, return_inverse=True)
+            x = row.take(bits[first] + offsets)
+            values = [complex(np.vdot(g, xp)) for xp in x]
+            cascades.append([values[i] for i in inverse.tolist()])
+        h_los = self.chan.h_los
+        return [_gain_db(a + b + h_los) for a, b in zip(*cascades)]

@@ -670,7 +670,7 @@ def _oracle_job(args):
     meter = GainMeter(chan, config.element_amplitude)
     # one meter reads both searches, and greedy's configurations are a
     # subset of the enumeration's, so the gap is exactly >= 0
-    _, etrace = exhaustive_search(meter, layout, config.oracle_num_states)
+    _, etrace = exhaustive_search(meter.readings, layout, config.oracle_num_states)
     if etrace.final_power == float("-inf"):
         raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
     _, gtrace = greedy_iterative(meter, layout, config.oracle_num_states, grouping)

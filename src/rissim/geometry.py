@@ -26,8 +26,9 @@ DEFAULT_TX_DISTANCE_CM = 100.0
 def _normalized(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        raise ValueError(f"{what} must be non-zero")
+    # false for NaN, so a NaN entry fails too
+    if not 1e-12 <= n < math.inf:
+        raise ValueError(f"{what} must be finite and non-zero")
     out = v / n
     out.setflags(write=False)
     return out
@@ -48,6 +49,8 @@ class Terminal:
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=np.float64).copy()
+        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
+            raise ValueError("position must be a finite 3-vector")
         pos.setflags(write=False)
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "boresight", _normalized(self.boresight, "boresight"))
@@ -117,7 +120,6 @@ class Scene:
 
     def __post_init__(self):
         for name, term in (("tx", self.tx), ("rx", self.rx)):
-            # false for NaN, so a NaN position fails too
             if not term.position[1] > 0:
                 raise ValueError(f"{name} must sit on the reflective side of the surface")
 

@@ -1,21 +1,26 @@
 """Greedy per-group state search, the exhaustive oracle, and power traces.
 
-Both searches only see an abstract measurement function (configuration in,
-dB power out), so the same code drives analytic gains, the full simulated
-receiver chain, or test stubs.
+Both searches see only an abstract measurement, so the same code drives
+analytic gains, the full simulated receiver chain, or test stubs. Greedy sees
+a per-configuration measure (configuration in, dB power out). The exhaustive
+search sees a block reader (an (M, n) matrix of element states in, M dB
+readings out), such as GainMeter.readings.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .ris import GroupingScheme, NUM_ELEMENT_STATES, RisConfig, RisLayout, _unchecked_config, make_grouping
 
 MeasureFn = Callable[[RisConfig], float]
+ReadFn = Callable[[np.ndarray], Sequence[float]]
 
 ENUMERATION_CAP = 2**20  # most measurements exhaustive_search will make
+BLOCK_ROWS = 4**8  # most state rows exhaustive_search passes to one read
 
 
 class TraceEntry(NamedTuple):
@@ -105,14 +110,21 @@ def greedy_iterative(
     return final, PowerTrace(tuple(entries), final)
 
 
+def _product_block(start: int, stop: int, n: int, num_states: int) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic product range(num_states)**n
+    as an (M, n) matrix."""
+    weights = num_states ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.arange(start, stop, dtype=np.int64)[:, None] // weights % num_states
+
+
 def exhaustive_search(
-    measure: MeasureFn,
+    read: ReadFn,
     layout: RisLayout,
     num_states: int = NUM_ELEMENT_STATES,
 ) -> tuple[RisConfig, PowerTrace]:
-    """Measure every configuration in lexicographic order; ties keep the
-    first (lowest) state tuple. Refuses layouts whose enumeration would
-    exceed ENUMERATION_CAP measurements."""
+    """Read every configuration in lexicographic order, BLOCK_ROWS state rows
+    at a time; ties keep the first (lowest) state tuple. Refuses layouts
+    whose enumeration would exceed ENUMERATION_CAP measurements."""
     if not 2 <= num_states <= NUM_ELEMENT_STATES:
         raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
     n = layout.n_active
@@ -120,16 +132,20 @@ def exhaustive_search(
     if budget > ENUMERATION_CAP:
         raise ValueError(f"enumeration needs {budget} measurements, above the cap of {ENUMERATION_CAP}")
     entries: list[TraceEntry] = []
-    # the first candidate, kept if every reading is -inf
-    best_config = _unchecked_config(layout, (0,) * n)
+    # row of the best reading; the first candidate if every reading is -inf
+    best = 0
     p_max = float("-inf")
-    index = 0
-    for states in itertools.product(range(num_states), repeat=n):
-        config = _unchecked_config(layout, states)
-        index += 1
-        p = float(measure(config))
-        if p > p_max:
-            p_max = p
-            best_config = config
-        entries.append(TraceEntry(index, -1, -1, p, p_max))
+    for start in range(0, budget, BLOCK_ROWS):
+        block = _product_block(start, min(start + BLOCK_ROWS, budget), n, num_states)
+        readings = read(block)
+        if len(readings) != len(block):
+            raise ValueError(f"read returned {len(readings)} readings for {len(block)} configurations")
+        for index, p in enumerate(readings, start + 1):
+            p = float(p)
+            if p > p_max:
+                p_max = p
+                best = index - 1
+            entries.append(TraceEntry(index, -1, -1, p, p_max))
+    # entries of a _product_block are in 0..num_states-1
+    best_config = _unchecked_config(layout, tuple(_product_block(best, best + 1, n, num_states)[0].tolist()))
     return best_config, PowerTrace(tuple(entries), best_config)

@@ -26,6 +26,7 @@ from rissim.channel import (
     synthesize_channels,
     tone_waveform,
     _entropy_words,
+    _state_products,
 )
 from rissim.experiments import DEFAULT_SWEEP_POINTS, ScenarioConfig
 from rissim.geometry import Scene, make_scene
@@ -585,3 +586,99 @@ def test_gain_meter_reports_decibels():
     assert meter(RisConfig(lay, (1, 0))) == float("-inf")
     assert meter.calls == 2
 
+
+
+# --- block readings ----------------------------------------------------
+
+
+def _states_of(rows):
+    return [tuple(row) for row in np.asarray(rows).tolist()]
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    shape=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (5, 2), (4, 4), None]),
+    coupling=st.sampled_from([0.0, 0.3]),
+    rows=st.integers(1, 24),
+)
+@settings(max_examples=80, deadline=None)
+def test_gain_meter_readings_equal_calls_bit_for_bit(seed, shape, coupling, rows):
+    rng = derive_rng(seed, "readings")
+    lay = RisLayout.default() if shape is None else RisLayout(*shape)
+    n = lay.n_active
+    scene = make_scene(
+        rx_angle_deg=float(rng.uniform(20.0, 160.0)),
+        rx_distance_cm=float(rng.uniform(60.0, 250.0)),
+        polarization=float(rng.uniform(0.0, 1.0)),
+    )
+    params = ChannelModelParams(seed=seed, noise_variance=0.0, cross_pol_coupling=coupling)
+    meter = GainMeter(synthesize_channels(scene, lay, params))
+    base = rng.integers(0, 4, (rows, n))
+    # repeated rows; base ^ 2 keeps every H pattern and base ^ 1 every V one
+    parts = [base, base[::-1], base ^ 2, base ^ 1]
+    if n > 64:
+        # rows equal on elements 0..63, which a 64-bit key would merge
+        tail = base.copy()
+        tail[:, 64:] = rng.integers(0, 4, (rows, n - 64))
+        parts.append(tail)
+    states = np.concatenate(parts)
+    expected = [meter(RisConfig(lay, row)) for row in _states_of(states)]
+    calls = meter.calls
+    assert meter.readings(states) == expected
+    assert meter.calls == calls + len(states)
+
+
+def test_gain_meter_readings_keep_rows_apart_past_element_63():
+    lay = RisLayout.default()
+    params = ChannelModelParams(seed=3, noise_variance=0.0, cross_pol_coupling=0.3)
+    meter = GainMeter(synthesize_channels(make_scene(rx_angle_deg=130.0), lay, params))
+    # the all-off row, then one element at index >= 60 switched per row
+    states = np.zeros((1 + 2 * 16, 76), dtype=np.int64)
+    for k, i in enumerate(range(60, 76)):
+        states[1 + 2 * k, i] = 1
+        states[2 + 2 * k, i] = 2
+    readings = meter.readings(states)
+    assert readings == [meter(RisConfig(lay, row)) for row in _states_of(states)]
+    assert len(set(readings)) == len(readings)
+
+
+def test_state_table_entries_depend_only_on_their_diode_bit():
+    lay = RisLayout.default()
+    params = ChannelModelParams(seed=5, noise_variance=0.0, cross_pol_coupling=0.3)
+    chan = synthesize_channels(make_scene(rx_angle_deg=70.0), lay, params)
+    table, _ = _state_products(chan, 0.9)
+    h, v = table.reshape(2, lay.n_active, 4).transpose(0, 2, 1)
+    # H sees bit 0 only, V bit 1 only, to the last bit
+    assert h[0].tobytes() == h[2].tobytes() and h[1].tobytes() == h[3].tobytes()
+    assert v[0].tobytes() == v[1].tobytes() and v[2].tobytes() == v[3].tobytes()
+    assert h[0].tobytes() != h[1].tobytes() and v[0].tobytes() != v[2].tobytes()
+
+
+def test_gain_meter_readings_of_a_dark_channel_are_minus_inf_without_warning():
+    zeros = np.zeros(3, dtype=np.complex128)
+    meter = GainMeter(ChannelRealization(zeros, zeros, zeros, zeros, 0.0j, 0.0))
+    half_dark = GainMeter(_unit_channel(2), amplitude=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert meter.readings(np.array([[0, 1, 2], [3, 3, 3]])) == [float("-inf")] * 2
+        readings = half_dark.readings(np.array([[1, 0], [0, 0], [3, 2]]))
+    assert readings == [float("-inf"), pytest.approx(10.0 * math.log10(4.0)), float("-inf")]
+    assert meter.readings(np.zeros((0, 3), dtype=np.int64)) == []
+
+
+@pytest.mark.parametrize(
+    "states",
+    [
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros((2, 1), dtype=np.int64),
+        np.zeros(2, dtype=np.int64),
+        np.array([[0, -1]]),
+        np.array([[4, 0]]),
+        np.array([[0.0, 1.0]]),
+    ],
+)
+def test_gain_meter_readings_reject_bad_state_matrices(states):
+    meter = GainMeter(_unit_channel(2))
+    with pytest.raises(ValueError):
+        meter.readings(states)
+    assert meter.calls == 0

@@ -405,7 +405,7 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
         )
         chan = synthesize_channels(scene, layout, params)
         meter = GainMeter(chan, cfg.element_amplitude)
-        _, etrace = exhaustive_search(meter, layout, 4)
+        _, etrace = exhaustive_search(meter.readings, layout, 4)
         _, gtrace = greedy_iterative(meter, layout, 4)
         row = _oracle_job((cfg, layout, scene, make_grouping(layout, 1), instance))
         assert row == {

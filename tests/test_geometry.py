@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ def test_terminal_validation():
         Terminal(np.zeros(3), np.array([0.0, 1.0, 0.0]), polarization=1.5)
 
 
+@pytest.mark.parametrize(
+    "position",
+    [[math.nan, 1.0, 0.0], [0.0, math.inf, 0.0], [0.3, math.nan, 0.0], [0.0, 1.0], [[0.0, 1.0, 0.0]]],
+)
+def test_terminal_rejects_a_position_that_is_not_a_finite_3_vector(position):
+    with pytest.raises(ValueError, match="position must be a finite 3-vector"):
+        Terminal(np.array(position), np.array([0.0, -1.0, 0.0]))
+
+
+@pytest.mark.parametrize("boresight", [[math.nan, 1.0, 0.0], [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0]])
+def test_terminal_rejects_a_non_finite_boresight_without_warning(boresight):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="boresight must be finite and non-zero"):
+            Terminal(np.array([0.0, 1.0, 0.0]), np.array(boresight))
+
+
 def test_scene_terminals_face_the_surface():
     scene = make_scene(rx_angle_deg=70.0, rx_distance_cm=170.0)
     # both terminals on the reflective side (y > 0) and aimed at the center
@@ -129,7 +147,7 @@ def test_element_positions_lie_in_surface_plane():
 
 def test_scene_rejects_terminal_off_the_reflective_side():
     scene = make_scene()
-    for y in (-0.5, 0.0, math.nan):
+    for y in (-0.5, 0.0):
         rx = Terminal(np.array([0.3, y, 0.0]), scene.rx.boresight)
         with pytest.raises(ValueError, match="reflective side"):
             Scene(scene.tx, rx)

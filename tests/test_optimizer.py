@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rissim.channel import ChannelModelParams, GainMeter, synthesize_channels
 from rissim.geometry import make_scene
 from rissim.optimizer import (
+    BLOCK_ROWS,
     PowerTrace,
     TraceEntry,
     exhaustive_search,
@@ -24,6 +25,15 @@ def _scripted(values):
         return next(it)
 
     return measure
+
+
+def _per_row(measure, lay):
+    """Block reader that measures each state row as a RisConfig."""
+
+    def read(block):
+        return [measure(RisConfig(lay, tuple(row))) for row in block.tolist()]
+
+    return read
 
 
 def _noiseless_meter(lay, seed):
@@ -131,7 +141,7 @@ def test_exhaustive_enumerates_lexicographically():
         seen.append(config.states)
         return 0.0
 
-    best, trace = exhaustive_search(measure, lay)
+    best, trace = exhaustive_search(_per_row(measure, lay), lay)
     assert seen == list(itertools.product(range(4), repeat=2))
     assert trace.measurement_count == 16
     assert best.states == (0, 0)  # all tie, lowest tuple wins
@@ -140,16 +150,49 @@ def test_exhaustive_enumerates_lexicographically():
 def test_exhaustive_cap_message():
     lay = RisLayout(nx=4, ny=3)
     with pytest.raises(ValueError, match=r"16777216 measurements, above the cap of 1048576"):
-        exhaustive_search(_scripted([]), lay)
+        exhaustive_search(_per_row(_scripted([]), lay), lay)
 
 
 def test_exhaustive_keeps_first_config_when_all_readings_are_minus_inf():
     lay = RisLayout(nx=2, ny=1)
-    best, trace = exhaustive_search(lambda config: float("-inf"), lay)
+    best, trace = exhaustive_search(_per_row(lambda config: float("-inf"), lay), lay)
     assert best == RisConfig.all_off(lay)
     assert trace.final_config == best
     assert trace.measurement_count == 16
     assert trace.final_power == float("-inf")
+
+
+def test_exhaustive_reads_blocks_in_order_across_block_boundaries():
+    lay = RisLayout(nx=3, ny=3)  # 4**9 = 262,144 rows, four blocks
+    blocks = []
+
+    def read(block):
+        blocks.append(block.copy())
+        # 2 first at (1, 0, ..., 0, 3) in the second block, again in later ones
+        return np.minimum(block[:, 0], 1) + (block[:, 8] == 3)
+
+    best, trace = exhaustive_search(read, lay)
+    assert all(len(b) <= BLOCK_ROWS == 65_536 for b in blocks)
+    assert len(blocks) == 4
+    rows = np.concatenate(blocks)
+    assert np.array_equal(rows, np.indices((4,) * 9).reshape(9, -1).T)
+    assert [tuple(b[0]) for b in blocks] == [(k,) + (0,) * 8 for k in range(4)]
+    assert best.states == (1, 0, 0, 0, 0, 0, 0, 0, 3)
+    assert trace.measurement_count == 4**9
+    assert trace.final_power == 2.0
+    first_max = next(e for e in trace.entries if e.p_r_dbfs == 2.0)
+    assert first_max.measurement_index == 65_536 + 4
+
+
+@pytest.mark.parametrize("short", [1, -1])
+def test_exhaustive_rejects_a_reader_with_the_wrong_reading_count(short):
+    lay = RisLayout(nx=2, ny=1)
+
+    def read(block):
+        return [0.0] * (len(block) - short)
+
+    with pytest.raises(ValueError, match="readings for 16 configurations"):
+        exhaustive_search(read, lay)
 
 
 # --- dominance on real channels ----------------------------------------
@@ -160,7 +203,7 @@ def test_exhaustive_dominates_greedy(nx, ny):
     lay = RisLayout(nx=nx, ny=ny)
     for seed in range(8):
         m1, m2 = _noiseless_meter(lay, seed), _noiseless_meter(lay, seed)
-        _, etrace = exhaustive_search(m1, lay)
+        _, etrace = exhaustive_search(m1.readings, lay)
         _, gtrace = greedy_iterative(m2, lay)
         gap = etrace.final_power - gtrace.final_power
         assert gap >= 0.0
@@ -180,7 +223,7 @@ def test_greedy_never_beats_exhaustive_on_random_quadratics(seed):
         signs = np.array([1 - 2 * (s & 1) for s in config.states])
         return float(np.abs(np.sum(w * signs)) ** 2)
 
-    _, etrace = exhaustive_search(measure, lay, num_states=2)
+    _, etrace = exhaustive_search(_per_row(measure, lay), lay, num_states=2)
     _, gtrace = greedy_iterative(measure, lay, num_states=2)
     assert etrace.final_power >= gtrace.final_power - 1e-12
 
@@ -212,9 +255,13 @@ def test_search_candidates_pass_risconfig_validation(nx, ny, num_states, size, s
     _, trace = greedy_iterative(measure, lay, num_states, make_grouping(lay, size))
     assert len(seen) == trace.measurement_count
     seen.clear()
-    best, trace = exhaustive_search(measure, lay, num_states)
+    best, trace = exhaustive_search(_per_row(measure, lay), lay, num_states)
     assert len(seen) == num_states**lay.n_active == trace.measurement_count
     assert best in seen
+    # the winner is built without RisConfig's checks
+    assert RisConfig(lay, best.states) == best
+    assert type(best.states) is tuple
+    assert all(type(s) is int for s in best.states)
 
 
 def test_trace_entry_fields_are_fixed_and_read_only():
