@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Scene, direct_path, gains_toward
-from .ris import DEFAULT_ELEMENT_AMPLITUDE, NUM_ELEMENT_STATES, RisConfig, RisLayout, theta_diag
+from .ris import _POL_BIT, DEFAULT_ELEMENT_AMPLITUDE, NUM_ELEMENT_STATES, RisConfig, RisLayout
 
 ADC_CODE_MAX = 2048
 ADC_CODE_MIN = -2047
@@ -199,16 +199,17 @@ def synthesize_channels(scene: Scene, layout: RisLayout, params: ChannelModelPar
 def _state_products(chan: ChannelRealization, amplitude: float):
     """Table and offsets for _cascade. Row 0 of the (2, 4n) table holds the
     H products and row 1 the V products, element-major: column 4i + s is
-    element i in state s, theta_diag(all-s config) * h. Each entry is one
-    rounding of +-amplitude * h wherever it sits, so a gather at
+    element i in state s, h times the sign +-amplitude + 0j of s's diode bit:
+    one rounding of +-amplitude * h wherever it sits, so a gather at
     states + offsets is theta_diag(config) * h to the last bit."""
-    n = chan.n_elements
-    layout = RisLayout(nx=n, ny=1)
-    uniform = [RisConfig(layout, (s,) * n) for s in range(NUM_ELEMENT_STATES)]
-    pols = (("H", chan.h_h), ("V", chan.h_v))
-    by_state = np.array([[theta_diag(c, pol, amplitude) * h for c in uniform] for pol, h in pols])
-    table = np.ascontiguousarray(by_state.transpose(0, 2, 1)).reshape(2, NUM_ELEMENT_STATES * n)
-    return table, np.arange(n) * NUM_ELEMENT_STATES
+    if not 0.0 < amplitude <= 1.0:
+        raise ValueError("amplitude must be in (0, 1]")
+    pols = ((_POL_BIT["H"], chan.h_h), (_POL_BIT["V"], chan.h_v))
+    by_state = np.array(
+        [[(amplitude * (1 - 2 * ((s >> b) & 1)) + 0j) * h for s in range(NUM_ELEMENT_STATES)] for b, h in pols]
+    )
+    table = np.ascontiguousarray(by_state.transpose(0, 2, 1)).reshape(2, -1)
+    return table, np.arange(chan.n_elements) * NUM_ELEMENT_STATES
 
 
 def _cascade(config: RisConfig, chan: ChannelRealization, products) -> complex:
@@ -313,7 +314,7 @@ def _clip_codes(buf: np.ndarray) -> float:
 
 
 class MeasurementFloorError(ValueError):
-    """An all-zero buffer has no measurable power."""
+    """A measurement with no finite reading: an all-zero ADC buffer, or a gain past float64's range."""
 
 
 def _codes_dbfs(codes: np.ndarray, n_samples: int) -> float:
@@ -401,11 +402,26 @@ class TonePowerMeter:
 
 
 def _gain_db(c: complex) -> float:
-    """|c|^2 in dB; a zero coefficient reads -inf."""
-    g = abs(c) ** 2
+    """|c|^2 in dB; a zero coefficient reads -inf, one past float64's range raises MeasurementFloorError."""
+    try:
+        g = abs(c) ** 2
+    except OverflowError:
+        g = math.inf
     if g == 0.0:
         return float("-inf")
+    if not g < math.inf:
+        raise MeasurementFloorError(f"gain of coefficient {c!r} is not a finite float64: no finite reading")
     return float(10.0 * np.log10(g))
+
+
+def _gains_db(c: np.ndarray) -> np.ndarray:
+    """_gain_db of each entry of a complex array, to the last bit: np.hypot and np.float_power(x, 2.0)
+    round as the libm hypot and pow behind abs and ** do, where np.abs, np.square and np.power can differ."""
+    with np.errstate(divide="ignore", over="ignore"):
+        db = 10.0 * np.log10(np.float_power(np.hypot(c.real, c.imag), 2.0))
+    if not (db < math.inf).all():
+        raise MeasurementFloorError("a configuration's gain is not a finite float64: no finite reading")
+    return db
 
 
 def _pattern_keys(bits: np.ndarray) -> np.ndarray:
@@ -425,9 +441,9 @@ class GainMeter:
     """Noiseless analytic measurement: configuration gain in dB.
 
     Shares the measurement-function contract with TonePowerMeter and its
-    per-state tables; a configuration with zero gain reads -inf. readings()
-    reads a whole matrix of states at once, as the exhaustive search does,
-    each reading equal to a call on that row's configuration to the last bit.
+    per-state tables; zero gain reads -inf (see _gain_db). readings() reads
+    a whole matrix of states at once into a float64 array, as the exhaustive
+    search does, each reading equal to a call on that row's configuration.
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
@@ -440,15 +456,15 @@ class GainMeter:
         self.calls += 1
         return _gain_db(_cascade(config, self.chan, self._products))
 
-    def readings(self, states) -> list[float]:
-        """dB readings of the rows of an (M, n) matrix of element states.
+    def readings(self, states) -> np.ndarray:
+        """dB readings, as a float64 array, of the rows of an (M, n) matrix of integer element states.
 
         The H cascade of a row depends only on its bit-0 pattern and the V
         cascade only on its bit-1 pattern: the table holds each entry as one
         rounding of +-amplitude * h, so states 0 and 2 (1 and 3) share H bits,
         and 0 and 1 (2 and 3) share V bits. Each distinct pattern is read with
-        one np.vdot, gathered at the pattern's bit values as states, and a
-        reading is _gain_db(H + V + h_los), as in __call__.
+        one np.vdot, gathered at the pattern's bit values as states, and the
+        readings are _gains_db((H + V) + h_los), each equal to __call__'s.
         """
         table, offsets = self._products
         states = np.asarray(states)
@@ -458,13 +474,13 @@ class GainMeter:
             raise ValueError("element states must be integers")
         if states.size and (states.min() < 0 or states.max() >= NUM_ELEMENT_STATES):
             raise ValueError("element states must be in 0..3")
+        states = states.astype(np.intp, copy=False)  # uint64 + int64 offsets would give float64
         self.calls += len(states)
         cascades = []
         for row, g, bit in ((table[0], self.chan.g_h, 1), (table[1], self.chan.g_v, 2)):
             bits = states & bit
             _, first, inverse = np.unique(_pattern_keys(bits), return_index=True, return_inverse=True)
             x = row.take(bits[first] + offsets)
-            values = [complex(np.vdot(g, xp)) for xp in x]
-            cascades.append([values[i] for i in inverse.tolist()])
-        h_los = self.chan.h_los
-        return [_gain_db(a + b + h_los) for a, b in zip(*cascades)]
+            values = np.array([np.vdot(g, xp) for xp in x], dtype=np.complex128)
+            cascades.append(values[inverse])
+        return _gains_db(cascades[0] + cascades[1] + self.chan.h_los)

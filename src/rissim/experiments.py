@@ -670,16 +670,16 @@ def _oracle_job(args):
     meter = GainMeter(chan, config.element_amplitude)
     # one meter reads both searches, and greedy's configurations are a
     # subset of the enumeration's, so the gap is exactly >= 0
-    _, etrace = exhaustive_search(meter.readings, layout, config.oracle_num_states)
-    if etrace.final_power == float("-inf"):
+    _, oracle_db = exhaustive_search(meter.readings, layout, config.oracle_num_states)
+    if oracle_db == float("-inf"):
         raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
     _, gtrace = greedy_iterative(meter, layout, config.oracle_num_states, grouping)
     return {
         "instance": instance,
-        "oracle_db": etrace.final_power,
+        "oracle_db": oracle_db,
         "greedy_db": gtrace.final_power,
-        "gap_db": etrace.final_power - gtrace.final_power,
-        "oracle_measurements": etrace.measurement_count,
+        "gap_db": oracle_db - gtrace.final_power,
+        "oracle_measurements": config.oracle_num_states**layout.n_active,
         "greedy_measurements": gtrace.measurement_count,
     }
 

@@ -1,10 +1,10 @@
 """Greedy per-group state search, the exhaustive oracle, and power traces.
 
 Both searches see only an abstract measurement, so the same code drives
-analytic gains, the full simulated receiver chain, or test stubs. Greedy sees
-a per-configuration measure (configuration in, dB power out). The exhaustive
-search sees a block reader (an (M, n) matrix of element states in, M dB
-readings out), such as GainMeter.readings.
+analytic gains, the full simulated receiver chain, or test stubs. Greedy logs
+every reading of a per-configuration measure (configuration in, dB power out)
+in a PowerTrace; the exhaustive search keeps only the argmax of a block reader
+(an (M, n) state matrix in, M dB readings out) such as GainMeter.readings.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class PowerTrace:
     """Chronological measurement log; p_max_dbfs is the running maximum."""
 
     entries: tuple[TraceEntry, ...]
-    final_config: RisConfig
 
     def __post_init__(self):
         last = float("-inf")
@@ -107,7 +106,7 @@ def greedy_iterative(
             states[i] = best_state
 
     final = RisConfig(layout, tuple(states))
-    return final, PowerTrace(tuple(entries), final)
+    return final, PowerTrace(tuple(entries))
 
 
 def _product_block(start: int, stop: int, n: int, num_states: int) -> np.ndarray:
@@ -121,31 +120,26 @@ def exhaustive_search(
     read: ReadFn,
     layout: RisLayout,
     num_states: int = NUM_ELEMENT_STATES,
-) -> tuple[RisConfig, PowerTrace]:
+) -> tuple[RisConfig, float]:
     """Read every configuration in lexicographic order, BLOCK_ROWS state rows
-    at a time; ties keep the first (lowest) state tuple. Refuses layouts
-    whose enumeration would exceed ENUMERATION_CAP measurements."""
+    at a time, and return the first (lowest) state tuple with the highest
+    reading, and that reading; a NaN reading never wins, and if every
+    reading is -inf the all-off tuple does. Refuses layouts whose
+    enumeration would exceed ENUMERATION_CAP measurements."""
     if not 2 <= num_states <= NUM_ELEMENT_STATES:
         raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
     n = layout.n_active
     budget = num_states**n
     if budget > ENUMERATION_CAP:
         raise ValueError(f"enumeration needs {budget} measurements, above the cap of {ENUMERATION_CAP}")
-    entries: list[TraceEntry] = []
-    # row of the best reading; the first candidate if every reading is -inf
-    best = 0
-    p_max = float("-inf")
+    best, p_max = 0, float("-inf")
     for start in range(0, budget, BLOCK_ROWS):
         block = _product_block(start, min(start + BLOCK_ROWS, budget), n, num_states)
-        readings = read(block)
-        if len(readings) != len(block):
-            raise ValueError(f"read returned {len(readings)} readings for {len(block)} configurations")
-        for index, p in enumerate(readings, start + 1):
-            p = float(p)
-            if p > p_max:
-                p_max = p
-                best = index - 1
-            entries.append(TraceEntry(index, -1, -1, p, p_max))
+        readings = np.asarray(read(block), dtype=np.float64)
+        if readings.shape != (len(block),):
+            raise ValueError(f"read returned {readings.size} readings for {len(block)} configurations")
+        i = int(np.argmax(np.where(np.isnan(readings), -np.inf, readings)))  # a NaN never wins
+        if readings[i] > p_max:
+            best, p_max = start + i, float(readings[i])
     # entries of a _product_block are in 0..num_states-1
-    best_config = _unchecked_config(layout, tuple(_product_block(best, best + 1, n, num_states)[0].tolist()))
-    return best_config, PowerTrace(tuple(entries), best_config)
+    return _unchecked_config(layout, tuple(_product_block(best, best + 1, n, num_states)[0].tolist())), p_max

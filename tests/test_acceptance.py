@@ -78,9 +78,9 @@ def test_criterion_2_exhaustive_never_below_greedy():
                 noise_variance=0.0, seed=derive_seed(11, "oracle", instance, nx, ny)
             )
             chan = synthesize_channels(scene, lay, params)
-            _, etrace = exhaustive_search(GainMeter(chan).readings, lay)
+            _, oracle_db = exhaustive_search(GainMeter(chan).readings, lay)
             _, gtrace = greedy_iterative(GainMeter(chan), lay)
-            gap = etrace.final_power - gtrace.final_power
+            gap = oracle_db - gtrace.final_power
             gaps.append(gap)
             if lay.n_active == 1:
                 single_gaps.append(gap)

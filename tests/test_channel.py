@@ -26,6 +26,8 @@ from rissim.channel import (
     synthesize_channels,
     tone_waveform,
     _entropy_words,
+    _gain_db,
+    _gains_db,
     _state_products,
 )
 from rissim.experiments import DEFAULT_SWEEP_POINTS, ScenarioConfig
@@ -624,7 +626,9 @@ def test_gain_meter_readings_equal_calls_bit_for_bit(seed, shape, coupling, rows
     states = np.concatenate(parts)
     expected = [meter(RisConfig(lay, row)) for row in _states_of(states)]
     calls = meter.calls
-    assert meter.readings(states) == expected
+    readings = meter.readings(states)
+    assert readings.dtype == np.float64
+    assert readings.tolist() == expected
     assert meter.calls == calls + len(states)
 
 
@@ -637,7 +641,7 @@ def test_gain_meter_readings_keep_rows_apart_past_element_63():
     for k, i in enumerate(range(60, 76)):
         states[1 + 2 * k, i] = 1
         states[2 + 2 * k, i] = 2
-    readings = meter.readings(states)
+    readings = meter.readings(states).tolist()
     assert readings == [meter(RisConfig(lay, row)) for row in _states_of(states)]
     assert len(set(readings)) == len(readings)
 
@@ -660,10 +664,58 @@ def test_gain_meter_readings_of_a_dark_channel_are_minus_inf_without_warning():
     half_dark = GainMeter(_unit_channel(2), amplitude=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert meter.readings(np.array([[0, 1, 2], [3, 3, 3]])) == [float("-inf")] * 2
-        readings = half_dark.readings(np.array([[1, 0], [0, 0], [3, 2]]))
+        assert meter.readings(np.array([[0, 1, 2], [3, 3, 3]])).tolist() == [float("-inf")] * 2
+        readings = half_dark.readings(np.array([[1, 0], [0, 0], [3, 2]])).tolist()
     assert readings == [float("-inf"), pytest.approx(10.0 * math.log10(4.0)), float("-inf")]
-    assert meter.readings(np.zeros((0, 3), dtype=np.int64)) == []
+    assert meter.readings(np.zeros((0, 3), dtype=np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int8, np.uint32, np.int16])
+def test_gain_meter_readings_accept_any_integer_dtype(dtype):
+    lay = RisLayout(nx=3, ny=2)
+    params = ChannelModelParams(seed=9, noise_variance=0.0, cross_pol_coupling=0.3)
+    meter = GainMeter(synthesize_channels(make_scene(rx_angle_deg=110.0), lay, params))
+    states = np.indices((4,) * 3).reshape(3, -1).T.repeat(2, axis=1).astype(dtype)
+    expected = [meter(RisConfig(lay, row)) for row in _states_of(states)]
+    assert meter.readings(states).tolist() == expected
+
+
+# Values where numpy's own ops round differently from the libm hypot and pow
+# behind abs(c) ** 2: np.abs gives |c| of the first one last-bit apart, and
+# h * h (np.square, np.power(h, 2.0)) does so for |c|^2 of the second. That
+# gap vanishes in the dB rounding, but for the third it survives, and there
+# np.power with an array exponent differs too. 0j reads -inf, with no warning.
+_DB_RULE_CASES = [
+    -1.303157231604361 - 2.5697088522508635j,
+    0.020325520771516198 + 0j,
+    0.3632201681837226 + 0.03287094380440391j,
+    0j,
+]
+
+
+def test_array_db_rule_equals_the_scalar_rule_bit_for_bit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        readings = _gains_db(np.array(_DB_RULE_CASES))
+        assert readings.tolist() == [_gain_db(c) for c in _DB_RULE_CASES]
+    assert readings[-1] == float("-inf")
+
+
+@pytest.mark.parametrize("c", [1e200 + 0j, complex(1e308, 1e308), complex(math.nan, 1.0), complex(math.inf, 0.0)])
+def test_a_gain_that_is_not_a_finite_float64_has_no_reading(c):
+    with pytest.raises(MeasurementFloorError, match="no finite reading"):
+        _gain_db(c)
+    with pytest.raises(MeasurementFloorError, match="no finite reading"):
+        _gains_db(np.array([1.0, c]))
+
+
+def test_gain_meter_reports_an_overflowing_gain_as_no_finite_reading():
+    big = np.full(2, 1e100, dtype=np.complex128)
+    meter = GainMeter(ChannelRealization(big, big, big, big, 0.0j, 0.0))
+    with pytest.raises(MeasurementFloorError, match="no finite reading"):
+        meter(RisConfig.all_off(RisLayout(nx=2, ny=1)))
+    with pytest.raises(MeasurementFloorError, match="no finite reading"):
+        meter.readings(np.zeros((3, 2), dtype=np.int64))
 
 
 @pytest.mark.parametrize(

@@ -252,6 +252,12 @@ _FLOORS = (
             {"ris": {"element_amplitude": 1e-320}},
             "oracle instance 0: every configuration has zero gain",
         ),
+        # a gain past float64's range
+        (
+            "oracle-check",
+            {"scene": {"tx_distance_cm": 10}, "channel": {"path_loss_exponent": 600}, "oracle": {"instances": 2}},
+            "a configuration's gain is not a finite float64: no finite reading",
+        ),
     ],
 )
 def test_no_measurable_power_exits_two(tmp_path, capsys, command, section, message, parallel):

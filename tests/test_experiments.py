@@ -405,14 +405,14 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
         )
         chan = synthesize_channels(scene, layout, params)
         meter = GainMeter(chan, cfg.element_amplitude)
-        _, etrace = exhaustive_search(meter.readings, layout, 4)
+        _, oracle_db = exhaustive_search(meter.readings, layout, 4)
         _, gtrace = greedy_iterative(meter, layout, 4)
         row = _oracle_job((cfg, layout, scene, make_grouping(layout, 1), instance))
         assert row == {
             "instance": instance,
-            "oracle_db": etrace.final_power,
+            "oracle_db": oracle_db,
             "greedy_db": gtrace.final_power,
-            "gap_db": etrace.final_power - gtrace.final_power,
+            "gap_db": oracle_db - gtrace.final_power,
             "oracle_measurements": 4**n,
             "greedy_measurements": 4 * n,
         }
@@ -420,6 +420,26 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
         assert meter.calls == 4**n + 4 * n
 
 
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
+    cfg = config_from_dict({"seed": seed})
+    layout = RisLayout(2, 2, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
+    assert (cfg.oracle_nx, cfg.oracle_ny, cfg.oracle_num_states) == (2, 2, 4)
+    scene = cfg.base_scene()
+    grouping = make_grouping(layout, 1)
+    for instance in range(40):
+        params = dataclasses.replace(
+            cfg.channel, seed=derive_seed(seed, "oracle", instance), noise_variance=0.0
+        )
+        meter = GainMeter(synthesize_channels(scene, layout, params), cfg.element_amplitude)
+        best = float("-inf")
+        for states in itertools.product(range(4), repeat=4):
+            best = max(best, meter(RisConfig(layout, states)))
+        row = _oracle_job((cfg, layout, scene, grouping, instance))
+        assert row["oracle_db"] == best
+        assert row["oracle_measurements"] == 256
 
 def test_codebook_json_is_strict_with_infinite_k(tmp_path):
     cfg = config_from_dict({**SMALL, "channel": {"noise_variance": 0.0, "rician_k_db": "inf"}})

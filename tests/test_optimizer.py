@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rissim import optimizer
 from rissim.channel import ChannelModelParams, GainMeter, synthesize_channels
 from rissim.geometry import make_scene
 from rissim.optimizer import (
@@ -73,7 +75,6 @@ def test_single_element_keeps_argmax_state():
     assert [e.p_r_dbfs for e in trace.entries] == [5.0, 3.0, 9.0, 4.0]
     assert [e.p_max_dbfs for e in trace.entries] == [5.0, 5.0, 9.0, 9.0]
     assert trace.final_power == 9.0
-    assert trace.final_config == final
 
 
 def test_ties_keep_the_earlier_state():
@@ -120,14 +121,10 @@ def test_non_partition_grouping_rejected():
 
 
 def test_trace_rejects_decreasing_running_max():
-    lay = RisLayout(nx=1, ny=1)
-    cfg = RisConfig.all_off(lay)
     with pytest.raises(ValueError):
-        PowerTrace(
-            (TraceEntry(1, 0, 0, 5.0, 5.0), TraceEntry(2, 0, 1, 3.0, 3.0)), cfg
-        )
+        PowerTrace((TraceEntry(1, 0, 0, 5.0, 5.0), TraceEntry(2, 0, 1, 3.0, 3.0)))
     with pytest.raises(ValueError):
-        PowerTrace((), cfg).final_power
+        PowerTrace(()).final_power
 
 
 # --- exhaustive search -------------------------------------------------
@@ -141,10 +138,10 @@ def test_exhaustive_enumerates_lexicographically():
         seen.append(config.states)
         return 0.0
 
-    best, trace = exhaustive_search(_per_row(measure, lay), lay)
+    best, reading = exhaustive_search(_per_row(measure, lay), lay)
     assert seen == list(itertools.product(range(4), repeat=2))
-    assert trace.measurement_count == 16
     assert best.states == (0, 0)  # all tie, lowest tuple wins
+    assert reading == 0.0
 
 
 def test_exhaustive_cap_message():
@@ -155,11 +152,16 @@ def test_exhaustive_cap_message():
 
 def test_exhaustive_keeps_first_config_when_all_readings_are_minus_inf():
     lay = RisLayout(nx=2, ny=1)
-    best, trace = exhaustive_search(_per_row(lambda config: float("-inf"), lay), lay)
+    rows = []
+
+    def read(block):
+        rows.extend(block.tolist())
+        return [float("-inf")] * len(block)
+
+    best, reading = exhaustive_search(read, lay)
     assert best == RisConfig.all_off(lay)
-    assert trace.final_config == best
-    assert trace.measurement_count == 16
-    assert trace.final_power == float("-inf")
+    assert len(rows) == 16
+    assert reading == float("-inf")
 
 
 def test_exhaustive_reads_blocks_in_order_across_block_boundaries():
@@ -171,17 +173,15 @@ def test_exhaustive_reads_blocks_in_order_across_block_boundaries():
         # 2 first at (1, 0, ..., 0, 3) in the second block, again in later ones
         return np.minimum(block[:, 0], 1) + (block[:, 8] == 3)
 
-    best, trace = exhaustive_search(read, lay)
+    best, reading = exhaustive_search(read, lay)
     assert all(len(b) <= BLOCK_ROWS == 65_536 for b in blocks)
     assert len(blocks) == 4
     rows = np.concatenate(blocks)
     assert np.array_equal(rows, np.indices((4,) * 9).reshape(9, -1).T)
     assert [tuple(b[0]) for b in blocks] == [(k,) + (0,) * 8 for k in range(4)]
+    # the first maximum is row 65,536 + 3; later blocks tie it
     assert best.states == (1, 0, 0, 0, 0, 0, 0, 0, 3)
-    assert trace.measurement_count == 4**9
-    assert trace.final_power == 2.0
-    first_max = next(e for e in trace.entries if e.p_r_dbfs == 2.0)
-    assert first_max.measurement_index == 65_536 + 4
+    assert reading == 2.0
 
 
 @pytest.mark.parametrize("short", [1, -1])
@@ -195,6 +195,54 @@ def test_exhaustive_rejects_a_reader_with_the_wrong_reading_count(short):
         exhaustive_search(read, lay)
 
 
+# few distinct values, so ties are common; -inf first, so shrinking finds
+# the all -inf case
+_READING_VALUES = [float("-inf"), float("nan"), -3.5, -0.0, 0.0, 1.25, 7.0]
+
+
+def _first_max(values):
+    """The exhaustive search's contract written as one loop: the index and
+    value of the first strict running maximum, row 0 if none beats -inf."""
+    best, p_max = 0, float("-inf")
+    for i, p in enumerate(values):
+        if p > p_max:
+            best, p_max = i, p
+    return best, p_max
+
+
+@given(
+    shape=st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2)]),
+    num_states=st.integers(2, 4),
+    block_rows=st.integers(1, 40),
+    as_list=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_exhaustive_keeps_the_first_maximum_across_blocks(shape, num_states, block_rows, as_list, data):
+    lay = RisLayout(*shape)
+    n = lay.n_active
+    budget = num_states**n
+    values = data.draw(st.lists(st.sampled_from(_READING_VALUES), min_size=budget, max_size=budget))
+    weights = num_states ** np.arange(n - 1, -1, -1)
+    blocks = []
+
+    def read(block):
+        blocks.append(len(block))
+        readings = np.array(values)[block @ weights]
+        return readings.tolist() if as_list else readings
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "BLOCK_ROWS", block_rows)
+        best, reading = exhaustive_search(read, lay, num_states)
+    index, expected = _first_max(values)
+    assert sum(blocks) == budget and max(blocks) <= block_rows
+    assert best.states == list(itertools.product(range(num_states), repeat=n))[index]
+    assert type(reading) is float
+    assert not math.isnan(reading)
+    # bit for bit, so -0.0 and 0.0 stay apart
+    assert np.float64(reading).tobytes() == np.float64(expected).tobytes()
+
+
 # --- dominance on real channels ----------------------------------------
 
 
@@ -203,9 +251,9 @@ def test_exhaustive_dominates_greedy(nx, ny):
     lay = RisLayout(nx=nx, ny=ny)
     for seed in range(8):
         m1, m2 = _noiseless_meter(lay, seed), _noiseless_meter(lay, seed)
-        _, etrace = exhaustive_search(m1.readings, lay)
+        _, oracle_db = exhaustive_search(m1.readings, lay)
         _, gtrace = greedy_iterative(m2, lay)
-        gap = etrace.final_power - gtrace.final_power
+        gap = oracle_db - gtrace.final_power
         assert gap >= 0.0
         if lay.n_active == 1:
             assert gap == 0.0
@@ -223,9 +271,9 @@ def test_greedy_never_beats_exhaustive_on_random_quadratics(seed):
         signs = np.array([1 - 2 * (s & 1) for s in config.states])
         return float(np.abs(np.sum(w * signs)) ** 2)
 
-    _, etrace = exhaustive_search(_per_row(measure, lay), lay, num_states=2)
+    _, oracle_db = exhaustive_search(_per_row(measure, lay), lay, num_states=2)
     _, gtrace = greedy_iterative(measure, lay, num_states=2)
-    assert etrace.final_power >= gtrace.final_power - 1e-12
+    assert oracle_db >= gtrace.final_power - 1e-12
 
 
 # --- search candidates built without RisConfig's checks ----------------
@@ -255,8 +303,8 @@ def test_search_candidates_pass_risconfig_validation(nx, ny, num_states, size, s
     _, trace = greedy_iterative(measure, lay, num_states, make_grouping(lay, size))
     assert len(seen) == trace.measurement_count
     seen.clear()
-    best, trace = exhaustive_search(_per_row(measure, lay), lay, num_states)
-    assert len(seen) == num_states**lay.n_active == trace.measurement_count
+    best, _ = exhaustive_search(_per_row(measure, lay), lay, num_states)
+    assert len(seen) == num_states**lay.n_active
     assert best in seen
     # the winner is built without RisConfig's checks
     assert RisConfig(lay, best.states) == best
