@@ -79,6 +79,10 @@ def _check_noise_variance(noise_variance: float) -> None:
         raise ValueError("noise_variance must be finite and non-negative")
 
 
+class MeasurementFloorError(ValueError):
+    """A measurement with no finite reading: an all-zero ADC buffer, or a channel or gain past float64's range."""
+
+
 @dataclass(frozen=True)
 class ChannelModelParams:
     """Propagation model knobs shared by every synthesized link."""
@@ -133,67 +137,84 @@ class ChannelRealization:
         return self.h_h.shape[0]
 
 
-def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((2, n))
-    return (z[0] + 1j * z[1]) / math.sqrt(2.0)
+@dataclass(frozen=True, eq=False)
+class Link:
+    """The seed-independent half of one placement's channel; see link(). Rows
+    0-3 of the read-only amp, det and pol are the H and V vectors of the tx
+    side, then of the rx side: envelope, w_det times the deterministic part,
+    square-rooted polarization weight. key holds the tx and rx positions as
+    the entropy words that key the scatter generator."""
+
+    key: tuple
+    amp: np.ndarray
+    det: np.ndarray
+    w_sc: float
+    pol: np.ndarray
+    h_los: complex
+    cross_pol_coupling: float
+    noise_variance: float
+
+    def draw(self, seed: int) -> ChannelRealization:
+        """The realization at one seed: a Rician scattered part on the
+        envelope, from the generator keyed on (seed, tx position, rx
+        position), which draws both polarizations of the tx side, then of
+        the rx side. MeasurementFloorError if a vector is past float64's range."""
+        z = derive_rng(seed, self.key).standard_normal((4, 2, self.amp.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = self.pol * (self.det + self.w_sc * (self.amp * ((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))))
+            c = self.cross_pol_coupling
+            if c > 0.0:
+                v = math.sqrt(1.0 - c) * v + math.sqrt(c) * v[[1, 0, 3, 2]]
+        if not np.isfinite(v.view(np.float64)).all():
+            raise MeasurementFloorError("channel is not a finite float64")
+        return ChannelRealization(*v, self.h_los, self.noise_variance)
 
 
-def _side_vectors(term, elem_pos, wavelength, params, rng, conjugate_phase):
-    delta = elem_pos - term.position
-    d = np.linalg.norm(delta, axis=1)
-    if np.any(d < 1e-9):
-        raise ValueError("terminal coincides with an element position")
-    dirs = delta / d[:, None]
-    amp = np.sqrt(gains_toward(term, dirs)) * d ** (-params.path_loss_exponent / 2.0)
-    phase = 2.0 * np.pi * d / wavelength
-    det = amp * np.exp(1j * phase if conjugate_phase else -1j * phase)
+def link(scene: Scene, layout: RisLayout, params: ChannelModelParams) -> Link:
+    """Everything of synthesize_channels that does not depend on the seed:
+    per element, spherical-wave phase over the exact element distance,
+    antenna gain toward the element and distance to the power
+    -path_loss_exponent/2, the envelope the scattered part rides on.
+    MeasurementFloorError if a term is past float64's range."""
     if math.isinf(params.rician_k_db):
         w_det, w_sc = 1.0, 0.0
     else:
         k = 10.0 ** (params.rician_k_db / 10.0)
         w_det = math.sqrt(k / (k + 1.0))
         w_sc = math.sqrt(1.0 / (k + 1.0))
-    out = []
-    # draw both polarizations in a fixed order so streams stay aligned even
-    # when a weight is zero
-    for w_pol in (1.0 - term.polarization, term.polarization):
-        scatter = amp * _complex_normal(rng, len(d))
-        out.append(math.sqrt(w_pol) * (w_det * det + w_sc * scatter))
-    return out
+    amp, det, pol = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term, sign in ((scene.tx, -1j), (scene.rx, 1j)):
+            delta = layout.element_positions() - term.position
+            d = np.linalg.norm(delta, axis=1)
+            if np.any(d < 1e-9):
+                raise ValueError("terminal coincides with an element position")
+            a = np.sqrt(gains_toward(term, delta / d[:, None])) * d ** (-params.path_loss_exponent / 2.0)
+            amp += [a, a]
+            det += [w_det * (a * np.exp(sign * (2.0 * np.pi * d / layout.wavelength)))] * 2
+            pol += [math.sqrt(1.0 - term.polarization), math.sqrt(term.polarization)]
+        path = direct_path(scene)
+        # a float64 power, so an overflow reads inf rather than raising
+        h_los = 0.0j if path is None else complex(
+            math.sqrt(path[1])
+            * np.float64(path[0]) ** (-params.path_loss_exponent / 2.0)
+            * np.exp(-2j * np.pi * path[0] / layout.wavelength)
+        )
+    amp, det, pol = np.array(amp), np.array(det), np.array(pol)[:, None]
+    if not (np.isfinite(amp).all() and np.isfinite(h_los)):
+        raise MeasurementFloorError("channel is not a finite float64")
+    for a in (amp, det, pol):
+        a.setflags(write=False)
+    key = tuple(_entropy_words([scene.tx.position, scene.rx.position]))
+    return Link(key, amp, det, w_sc, pol, h_los, params.cross_pol_coupling, params.noise_variance)
 
 
 def synthesize_channels(scene: Scene, layout: RisLayout, params: ChannelModelParams) -> ChannelRealization:
-    """Draw h, g, and the direct scalar for one placement.
-
-    Deterministic per element: spherical-wave phase over the exact element
-    distance, antenna gain toward the element, and distance to the power
-    -path_loss_exponent/2. A Rician scattered part rides on top with the
-    same magnitude envelope. The generator is keyed on (seed, tx position,
-    rx position), so reruns are bit-identical while distinct placements get
-    independent scatter.
-    """
-    elem_pos = layout.element_positions()
-    rng = derive_rng(params.seed, scene.tx.position, scene.rx.position)
-    h_h, h_v = _side_vectors(scene.tx, elem_pos, layout.wavelength, params, rng, conjugate_phase=False)
-    g_h, g_v = _side_vectors(scene.rx, elem_pos, layout.wavelength, params, rng, conjugate_phase=True)
-
-    c = params.cross_pol_coupling
-    if c > 0.0:
-        a, b = math.sqrt(1.0 - c), math.sqrt(c)
-        h_h, h_v = a * h_h + b * h_v, a * h_v + b * h_h
-        g_h, g_v = a * g_h + b * g_v, a * g_v + b * g_h
-
-    path = direct_path(scene)
-    if path is None:
-        h_los = 0.0j
-    else:
-        dist, product = path
-        h_los = (
-            math.sqrt(product)
-            * dist ** (-params.path_loss_exponent / 2.0)
-            * np.exp(-2j * np.pi * dist / layout.wavelength)
-        )
-    return ChannelRealization(h_h, h_v, g_h, g_v, complex(h_los), params.noise_variance)
+    """Draw h, g, and the direct scalar for one placement: link(scene,
+    layout, params).draw(params.seed). The generator is keyed on (seed, tx
+    position, rx position), so reruns are bit-identical while distinct
+    placements get independent scatter."""
+    return link(scene, layout, params).draw(params.seed)
 
 
 def _state_products(chan: ChannelRealization, amplitude: float):
@@ -311,10 +332,6 @@ def _clip_codes(buf: np.ndarray) -> float:
     over = ((buf > ADC_CODE_MAX) | (buf < ADC_CODE_MIN)).any(axis=0)
     np.clip(buf, ADC_CODE_MIN, ADC_CODE_MAX, out=buf)
     return np.count_nonzero(over) / over.size
-
-
-class MeasurementFloorError(ValueError):
-    """A measurement with no finite reading: an all-zero ADC buffer, or a gain past float64's range."""
 
 
 def _codes_dbfs(codes: np.ndarray, n_samples: int) -> float:

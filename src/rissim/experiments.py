@@ -24,7 +24,7 @@ from .channel import (
     ToneParams,
     code_scale,
     derive_seed,
-    synthesize_channels,
+    link,
 )
 from .codebook import Campaign, Codebook, evaluate_path, generate_codebook
 from .geometry import (
@@ -36,7 +36,7 @@ from .geometry import (
     check_spot,
     make_scene,
 )
-from .optimizer import ENUMERATION_CAP, PowerTrace, TraceEntry, exhaustive_search, greedy_iterative
+from .optimizer import ENUMERATION_CAP, PowerTrace, TraceEntry, enumerate_readings, greedy_iterative, table_measure
 from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
@@ -660,36 +660,35 @@ def _oracle_layout(config: ScenarioConfig) -> RisLayout:
 
 
 def _oracle_job(args):
-    config, layout, scene, grouping, instance = args
-    params = dataclasses.replace(
-        config.channel,
-        seed=derive_seed(config.seed, "oracle", instance),
-        noise_variance=0.0,
-    )
-    chan = synthesize_channels(scene, layout, params)
-    meter = GainMeter(chan, config.element_amplitude)
-    # one meter reads both searches, and greedy's configurations are a
-    # subset of the enumeration's, so the gap is exactly >= 0
-    _, oracle_db = exhaustive_search(meter.readings, layout, config.oracle_num_states)
+    config, layout, chan_link, grouping, instance = args
+    meter = GainMeter(chan_link.draw(derive_seed(config.seed, "oracle", instance)), config.element_amplitude)
+    table = enumerate_readings(meter.readings, layout, config.oracle_num_states)
+    # readings are finite or -inf, so the maximum is the first maximum's reading
+    oracle_db = float(table.max())
     if oracle_db == float("-inf"):
         raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
-    _, gtrace = greedy_iterative(meter, layout, config.oracle_num_states, grouping)
+    # greedy replays the enumeration's readings, so the gap is exactly >= 0
+    _, gtrace = greedy_iterative(
+        table_measure(table, layout, config.oracle_num_states), layout, config.oracle_num_states, grouping
+    )
     return {
         "instance": instance,
         "oracle_db": oracle_db,
         "greedy_db": gtrace.final_power,
         "gap_db": oracle_db - gtrace.final_power,
-        "oracle_measurements": config.oracle_num_states**layout.n_active,
+        "oracle_measurements": len(table),
         "greedy_measurements": gtrace.measurement_count,
     }
 
 
 def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     """Exhaustive-vs-greedy gap over seeded noiseless instances on a small
-    layout. A negative gap fails the run."""
+    layout: one Link for the placement, one draw per instance. A negative
+    gap fails the run."""
     out = Path(out_dir)
     layout = _oracle_layout(config)
-    shared = (config, layout, config.base_scene(), make_grouping(layout, 1))
+    chan_link = link(config.base_scene(), layout, dataclasses.replace(config.channel, noise_variance=0.0))
+    shared = (config, layout, chan_link, make_grouping(layout, 1))
     jobs = [(*shared, i) for i in range(config.oracle_instances)]
     rows = parallel_map(_oracle_job, jobs, parallel)
     _write_csv(

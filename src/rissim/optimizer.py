@@ -3,8 +3,9 @@
 Both searches see only an abstract measurement, so the same code drives
 analytic gains, the full simulated receiver chain, or test stubs. Greedy logs
 every reading of a per-configuration measure (configuration in, dB power out)
-in a PowerTrace; the exhaustive search keeps only the argmax of a block reader
-(an (M, n) state matrix in, M dB readings out) such as GainMeter.readings.
+in a PowerTrace. enumerate_readings fills a table from a block reader (an
+(M, n) state matrix in, M dB readings out) such as GainMeter.readings; the
+exhaustive search keeps its first maximum, and greedy can replay it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .ris import GroupingScheme, NUM_ELEMENT_STATES, RisConfig, RisLayout, _unch
 MeasureFn = Callable[[RisConfig], float]
 ReadFn = Callable[[np.ndarray], Sequence[float]]
 
-ENUMERATION_CAP = 2**20  # most measurements exhaustive_search will make
-BLOCK_ROWS = 4**8  # most state rows exhaustive_search passes to one read
+ENUMERATION_CAP = 2**20  # most measurements enumerate_readings will make
+BLOCK_ROWS = 4**8  # most state rows enumerate_readings passes to one read
 
 
 class TraceEntry(NamedTuple):
@@ -116,30 +117,51 @@ def _product_block(start: int, stop: int, n: int, num_states: int) -> np.ndarray
     return np.arange(start, stop, dtype=np.int64)[:, None] // weights % num_states
 
 
-def exhaustive_search(
-    read: ReadFn,
-    layout: RisLayout,
-    num_states: int = NUM_ELEMENT_STATES,
-) -> tuple[RisConfig, float]:
-    """Read every configuration in lexicographic order, BLOCK_ROWS state rows
-    at a time, and return the first (lowest) state tuple with the highest
-    reading, and that reading; a NaN reading never wins, and if every
-    reading is -inf the all-off tuple does. Refuses layouts whose
-    enumeration would exceed ENUMERATION_CAP measurements."""
+def enumerate_readings(read: ReadFn, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> np.ndarray:
+    """Every configuration's reading, read BLOCK_ROWS state rows at a time, as
+    one float64 array in lexicographic order: states s sit at row sum s_i *
+    num_states**(n-1-i). Refuses more than ENUMERATION_CAP measurements."""
     if not 2 <= num_states <= NUM_ELEMENT_STATES:
         raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
     n = layout.n_active
     budget = num_states**n
     if budget > ENUMERATION_CAP:
         raise ValueError(f"enumeration needs {budget} measurements, above the cap of {ENUMERATION_CAP}")
-    best, p_max = 0, float("-inf")
+    table = np.empty(budget)
     for start in range(0, budget, BLOCK_ROWS):
-        block = _product_block(start, min(start + BLOCK_ROWS, budget), n, num_states)
-        readings = np.asarray(read(block), dtype=np.float64)
-        if readings.shape != (len(block),):
-            raise ValueError(f"read returned {readings.size} readings for {len(block)} configurations")
-        i = int(np.argmax(np.where(np.isnan(readings), -np.inf, readings)))  # a NaN never wins
-        if readings[i] > p_max:
-            best, p_max = start + i, float(readings[i])
+        stop = min(start + BLOCK_ROWS, budget)
+        readings = np.asarray(read(_product_block(start, stop, n, num_states)), dtype=np.float64)
+        if readings.shape != (stop - start,):
+            raise ValueError(f"read returned {readings.size} readings for {stop - start} configurations")
+        table[start:stop] = readings
+    return table
+
+
+def table_measure(table: np.ndarray, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> MeasureFn:
+    """A measure that reads each configuration of the layout off an
+    enumerate_readings table, at row sum s_i * num_states**(n-1-i)."""
+    n = layout.n_active
+    if len(table) != num_states**n:
+        raise ValueError("table does not hold one reading per configuration")
+
+    def measure(config: RisConfig) -> float:
+        if len(config.states) != n or max(config.states) >= num_states:
+            raise ValueError("configuration has no row in the table")
+        row = 0
+        for s in config.states:
+            row = row * num_states + s
+        return float(table[row])
+
+    return measure
+
+
+def exhaustive_search(read: ReadFn, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> tuple[RisConfig, float]:
+    """The first (lowest) state tuple with the highest reading of
+    enumerate_readings, and that reading; a NaN reading never wins, and if
+    every reading is -inf the all-off tuple does."""
+    readings = enumerate_readings(read, layout, num_states)
+    readings[np.isnan(readings)] = -np.inf
+    best = int(np.argmax(readings))  # the first maximum; row 0 if every reading is -inf
     # entries of a _product_block are in 0..num_states-1
-    return _unchecked_config(layout, tuple(_product_block(best, best + 1, n, num_states)[0].tolist())), p_max
+    states = _product_block(best, best + 1, layout.n_active, num_states)[0].tolist()
+    return _unchecked_config(layout, tuple(states)), float(readings[best])

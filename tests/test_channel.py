@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import random
 import runpy
 import warnings
 from pathlib import Path
@@ -21,6 +23,7 @@ from rissim.channel import (
     channel_gain,
     derive_rng,
     derive_seed,
+    link,
     power_dbfs,
     quantize_adc,
     synthesize_channels,
@@ -30,7 +33,7 @@ from rissim.channel import (
     _gains_db,
     _state_products,
 )
-from rissim.experiments import DEFAULT_SWEEP_POINTS, ScenarioConfig
+from rissim.experiments import DEFAULT_SWEEP_POINTS, ScenarioConfig, config_from_dict
 from rissim.geometry import Scene, make_scene
 from rissim.ris import RisConfig, RisLayout, theta_diag
 
@@ -122,6 +125,93 @@ def test_default_spot_channels_match_digest():
             clear.append((angle, dist))
     assert clear == [(130.0, 120.0), (145.0, 170.0)]
     assert h.hexdigest() == CHANNEL_DIGEST
+
+
+def _channel_digest(chans) -> str:
+    h = hashlib.sha256()
+    for chan in chans:
+        for vec in (chan.h_h, chan.h_v, chan.g_h, chan.g_v, np.complex128(chan.h_los)):
+            h.update(vec.tobytes())
+    return h.hexdigest()
+
+
+def _oracle_channels(channel, scene):
+    """The noiseless channels of oracle instances 0-39 on the 2x2 panel, seeds 7 and 31."""
+    for seed in (7, 31):
+        cfg = config_from_dict({"seed": seed, "channel": channel, "scene": scene})
+        layout = RisLayout(2, 2, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
+        for i in range(40):
+            params = dataclasses.replace(cfg.channel, seed=derive_seed(seed, "oracle", i), noise_variance=0.0)
+            yield synthesize_channels(cfg.base_scene(), layout, params)
+
+
+# sha256 over the channel bytes, as synthesize_channels drew them before it
+# became link(...).draw(seed)
+@pytest.mark.parametrize(
+    "channel, scene, digest",
+    [
+        ({}, {}, "1e5bdf80e9a414a13820cf1173b1ae19106b352eff06d7b02de5fdab8e788d81"),
+        ({"cross_pol_coupling": 0.3}, {}, "db7c2215d44fd5c14b90e42a5d6db102358cf5bad15e0a28272d09dd3089e94a"),
+        ({"rician_k_db": "inf"}, {}, "4151403b788a78d4412480fff3c68ba38bada170d3f69a55182bf08e3f5fcdd3"),
+        # V-only horns: the H vectors are signed zeros
+        ({}, {"polarization": 1.0}, "2806bb4ef7fab2cccb14bb11348ce1b13ae16204ef27adce6716fbb4ff747c57"),
+    ],
+)
+def test_oracle_instance_channels_match_digest(channel, scene, digest):
+    assert _channel_digest(_oracle_channels(channel, scene)) == digest
+
+
+def test_clear_direct_path_and_default_panel_channels_match_digest():
+    clear = ScenarioConfig(seed=7).campaign(1).channel(130.0, 120.0)
+    assert clear.h_los != 0.0
+    assert _channel_digest([clear]) == "a0b7bb4657c9a7680b49ce0937d8de7bb14f47055dbea123e2b32ebf17df1910"
+    chans = [ScenarioConfig(seed=seed).campaign(1).channel(70.0, 170.0) for seed in range(5)]
+    assert chans[0].n_elements == 76
+    assert _channel_digest(chans) == "4e9919176f72329dbc9dda658c118f568fcb30f34e98647985b2816a26a1ca19"
+
+
+def test_link_draws_equal_fresh_synthesis_in_any_seed_order():
+    campaign = ScenarioConfig(seed=7).campaign(1)
+    params = dataclasses.replace(campaign.channel_params, cross_pol_coupling=0.3)
+    scene = campaign.scene.with_rx_at(130.0, 120.0)  # a clear direct path
+    one = link(scene, campaign.layout, params)
+    seeds = list(range(12))
+    random.Random(5).shuffle(seeds)
+    for seed in seeds:
+        drawn = one.draw(seed)
+        fresh = synthesize_channels(scene, campaign.layout, dataclasses.replace(params, seed=seed))
+        assert _channel_digest([drawn]) == _channel_digest([fresh])
+        assert drawn.noise_variance == fresh.noise_variance
+
+
+def test_link_is_read_only():
+    one = link(make_scene(rx_angle_deg=70.0, rx_distance_cm=170.0), RisLayout(2, 2), ChannelModelParams())
+    for arr in (one.amp, one.det, one.pol):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.h_los = 0.0j
+
+
+@pytest.mark.parametrize(
+    "exponent, stage",
+    [
+        (650.0, "link"),  # the envelope itself overflows
+        (614.0, "draw"),  # a finite envelope whose scatter overflows
+    ],
+)
+def test_a_channel_past_float64_is_a_measurement_floor(exponent, stage):
+    scene = make_scene(rx_angle_deg=70.0, rx_distance_cm=170.0, tx_distance_cm=10.0)
+    params = ChannelModelParams(path_loss_exponent=exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if stage == "draw":
+            one = link(scene, RisLayout(2, 2), params)
+            assert np.isfinite(one.amp).all()
+            with pytest.raises(MeasurementFloorError, match="^channel is not a finite float64$"):
+                one.draw(0)
+        with pytest.raises(MeasurementFloorError, match="^channel is not a finite float64$"):
+            synthesize_channels(scene, RisLayout(2, 2), params)
 
 
 def test_deterministic_part_mirror_symmetric():

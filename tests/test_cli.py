@@ -270,6 +270,23 @@ def test_no_measurable_power_exits_two(tmp_path, capsys, command, section, messa
     assert not out.exists()
 
 
+# tx 10 cm from the panel: at path-loss exponent 650 the envelope passes
+# float64's range, at 614 the scattered part drawn on it does
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("exponent", [650, 614])
+@pytest.mark.parametrize("command", ["sweep", "grouping", "codebook", "oracle-check"])
+def test_channel_past_float64_exits_two(tmp_path, capsys, command, exponent, parallel):
+    p = tmp_path / "overflow.json"
+    section = {"scene": {"tx_distance_cm": 10}, "channel": {"path_loss_exponent": exponent}}
+    p.write_text(json.dumps({**SMALL, **section}))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(p), "--out", str(out), "--parallel", str(parallel)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: channel is not a finite float64\n"
+    assert not out.exists()
+
+
 _EMPTY_BOOK = {
     "schema_version": 1,
     "metadata": {"layout": {"nx": 4, "ny": 2, "spacing": 0.03, "disabled": [], "carrier_hz": 5.2e9}},

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rissim.channel import GainMeter, channel_gain, derive_seed, synthesize_channels
+from rissim.channel import GainMeter, channel_gain, derive_seed, link, synthesize_channels
 from rissim.experiments import (
     ConfigError,
     ScenarioConfig,
@@ -399,6 +399,7 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
     layout = RisLayout(nx, ny, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
     scene = cfg.base_scene()
     n = layout.n_active
+    chan_link = link(scene, layout, dataclasses.replace(cfg.channel, noise_variance=0.0))
     for instance in range(6):
         params = dataclasses.replace(
             cfg.channel, seed=derive_seed(cfg.seed, "oracle", instance), noise_variance=0.0
@@ -407,7 +408,7 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
         meter = GainMeter(chan, cfg.element_amplitude)
         _, oracle_db = exhaustive_search(meter.readings, layout, 4)
         _, gtrace = greedy_iterative(meter, layout, 4)
-        row = _oracle_job((cfg, layout, scene, make_grouping(layout, 1), instance))
+        row = _oracle_job((cfg, layout, chan_link, make_grouping(layout, 1), instance))
         assert row == {
             "instance": instance,
             "oracle_db": oracle_db,
@@ -429,6 +430,7 @@ def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
     assert (cfg.oracle_nx, cfg.oracle_ny, cfg.oracle_num_states) == (2, 2, 4)
     scene = cfg.base_scene()
     grouping = make_grouping(layout, 1)
+    chan_link = link(scene, layout, dataclasses.replace(cfg.channel, noise_variance=0.0))
     for instance in range(40):
         params = dataclasses.replace(
             cfg.channel, seed=derive_seed(seed, "oracle", instance), noise_variance=0.0
@@ -437,8 +439,10 @@ def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
         best = float("-inf")
         for states in itertools.product(range(4), repeat=4):
             best = max(best, meter(RisConfig(layout, states)))
-        row = _oracle_job((cfg, layout, scene, grouping, instance))
+        _, gtrace = greedy_iterative(meter, layout, 4, grouping)
+        row = _oracle_job((cfg, layout, chan_link, grouping, instance))
         assert row["oracle_db"] == best
+        assert row["greedy_db"] == gtrace.final_power
         assert row["oracle_measurements"] == 256
 
 def test_codebook_json_is_strict_with_infinite_k(tmp_path):

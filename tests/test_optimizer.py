@@ -13,8 +13,10 @@ from rissim.optimizer import (
     BLOCK_ROWS,
     PowerTrace,
     TraceEntry,
+    enumerate_readings,
     exhaustive_search,
     greedy_iterative,
+    table_measure,
 )
 from rissim.ris import GroupingScheme, RisConfig, RisLayout, make_grouping
 
@@ -241,6 +243,64 @@ def test_exhaustive_keeps_the_first_maximum_across_blocks(shape, num_states, blo
     assert not math.isnan(reading)
     # bit for bit, so -0.0 and 0.0 stay apart
     assert np.float64(reading).tobytes() == np.float64(expected).tobytes()
+
+
+# --- the readings table and greedy's replay ----------------------------
+
+
+@given(
+    shape=st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2)]),
+    num_states=st.integers(2, 4),
+    block_rows=st.integers(1, 40),
+    as_list=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_enumerate_readings_equals_per_row_reads_in_lexicographic_order(
+    shape, num_states, block_rows, as_list, seed
+):
+    lay = RisLayout(*shape)
+    rng = np.random.default_rng(seed)
+    values = {}
+
+    def measure(config):
+        return values.setdefault(config.states, float(rng.normal()))
+
+    def read(block):
+        readings = np.array(_per_row(measure, lay)(block))
+        return readings.tolist() if as_list else readings
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "BLOCK_ROWS", block_rows)
+        table = enumerate_readings(read, lay, num_states)
+    rows = list(itertools.product(range(num_states), repeat=lay.n_active))
+    assert table.dtype == np.float64
+    assert list(values) == rows
+    assert table.tolist() == [values[row] for row in rows]
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("num_states", [2, 3, 4])
+@pytest.mark.parametrize("size", [1, 2, 4])
+def test_greedy_replayed_from_the_table_equals_greedy_on_the_meter(nx, ny, num_states, size):
+    lay = RisLayout(nx=nx, ny=ny)
+    grouping = make_grouping(lay, size)
+    for seed in range(3):
+        meter = _noiseless_meter(lay, seed)
+        table = enumerate_readings(meter.readings, lay, num_states)
+        replayed = greedy_iterative(table_measure(table, lay, num_states), lay, num_states, grouping)
+        assert replayed == greedy_iterative(meter, lay, num_states, grouping)
+
+
+def test_table_measure_refuses_a_table_or_configuration_of_another_shape():
+    lay = RisLayout(nx=2, ny=1)
+    with pytest.raises(ValueError, match="one reading per configuration"):
+        table_measure(np.zeros(16), lay, 3)
+    measure = table_measure(np.arange(9.0), lay, 3)
+    assert measure(RisConfig(lay, (2, 1))) == 7.0
+    for config in (RisConfig(lay, (0, 3)), RisConfig(RisLayout(nx=1, ny=1), (2,))):
+        with pytest.raises(ValueError, match="no row in the table"):
+            measure(config)
 
 
 # --- dominance on real channels ----------------------------------------
