@@ -295,6 +295,16 @@ def test_run_codebook_parallel_matches_serial(tmp_path):
     assert _tree_bytes(tmp_path / "par-load") == _tree_bytes(tmp_path / "serial-load")
 
 
+def test_run_oracle_parallel_matches_serial(tmp_path):
+    # the workers get the run's Link pickled in their job args
+    cfg = config_from_dict({**SMALL, "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 6}})
+    run_oracle_check(cfg, tmp_path / "serial", parallel=1)
+    run_oracle_check(cfg, tmp_path / "par", parallel=2)
+    serial = _tree_bytes(tmp_path / "serial")
+    assert set(serial) == {Path("gaps.csv"), Path("summary.json")}
+    assert _tree_bytes(tmp_path / "par") == serial
+
+
 def test_run_grouping_outputs(tmp_path):
     cfg = _small_config()
     out = tmp_path / "grp"
