@@ -17,6 +17,15 @@ CODEBOOK_SCHEMA_VERSION = 1
 SWITCH_TIME_MS = 1.0  # nominal controller latency per codeword swap
 
 
+def _json(value, kind: type, what: str):
+    """value if JSON wrote it as kind, as a float for a number (integers
+    too); a boolean is neither an integer nor a number."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"codebook {what} must be {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
 @dataclass(frozen=True)
 class CodebookEntry:
     angle_deg: float
@@ -63,28 +72,27 @@ class Codebook:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Codebook":
-        if data.get("schema_version") != CODEBOOK_SCHEMA_VERSION:
+    def from_json_dict(cls, data) -> "Codebook":
+        """A codebook from parsed JSON; ValueError unless each field has its JSON type."""
+        if _json(data, dict, "root").get("schema_version") != CODEBOOK_SCHEMA_VERSION:
             raise ValueError(f"unsupported codebook schema: {data.get('schema_version')!r}")
-        meta = data.get("metadata", {})
-        lay = meta.get("layout")
-        if lay is None:
-            raise ValueError("codebook metadata is missing the layout")
+        meta = _json(data.get("metadata", {}), dict, "metadata")
+        lay = _json(meta.get("layout"), dict, "layout")
+        cells = [_json(c, list, "disabled cell") for c in _json(lay["disabled"], list, "layout disabled")]
         layout = RisLayout(
-            nx=lay["nx"],
-            ny=lay["ny"],
-            spacing=lay["spacing"],
-            disabled=frozenset(tuple(cell) for cell in lay["disabled"]),
-            carrier_hz=lay["carrier_hz"],
+            nx=_json(lay["nx"], int, "layout nx"),
+            ny=_json(lay["ny"], int, "layout ny"),
+            spacing=None if lay["spacing"] is None else _json(lay["spacing"], float, "layout spacing"),
+            disabled=frozenset(tuple(_json(i, int, "disabled cell index") for i in c) for c in cells),
+            carrier_hz=_json(lay["carrier_hz"], float, "layout carrier_hz"),
         )
-        entries = tuple(
-            CodebookEntry(
-                float(e["angle_deg"]),
-                float(e["distance_cm"]),
-                from_bit_array(layout, e["bits"]),
-            )
-            for e in data.get("entries", [])
-        )
+        entries = []
+        for e in _json(data.get("entries", []), list, "entries"):
+            e = _json(e, dict, "entry")
+            bits = [_json(b, bool, "bit") for b in _json(e["bits"], list, "entry bits")]
+            angle_deg = _json(e["angle_deg"], float, "entry angle_deg")
+            distance_cm = _json(e["distance_cm"], float, "entry distance_cm")
+            entries.append(CodebookEntry(angle_deg, distance_cm, from_bit_array(layout, bits)))
         return cls(entries, meta)
 
     def save(self, path) -> None:

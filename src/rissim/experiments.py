@@ -13,7 +13,8 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .channel import (
@@ -33,7 +34,6 @@ from .geometry import (
     DEFAULT_TX_ANGLE_DEG,
     DEFAULT_TX_DISTANCE_CM,
     Scene,
-    check_spot,
     make_scene,
 )
 from .optimizer import ENUMERATION_CAP, PowerTrace, TraceEntry, enumerate_readings, greedy_iterative, table_measure
@@ -148,14 +148,15 @@ class ScenarioConfig:
         _distinct(self.codebook_angles_deg, "codebook reference angles")
         # sweep points are checked per point by run_sweep, which still
         # writes the good points' files
-        spots = [(self.tx_angle_deg, self.tx_distance_cm)]
-        spots += [(a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
+        spots = [(a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
         spots += self.path
         spots += [(a, self.grouping_distance_cm) for a in self.grouping_angles_deg]
         try:
+            # the terminals check the tx spot, beamwidth and polarization, and
+            # a scene refuses a receiver outside it or on the tx spot
+            scene = self.base_scene()
             for angle_deg, distance_cm in spots:
-                check_spot(angle_deg, distance_cm)
-            self.base_scene()  # the terminals check beamwidth and polarization
+                scene.with_rx_at(angle_deg, distance_cm)
             code_scale(self.full_scale)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -395,9 +396,8 @@ def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
-def _trace_rows(baseline: float | None, trace: PowerTrace):
-    if baseline is not None:
-        yield TraceEntry(0, -1, 0, baseline, baseline)._asdict()
+def _trace_rows(baseline: float, trace: PowerTrace):
+    yield TraceEntry(0, -1, 0, baseline, baseline)._asdict()
     yield from trace.csv_rows()
 
 
@@ -412,89 +412,56 @@ def _slug(angle_deg: float, distance_cm: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# sweep and grouping
+
+_SPOT_FIELDS = ["p_baseline_dbfs", "p_final_dbfs", "gain_db", "measurements"]
 
 
-@dataclass(frozen=True)
-class PointResult:
-    angle_deg: float
-    distance_cm: float
-    p_baseline_dbfs: float
-    p_final_dbfs: float
-    gain_db: float
-    measurements: int
-    trace: PowerTrace
-
-
-def sweep_point(config: ScenarioConfig, angle_deg: float, distance_cm: float, point_index: int = 0) -> PointResult:
-    """Baseline measurement plus one greedy sweep at a single Rx spot."""
-    campaign = config.campaign(config.group_size)
-    baseline, trace = campaign.measure_spot(float(angle_deg), float(distance_cm), "sweep", point_index)
+def _spot_job(args):
+    """All-off baseline and one greedy sweep at a receiver spot, with
+    elements grouped by ``size`` and noise keyed (seed, stream, *index);
+    returns the results row and the trace."""
+    config, size, angle_deg, distance_cm, stream, *index = args
+    baseline, trace = config.campaign(size).measure_spot(angle_deg, distance_cm, stream, *index)
     final = trace.final_power
-    return PointResult(
-        float(angle_deg),
-        float(distance_cm),
-        baseline,
-        final,
-        final - baseline,
-        trace.measurement_count,
-        trace,
-    )
-
-
-def _sweep_job(args):
-    config, index, angle_deg, distance_cm = args
-    return sweep_point(config, angle_deg, distance_cm, index)
+    row = {
+        "angle_deg": angle_deg,
+        "distance_cm": distance_cm,
+        "group_size": size,
+        "p_baseline_dbfs": baseline,
+        "p_final_dbfs": final,
+        "gain_db": final - baseline,
+        "measurements": trace.measurement_count,
+    }
+    return row, trace
 
 
 def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     """Greedy sweep over every configured point; per-point traces, a results
     table, and a JSON summary with per-angle median gains."""
     out = Path(out_dir)
-    jobs = []
-    errors = []
+    scene = config.base_scene()
+    jobs, errors = [], []
     for i, point in enumerate(config.sweep_points):
         try:
-            angle_deg, distance_cm = check_spot(point[0], point[1])
-            jobs.append((config, i, angle_deg, distance_cm))
+            angle_deg, distance_cm = float(point[0]), float(point[1])
+            scene.with_rx_at(angle_deg, distance_cm)  # outside the scene, or on the tx spot
         except (TypeError, ValueError, IndexError) as exc:
             errors.append({"point": list(point), "error": str(exc)})
+        else:
+            jobs.append((config, config.group_size, angle_deg, distance_cm, "sweep", i))
 
-    results: list[PointResult] = parallel_map(_sweep_job, jobs, parallel)
+    results = parallel_map(_spot_job, jobs, parallel)
+    rows = [row for row, _ in results]
+    _write_csv(out / "results.csv", config, ["angle_deg", "distance_cm", *_SPOT_FIELDS], rows)
+    for row, trace in results:
+        name = f"sweep_{_slug(row['angle_deg'], row['distance_cm'])}.csv"
+        _write_csv(out / "traces" / name, config, _TRACE_FIELDS, _trace_rows(row["p_baseline_dbfs"], trace))
 
-    rows = [
-        {
-            "angle_deg": r.angle_deg,
-            "distance_cm": r.distance_cm,
-            "p_baseline_dbfs": r.p_baseline_dbfs,
-            "p_final_dbfs": r.p_final_dbfs,
-            "gain_db": r.gain_db,
-            "measurements": r.measurements,
-        }
-        for r in results
-    ]
-    _write_csv(
-        out / "results.csv",
-        config,
-        ["angle_deg", "distance_cm", "p_baseline_dbfs", "p_final_dbfs", "gain_db", "measurements"],
-        rows,
-    )
-    for r in results:
-        _write_csv(
-            out / "traces" / f"sweep_{_slug(r.angle_deg, r.distance_cm)}.csv",
-            config,
-            _TRACE_FIELDS,
-            _trace_rows(r.p_baseline_dbfs, r.trace),
-        )
-
-    by_angle: dict[float, list[float]] = {}
-    for r in results:
-        by_angle.setdefault(r.angle_deg, []).append(r.gain_db)
-    summary = {
-        "points": len(results),
-        "median_gain_db_by_angle": {f"{a:g}": _median(v) for a, v in sorted(by_angle.items())},
-        "errors": errors,
-    }
+    angle = itemgetter("angle_deg")
+    by_angle = groupby(sorted(rows, key=angle), angle)
+    medians = {f"{a:g}": _median(r["gain_db"] for r in group) for a, group in by_angle}
+    summary = {"points": len(rows), "median_gain_db_by_angle": medians, "errors": errors}
     _write_json(out / "summary.json", config, summary)
     return summary
 
@@ -508,86 +475,40 @@ def _median(values) -> float:
     return float(vals[mid]) if n % 2 else float((vals[mid - 1] + vals[mid]) / 2.0)
 
 
-# ---------------------------------------------------------------------------
-# grouping
-
-
-def _grouping_job(args):
-    config, angle_index, angle_deg, size = args
-    baseline, trace = config.campaign(size).measure_spot(
-        angle_deg, config.grouping_distance_cm, "grouping", angle_index, size
-    )
-    return angle_deg, size, baseline, trace
-
-
 def run_grouping_experiment(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     """Repeat the greedy sweep under each grouping size at each configured
     angle, on one shared channel realization per angle."""
     out = Path(out_dir)
+    distance_cm = config.grouping_distance_cm
     jobs = [
-        (config, ai, angle, size)
+        (config, size, angle, distance_cm, "grouping", ai, size)
         for ai, angle in enumerate(config.grouping_angles_deg)
         for size in config.grouping_sizes
     ]
-    results = parallel_map(_grouping_job, jobs, parallel)
+    results = parallel_map(_spot_job, jobs, parallel)
+    for row, trace in results:
+        name = f"grouping_{_slug(row['angle_deg'], distance_cm)}_g{row['group_size']}.csv"
+        _write_csv(out / "traces" / name, config, _TRACE_FIELDS, _trace_rows(row["p_baseline_dbfs"], trace))
 
-    per_angle: dict[float, dict[int, dict]] = {}
-    for angle_deg, size, baseline, trace in results:
-        _write_csv(
-            out / "traces" / f"grouping_{_slug(angle_deg, config.grouping_distance_cm)}_g{size}.csv",
-            config,
-            _TRACE_FIELDS,
-            _trace_rows(baseline, trace),
-        )
-        per_angle.setdefault(angle_deg, {})[size] = {
-            "p_baseline_dbfs": baseline,
-            "p_final_dbfs": trace.final_power,
-            "gain_db": trace.final_power - baseline,
-            "measurements": trace.measurement_count,
-        }
-
-    rows = []
+    rows = sorted((row for row, _ in results), key=itemgetter("angle_deg", "group_size"))
     summary_angles = {}
-    for angle_deg, by_size in sorted(per_angle.items()):
-        ref = by_size.get(1)
-        angle_summary = {}
-        for size, rec in sorted(by_size.items()):
-            # no size-1 run to compare with: null in JSON, an empty CSV field
-            delta = rec["gain_db"] - ref["gain_db"] if ref else None
-            ratio = rec["measurements"] / by_size[min(by_size)]["measurements"]
-            rows.append(
-                {
-                    "angle_deg": angle_deg,
-                    "group_size": size,
-                    "p_baseline_dbfs": rec["p_baseline_dbfs"],
-                    "p_final_dbfs": rec["p_final_dbfs"],
-                    "gain_db": rec["gain_db"],
-                    "measurements": rec["measurements"],
-                    "gain_delta_vs_size1_db": delta,
-                }
-            )
-            angle_summary[str(size)] = {
-                "gain_db": rec["gain_db"],
+    for angle_deg, group in groupby(rows, itemgetter("angle_deg")):
+        group = list(group)
+        # ratios are against the smallest size; with no size-1 run to compare
+        # with, the delta is null in JSON and an empty CSV field
+        ref = group[0]
+        for row in group:
+            delta = row["gain_db"] - ref["gain_db"] if ref["group_size"] == 1 else None
+            row["gain_delta_vs_size1_db"] = delta
+            summary_angles.setdefault(f"{angle_deg:g}", {})[str(row["group_size"])] = {
+                "gain_db": row["gain_db"],
                 "gain_delta_vs_size1_db": delta,
-                "measurements": rec["measurements"],
-                "measurement_ratio": ratio,
+                "measurements": row["measurements"],
+                "measurement_ratio": row["measurements"] / ref["measurements"],
             }
-        summary_angles[f"{angle_deg:g}"] = angle_summary
 
-    _write_csv(
-        out / "grouping.csv",
-        config,
-        [
-            "angle_deg",
-            "group_size",
-            "p_baseline_dbfs",
-            "p_final_dbfs",
-            "gain_db",
-            "measurements",
-            "gain_delta_vs_size1_db",
-        ],
-        rows,
-    )
+    fields = ["angle_deg", "group_size", *_SPOT_FIELDS, "gain_delta_vs_size1_db"]
+    _write_csv(out / "grouping.csv", config, fields, rows)
     summary = {"angles": summary_angles, "group_sizes": list(config.grouping_sizes)}
     _write_json(out / "summary.json", config, summary)
     return summary
@@ -607,7 +528,7 @@ def run_codebook_experiment(
     if load_codebook is not None:
         try:
             book = Codebook.load(load_codebook)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"cannot load codebook: {exc}") from exc
         if book.layout != config.layout:
             raise ConfigError("loaded codebook was built for a different layout")

@@ -122,6 +122,8 @@ class Scene:
         for name, term in (("tx", self.tx), ("rx", self.rx)):
             if not term.position[1] > 0:
                 raise ValueError(f"{name} must sit on the reflective side of the surface")
+        if np.linalg.norm(self.rx.position - self.tx.position) < 1e-12:
+            raise ValueError("tx and rx coincide")
 
     def with_rx_at(self, angle_deg: float, distance_cm: float) -> "Scene":
         """Same scene with the receiver moved to a grid coordinate, re-aimed
@@ -155,8 +157,6 @@ def direct_path(scene: Scene) -> tuple[float, float] | None:
     """
     sep = scene.rx.position - scene.tx.position
     dist = float(np.linalg.norm(sep))
-    if dist < 1e-12:
-        raise ValueError("tx and rx coincide")
     d = sep / dist
     cos_tx = float(np.clip(scene.tx.boresight @ d, -1.0, 1.0))
     cos_rx = float(np.clip(scene.rx.boresight @ -d, -1.0, 1.0))

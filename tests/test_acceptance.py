@@ -27,7 +27,6 @@ from rissim.experiments import (
     run_grouping_experiment,
     run_oracle_check,
     run_sweep,
-    sweep_point,
 )
 from rissim.geometry import make_scene
 from rissim.optimizer import exhaustive_search, greedy_iterative
@@ -102,11 +101,11 @@ def test_criterion_3_noiseless_traces_monotone():
     for seed in range(10):
         cfg = _noiseless(ScenarioConfig(seed=seed))
         for i, (angle, dist) in enumerate(cfg.sweep_points):
-            res = sweep_point(cfg, angle, dist, i)
-            running = [e.p_max_dbfs for e in res.trace.entries]
+            baseline, trace = cfg.campaign(cfg.group_size).measure_spot(angle, dist, "sweep", i)
+            running = [e.p_max_dbfs for e in trace.entries]
             if any(b < a for a, b in zip(running, running[1:])):
                 violations += 1
-            min_gain = min(min_gain, res.gain_db)
+            min_gain = min(min_gain, trace.final_power - baseline)
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and min_gain >= 0.0 and elapsed < 60.0
     assert _verdict(3, "noiseless greedy monotone, gain >= 0", ok), (
@@ -151,7 +150,8 @@ def test_criterion_5_sweep_gain_trend():
         cfg = ScenarioConfig(seed=seed)
         for angle in gains:
             for j, dist in enumerate((120.0, 220.0, 320.0)):
-                gains[angle].append(sweep_point(cfg, angle, dist, j).gain_db)
+                baseline, trace = cfg.campaign(cfg.group_size).measure_spot(angle, dist, "sweep", j)
+                gains[angle].append(trace.final_power - baseline)
     pooled = statistics.median(gains[50.0] + gains[70.0] + gains[130.0])
     specular = statistics.median(gains[110.0])
     elapsed = time.perf_counter() - t0

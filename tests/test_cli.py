@@ -1,3 +1,4 @@
+import copy
 import importlib
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import pytest
 
 import rissim.cli as cli
 from rissim.experiments import ExperimentAssertionError
+from rissim.ris import RisLayout
 
 SMALL = {
     "seed": 3,
@@ -326,6 +328,94 @@ def test_infinite_sweep_point_is_a_per_point_error(tmp_path, capsys):
     assert "error: point [90.0, inf]: point (90.0, inf) is outside the scene" in capsys.readouterr().err
     assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 3
     assert (tmp_path / "out" / "traces" / "sweep_a70_d170.csv").exists()
+
+
+# SMALL's tx sits at 78 deg, 100 cm
+@pytest.mark.parametrize(
+    "commands, section",
+    [
+        (["grouping"], {"grouping": {**SMALL["grouping"], "angles_deg": [78.0], "distance_cm": 100.0}}),
+        (["codebook"], {"codebook": {**SMALL["codebook"], "path": [[72.0, 165.0], [78.0, 100.0]]}}),
+        (
+            ["codebook"],
+            {"codebook": {**SMALL["codebook"], "reference_distance_cm": 100, "reference_angles_deg": [78]}},
+        ),
+        # every runner builds the base scene, whose rx sits at 90 deg, 170 cm
+        (["sweep", "codebook", "grouping", "oracle-check"], {"scene": {"tx_angle_deg": 90, "tx_distance_cm": 170}}),
+    ],
+)
+def test_receiver_on_the_tx_spot_exits_two(tmp_path, capsys, commands, section):
+    p = tmp_path / "on_tx.json"
+    p.write_text(json.dumps({**SMALL, **section}))
+    out = tmp_path / "out"
+    for command in commands:
+        assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: tx and rx coincide\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_sweep_point_on_the_tx_spot_is_a_per_point_error(tmp_path, capsys, parallel):
+    p = tmp_path / "on_tx.json"
+    p.write_text(json.dumps({**SMALL, "sweep": {"points": [[78.0, 100.0], [70.0, 170.0]]}}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(p), "--out", str(out), "--parallel", str(parallel)]) == 2
+    assert capsys.readouterr().err == "error: point [78.0, 100.0]: tx and rx coincide\n"
+    assert len((out / "results.csv").read_text().splitlines()) == 3
+    assert [t.name for t in (out / "traces").iterdir()] == ["sweep_a70_d170.csv"]
+
+
+# a codebook for SMALL's layout that loads
+_BOOK = {
+    "schema_version": 1,
+    "metadata": {
+        "layout": {"nx": 4, "ny": 2, "spacing": RisLayout(4, 2).spacing, "disabled": [], "carrier_hz": 5.2e9}
+    },
+    "entries": [{"angle_deg": 70.0, "distance_cm": 170.0, "bits": [True, False] * 8}],
+}
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("metadata", "layout", "nx"), "10", "codebook layout nx must be int, got str"),
+        (("metadata", "layout", "nx"), 10.5, "codebook layout nx must be int, got float"),
+        (("metadata", "layout", "carrier_hz"), None, "codebook layout carrier_hz must be float, got NoneType"),
+        (("metadata", "layout", "disabled"), 5, "codebook layout disabled must be list, got int"),
+        (("metadata", "layout", "disabled"), [[0, True]], "codebook disabled cell index must be int, got bool"),
+        (("entries", 0, "angle_deg"), None, "codebook entry angle_deg must be float, got NoneType"),
+        (("entries", 0, "distance_cm"), True, "codebook entry distance_cm must be float, got bool"),
+        (("entries", 0, "distance_cm"), 10**400, "int too large to convert to float"),
+        (("entries",), {"0": _BOOK["entries"][0]}, "codebook entries must be list, got dict"),
+        (("entries",), [[70.0, 170.0]], "codebook entry must be dict, got list"),
+        (("metadata",), [_BOOK["metadata"]], "codebook metadata must be dict, got list"),
+        (("metadata",), {}, "codebook layout must be dict, got NoneType"),
+        ((), [_BOOK], "codebook root must be dict, got list"),
+        (("entries", 0, "bits"), [2] * 16, "codebook bit must be bool, got int"),
+        (("entries", 0, "bits"), "1" * 16, "codebook entry bits must be list, got str"),
+        (("entries", 0, "bits"), [1, 0] * 8, "codebook bit must be bool, got int"),
+    ],
+)
+def test_malformed_codebook_file_exits_two(tmp_path, capsys, config_path, where, value, message):
+    book = copy.deepcopy(_BOOK)
+    if where:
+        *parents, last = where
+        target = book
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    else:
+        book = value
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(book))
+    out = tmp_path / "out"
+    args = ["codebook", "--config", str(config_path), "--out", str(out), "--load-codebook", str(path)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: cannot load codebook: {message}\n"
+    assert not out.exists()
+    # the unchanged book loads
+    path.write_text(json.dumps(_BOOK))
+    assert cli.main(args) == 0
 
 
 @pytest.mark.parametrize(

@@ -375,6 +375,62 @@ def test_grouping_without_size1_writes_null_delta(tmp_path):
     assert [r["gain_delta_vs_size1_db"] for r in rows] == ["", ""]
 
 
+def test_spot_rows_follow_the_configured_noise_keys(tmp_path):
+    # sizes and angles out of order, no size 1, and a rejected sweep point in
+    # the middle: every row is measure_spot at its configured-order index
+    cfg = config_from_dict(
+        {
+            **SMALL,
+            "channel": {},  # noise on, so a wrong noise key moves the readings
+            "sweep": {"points": [[70.0, 170.0], [200.0, 50.0], [110.0, 220.0]]},
+            "grouping": {"group_sizes": [8, 2, 4], "angles_deg": [130.0, 70.0, 90.0], "distance_cm": 150.0},
+        }
+    )
+
+    def measured(size, angle, dist, *key):
+        baseline, trace = cfg.campaign(size).measure_spot(angle, dist, *key)
+        return [baseline, trace.final_power, trace.final_power - baseline, trace.measurement_count]
+
+    def read(row, fields):
+        return [float(row[f]) for f in fields[:-1]] + [int(row[fields[-1]])]
+
+    sweep = run_sweep(cfg, tmp_path / "sweep")
+    assert sweep["errors"] == [{"point": [200.0, 50.0], "error": "point (200.0, 50.0) is outside the scene"}]
+    rows = list(csv.DictReader(_read_lines(tmp_path / "sweep" / "results.csv")[1:]))
+    fields = ["angle_deg", "distance_cm", "p_baseline_dbfs", "p_final_dbfs", "gain_db", "measurements"]
+    assert [read(r, fields) for r in rows] == [
+        [70.0, 170.0, *measured(1, 70.0, 170.0, "sweep", 0)],
+        [110.0, 220.0, *measured(1, 110.0, 220.0, "sweep", 2)],
+    ]
+
+    summary = run_grouping_experiment(cfg, tmp_path / "grp")
+    assert _strict_json(tmp_path / "grp" / "summary.json") == {
+        "config_hash": cfg.config_hash(),
+        "seed": 3,
+        **summary,
+    }
+    assert summary["group_sizes"] == [8, 2, 4]
+    rows = list(csv.DictReader(_read_lines(tmp_path / "grp" / "grouping.csv")[1:]))
+    fields = ["angle_deg", "group_size", "p_baseline_dbfs", "p_final_dbfs", "gain_db", "measurements"]
+    expected = []
+    # rows sort by angle, then size; noise keys keep the configured order
+    for angle, ai in ((70.0, 1), (90.0, 2), (130.0, 0)):
+        smallest = measured(2, angle, 150.0, "grouping", ai, 2)[-1]
+        for size in (2, 4, 8):
+            reading = measured(size, angle, 150.0, "grouping", ai, size)
+            expected.append([angle, size, *reading])
+            assert summary["angles"][f"{angle:g}"][str(size)] == {
+                "gain_db": reading[2],
+                "gain_delta_vs_size1_db": None,
+                "measurements": reading[3],
+                "measurement_ratio": reading[3] / smallest,
+            }
+    assert [[float(r["angle_deg"]), int(r["group_size"])] + read(r, fields[2:]) for r in rows] == expected
+    assert [r["gain_delta_vs_size1_db"] for r in rows] == [""] * 9
+    # 4x2 panel: 4 groups at size 2, 2 at sizes 4 and 8 (a 4-row tile is cut to 2 rows)
+    assert [summary["angles"]["90"][s]["measurement_ratio"] for s in ("2", "4", "8")] == [1.0, 0.5, 0.5]
+
+
 def test_oracle_layout_follows_configured_carrier(tmp_path):
     carrier = 2.4e9
     cfg = config_from_dict(

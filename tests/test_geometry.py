@@ -153,6 +153,18 @@ def test_scene_rejects_terminal_off_the_reflective_side():
             Scene(scene.tx, rx)
 
 
+def test_scene_rejects_coinciding_terminals():
+    with pytest.raises(ValueError, match="tx and rx coincide"):
+        make_scene(78.0, 100.0, tx_angle_deg=78.0, tx_distance_cm=100.0)
+    scene = make_scene()
+    near = Terminal(scene.tx.position + np.array([1e-13, 0.0, 0.0]), scene.rx.boresight)
+    with pytest.raises(ValueError, match="tx and rx coincide"):
+        Scene(scene.tx, near)
+    with pytest.raises(ValueError, match="tx and rx coincide"):
+        scene.with_rx_at(78.0, 100.0)
+    Scene(scene.tx, Terminal(scene.tx.position + np.array([1e-11, 0.0, 0.0]), scene.rx.boresight))
+
+
 def test_direct_path_cases():
     # default geometry: receiver well outside the transmit cone at 50 deg
     assert direct_path(make_scene(rx_angle_deg=50.0, rx_distance_cm=170.0)) is None
