@@ -8,18 +8,24 @@ the physical round-trip phase. The direct term h_los is a plain scalar.
 Every random draw comes from a generator keyed on explicit integers (seed,
 terminal positions, measurement index), so identical inputs reproduce
 identical bits and parallel evaluation order cannot change results.
+
+Every reading takes the end-to-end coefficient c from one kernel, _Cascade.
+Norms, dot products and c * w are plain IEEE arithmetic, and powers, logs
+and the dB rule libm calls per value, so no output byte depends on the BLAS
+kernel or numpy's SIMD level; only libm's rounding can move one.
 """
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, direct_path, gains_toward
-from .ris import _POL_BIT, DEFAULT_ELEMENT_AMPLITUDE, NUM_ELEMENT_STATES, RisConfig, RisLayout
+from .geometry import Scene, _dot3, direct_path, gains_toward
+from .ris import DEFAULT_ELEMENT_AMPLITUDE, NUM_ELEMENT_STATES, RisConfig, RisLayout
 
 ADC_CODE_MAX = 2048
 ADC_CODE_MIN = -2047
@@ -28,8 +34,8 @@ ADC_CODE_MIN = -2047
 # deterministic channel, median over the grid angles at 170 cm): the all-off
 # tone lands near 20 dBFS and the per-sample SNR near 30 dB.
 # scripts/calibrate_defaults.py recomputes both.
-DEFAULT_FULL_SCALE = 800.7328811701997
-DEFAULT_NOISE_VARIANCE = 0.01528675906627486
+DEFAULT_FULL_SCALE = 800.7328811701996
+DEFAULT_NOISE_VARIANCE = 0.015286759066274856
 
 
 def _entropy_words(parts) -> list[int]:
@@ -170,38 +176,41 @@ class Link:
         return ChannelRealization(*v, self.h_los, self.noise_variance)
 
 
+def _pow(x: float, e: float) -> float:
+    """x ** e by libm pow, inf where that overflows float64."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
 def link(scene: Scene, layout: RisLayout, params: ChannelModelParams) -> Link:
     """Everything of synthesize_channels that does not depend on the seed:
     per element, spherical-wave phase over the exact element distance,
     antenna gain toward the element and distance to the power
     -path_loss_exponent/2, the envelope the scattered part rides on.
     MeasurementFloorError if a term is past float64's range."""
-    if math.isinf(params.rician_k_db):
-        w_det, w_sc = 1.0, 0.0
-    else:
-        k = 10.0 ** (params.rician_k_db / 10.0)
-        w_det = math.sqrt(k / (k + 1.0))
-        w_sc = math.sqrt(1.0 / (k + 1.0))
+    k = _pow(10.0, params.rician_k_db / 10.0)
+    # a K whose power overflows is the infinite-K, deterministic channel
+    w_det, w_sc = (1.0, 0.0) if k == math.inf else (math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)))
+    e = -params.path_loss_exponent / 2.0
     amp, det, pol = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for term, sign in ((scene.tx, -1j), (scene.rx, 1j)):
             delta = layout.element_positions() - term.position
-            d = np.linalg.norm(delta, axis=1)
+            d = np.sqrt(_dot3(delta, delta))
             if np.any(d < 1e-9):
                 raise ValueError("terminal coincides with an element position")
-            a = np.sqrt(gains_toward(term, delta / d[:, None])) * d ** (-params.path_loss_exponent / 2.0)
+            a = np.sqrt(gains_toward(term, delta / d[:, None])) * np.array([_pow(x, e) for x in d.tolist()])
             amp += [a, a]
             det += [w_det * (a * np.exp(sign * (2.0 * np.pi * d / layout.wavelength)))] * 2
             pol += [math.sqrt(1.0 - term.polarization), math.sqrt(term.polarization)]
-        path = direct_path(scene)
-        # a float64 power, so an overflow reads inf rather than raising
-        h_los = 0.0j if path is None else complex(
-            math.sqrt(path[1])
-            * np.float64(path[0]) ** (-params.path_loss_exponent / 2.0)
-            * np.exp(-2j * np.pi * path[0] / layout.wavelength)
-        )
+    path = direct_path(scene)
+    h_los = 0.0j if path is None else (
+        math.sqrt(path[1]) * _pow(path[0], e) * cmath.exp(-2j * math.pi * path[0] / layout.wavelength)
+    )
     amp, det, pol = np.array(amp), np.array(det), np.array(pol)[:, None]
-    if not (np.isfinite(amp).all() and np.isfinite(h_los)):
+    if not (np.isfinite(amp).all() and cmath.isfinite(h_los)):
         raise MeasurementFloorError("channel is not a finite float64")
     for a in (amp, det, pol):
         a.setflags(write=False)
@@ -210,47 +219,67 @@ def link(scene: Scene, layout: RisLayout, params: ChannelModelParams) -> Link:
 
 
 def synthesize_channels(scene: Scene, layout: RisLayout, params: ChannelModelParams) -> ChannelRealization:
-    """Draw h, g, and the direct scalar for one placement: link(scene,
-    layout, params).draw(params.seed). The generator is keyed on (seed, tx
-    position, rx position), so reruns are bit-identical while distinct
-    placements get independent scatter."""
+    """Draw h, g, and the direct scalar for one placement: link(scene, layout, params).draw(params.seed),
+    keyed on (seed, tx position, rx position), so reruns are bit-identical and placements independent."""
     return link(scene, layout, params).draw(params.seed)
 
 
-def _state_products(chan: ChannelRealization, amplitude: float):
-    """Table and offsets for _cascade. Row 0 of the (2, 4n) table holds the
-    H products and row 1 the V products, element-major: column 4i + s is
-    element i in state s, h times the sign +-amplitude + 0j of s's diode bit:
-    one rounding of +-amplitude * h wherever it sits, so a gather at
-    states + offsets is theta_diag(config) * h to the last bit."""
-    if not 0.0 < amplitude <= 1.0:
-        raise ValueError("amplitude must be in (0, 1]")
-    pols = ((_POL_BIT["H"], chan.h_h), (_POL_BIT["V"], chan.h_v))
-    by_state = np.array(
-        [[(amplitude * (1 - 2 * ((s >> b) & 1)) + 0j) * h for s in range(NUM_ELEMENT_STATES)] for b, h in pols]
-    )
-    table = np.ascontiguousarray(by_state.transpose(0, 2, 1)).reshape(2, -1)
-    return table, np.arange(chan.n_elements) * NUM_ELEMENT_STATES
+class _Cascade:
+    """The fixed-order cascade kernel. Column 4i + s of the read-only (2, 4n)
+    table holds the real and imaginary parts of x[i, s] = conj(g_h,i) a_H(s)
+    h_h,i + conj(g_v,i) a_V(s) h_v,i, a_P(s) being -amplitude where s sets
+    P's diode bit and +amplitude elsewhere: each polarization's
+    amplitude conj(g) h, built with real multiplies and adds, taken with
+    either sign. MeasurementFloorError unless twice a bound on the largest
+    |c| squares to a finite float64, so no reading overflows or needs a
+    floating-point error state."""
+
+    def __init__(self, chan: ChannelRealization, amplitude: float):
+        if not 0.0 < amplitude <= 1.0:
+            raise ValueError("amplitude must be in (0, 1]")
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_h, p_v = (
+                amplitude * np.array([g.real * h.real + g.imag * h.imag, g.real * h.imag - g.imag * h.real])
+                for g, h in ((chan.g_h, chan.h_h), (chan.g_v, chan.h_v))
+            )
+            both = p_h + p_v
+            x = np.stack([both, p_v - p_h, p_h - p_v, -both], axis=-1)  # (part, element, state)
+            reach = np.abs(x[..., :2]).sum(axis=0).max(axis=-1).sum()
+        bound = 2.0 * (float(reach) + abs(chan.h_los.real) + abs(chan.h_los.imag))
+        if not bound * bound < math.inf:
+            raise MeasurementFloorError("a configuration's gain can pass float64's range: no finite reading")
+        self.table = x.reshape(2, -1)
+        self.table.setflags(write=False)
+        self.offsets = np.arange(chan.n_elements) * NUM_ELEMENT_STATES
+        self._hr, self._hi = chan.h_los.real, chan.h_los.imag
+
+    def index(self, config: RisConfig) -> np.ndarray:
+        n = len(self.offsets)
+        # a RisConfig holds exactly layout.n_active states
+        if len(config.states) != n:
+            raise ValueError("configuration and channel have different element counts")
+        idx = np.fromiter(config.states, np.intp, n)
+        idx += self.offsets
+        return idx
+
+    def read(self, idx: np.ndarray):
+        """(re, im) of c at a gather index (states + offsets), scalars for one row and arrays for an (M, n)
+        matrix: one gather, numpy's pairwise sum along each row, then h_los."""
+        re, im = np.add.reduce(self.table.take(idx, axis=1), axis=-1)
+        return re + self._hr, im + self._hi
 
 
-def _cascade(config: RisConfig, chan: ChannelRealization, products) -> complex:
-    """g_h^H diag(theta_h) h_h + g_v^H diag(theta_v) h_v + h_los, gathered
-    from the table of _state_products."""
-    table, offsets = products
-    n = len(offsets)
-    # a RisConfig holds exactly layout.n_active states
-    if len(config.states) != n:
-        raise ValueError("configuration and channel have different element counts")
-    idx = np.fromiter(config.states, np.intp, n)
-    idx += offsets
-    x = table.take(idx, axis=1)
-    return complex(np.vdot(chan.g_h, x[0])) + complex(np.vdot(chan.g_v, x[1])) + chan.h_los
+def _reading_db(re: float, im: float) -> float:
+    """The one dB rule of every gain reading: 10 log10(re^2 + im^2) by libm; zero gain reads -inf."""
+    p = re * re + im * im
+    return 10.0 * math.log10(p) if p else -math.inf
 
 
 def channel_gain(config: RisConfig, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> complex:
     """Complex end-to-end coefficient: per-polarization g^H diag(theta) h
-    cascades plus the direct term."""
-    return _cascade(config, chan, _state_products(chan, amplitude))
+    cascades plus the direct term, read through _Cascade."""
+    cascade = _Cascade(chan, amplitude)
+    return complex(*cascade.read(cascade.index(config)))
 
 
 @dataclass(frozen=True)
@@ -342,7 +371,7 @@ def _codes_dbfs(codes: np.ndarray, n_samples: int) -> float:
         raise MeasurementFloorError("ADC buffer is identically zero: no measurable power")
     # via the RMS so a constant-amplitude-A buffer lands on 20*log10(A) to
     # the last bit (sqrt(A*A) is exactly A in IEEE arithmetic)
-    return float(20.0 * np.log10(math.sqrt(p)))
+    return 20.0 * math.log10(math.sqrt(p))
 
 
 def power_dbfs(iq) -> float:
@@ -361,12 +390,11 @@ class TonePowerMeter:
     """Measurement function: tone through one channel, AWGN, ADC, dBFS.
 
     Calls are counted and each call's noise comes from a stream keyed on
-    (noise_seed, call index), so a rerun reproduces the exact sequence.
-    Each call adds the noise, quantizes and takes the power in place on the
-    I and Q rows of one buffer allocated here, through the rounding, clipping
-    and dB helpers of quantize_adc and power_dbfs, so a reading equals
-    power_dbfs(quantize_adc(c * w + noise).iq) to the last bit. c is
-    gathered from per-state tables built here.
+    (noise_seed, call index), so a rerun reproduces the exact sequence. A
+    call builds the I and Q rows of c * w as re(c) [wr; wi] + im(c) [-wi; wr],
+    never with numpy's complex multiply, then adds the noise, quantizes and
+    takes the power in place through the helpers of quantize_adc and
+    power_dbfs: a reading is power_dbfs(quantize_adc(c * w + noise).iq).
     """
 
     def __init__(
@@ -386,29 +414,28 @@ class TonePowerMeter:
         self.calls = 0
         self.last_clip_fraction = 0.0
         self._code_scale = code_scale(self.full_scale)
-        self._waveform = tone_waveform(self.tone)
+        w = tone_waveform(self.tone)
+        self._w, self._jw = np.array([w.real, w.imag]), np.array([-w.imag, w.real])
         self._noise_words = _entropy_words([noise_seed])
         self._noise_scale = math.sqrt(self.chan.noise_variance / 2.0)
         self._buf = np.empty((2, self.tone.buffer_len))
         self._mags = np.empty_like(self._buf)
-        self._products = _state_products(chan, self.amplitude)
+        self._kernel = _Cascade(chan, self.amplitude)
 
     def __call__(self, config: RisConfig) -> float:
         index = self.calls
         self.calls += 1
-        c = _cascade(config, self.chan, self._products)
-        # the I and Q rows of c * w as one (2, K) view
-        r = (c * self._waveform).view(np.float64).reshape(-1, 2).T
-        buf = self._buf
+        re, im = self._kernel.read(self._kernel.index(config))
+        buf, mags = self._buf, self._mags
+        np.multiply(self._w, re, out=buf)
+        buf += np.multiply(self._jw, im, out=mags)
         if self.chan.noise_variance > 0.0:
             # fills the rows in the order standard_normal((2, K)) draws them
-            derive_rng(self._noise_words, index).standard_normal(out=buf)
-            buf *= self._noise_scale
-            buf += r
-        else:
-            buf[...] = r
+            derive_rng(self._noise_words, index).standard_normal(out=mags)
+            mags *= self._noise_scale
+            buf += mags
         buf *= self._code_scale
-        mags = _round_magnitudes(buf, self._mags)
+        mags = _round_magnitudes(buf, mags)
         if mags.max() < ADC_CODE_MAX:
             # no code can leave (-2047, 2048], and the power ignores signs
             self.last_clip_fraction = 0.0
@@ -418,86 +445,35 @@ class TonePowerMeter:
         return _codes_dbfs(buf, buf.shape[1])
 
 
-def _gain_db(c: complex) -> float:
-    """|c|^2 in dB; a zero coefficient reads -inf, one past float64's range raises MeasurementFloorError."""
-    try:
-        g = abs(c) ** 2
-    except OverflowError:
-        g = math.inf
-    if g == 0.0:
-        return float("-inf")
-    if not g < math.inf:
-        raise MeasurementFloorError(f"gain of coefficient {c!r} is not a finite float64: no finite reading")
-    return float(10.0 * np.log10(g))
-
-
-def _gains_db(c: np.ndarray) -> np.ndarray:
-    """_gain_db of each entry of a complex array, to the last bit: np.hypot and np.float_power(x, 2.0)
-    round as the libm hypot and pow behind abs and ** do, where np.abs, np.square and np.power can differ."""
-    with np.errstate(divide="ignore", over="ignore"):
-        db = 10.0 * np.log10(np.float_power(np.hypot(c.real, c.imag), 2.0))
-    if not (db < math.inf).all():
-        raise MeasurementFloorError("a configuration's gain is not a finite float64: no finite reading")
-    return db
-
-
-def _pattern_keys(bits: np.ndarray) -> np.ndarray:
-    """One exact key per row of an (M, n) matrix whose entries are 0 or one
-    fixed bit value: an int64 of the row's first 32 columns, or past 32
-    columns the bytes of one such word per 32 columns."""
-    words = [
-        bits[:, j : j + 32].astype(np.int64) @ (np.int64(1) << np.arange(min(32, bits.shape[1] - j)))
-        for j in range(0, bits.shape[1], 32)
-    ]
-    if len(words) == 1:
-        return words[0]
-    return np.column_stack(words).view(f"V{8 * len(words)}").ravel()
-
-
 class GainMeter:
     """Noiseless analytic measurement: configuration gain in dB.
 
-    Shares the measurement-function contract with TonePowerMeter and its
-    per-state tables; zero gain reads -inf (see _gain_db). readings() reads
-    a whole matrix of states at once into a float64 array, as the exhaustive
-    search does, each reading equal to a call on that row's configuration.
+    Shares the measurement-function contract and the _Cascade kernel with
+    TonePowerMeter; zero gain reads -inf. readings() reads a whole matrix of
+    states, as the exhaustive search does, each row to the bits of a call.
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
         self.chan = chan
         self.amplitude = float(amplitude)
         self.calls = 0
-        self._products = _state_products(chan, self.amplitude)
+        self._kernel = _Cascade(chan, self.amplitude)
 
     def __call__(self, config: RisConfig) -> float:
         self.calls += 1
-        return _gain_db(_cascade(config, self.chan, self._products))
+        return _reading_db(*self._kernel.read(self._kernel.index(config)))
 
     def readings(self, states) -> np.ndarray:
-        """dB readings, as a float64 array, of the rows of an (M, n) matrix of integer element states.
-
-        The H cascade of a row depends only on its bit-0 pattern and the V
-        cascade only on its bit-1 pattern: the table holds each entry as one
-        rounding of +-amplitude * h, so states 0 and 2 (1 and 3) share H bits,
-        and 0 and 1 (2 and 3) share V bits. Each distinct pattern is read with
-        one np.vdot, gathered at the pattern's bit values as states, and the
-        readings are _gains_db((H + V) + h_los), each equal to __call__'s.
-        """
-        table, offsets = self._products
+        """dB readings, as a float64 array, of the rows of an (M, n) matrix of integer element states."""
+        n = len(self._kernel.offsets)
         states = np.asarray(states)
-        if states.ndim != 2 or states.shape[1] != len(offsets):
-            raise ValueError(f"expected an (M, {len(offsets)}) matrix of element states")
+        if states.ndim != 2 or states.shape[1] != n:
+            raise ValueError(f"expected an (M, {n}) matrix of element states")
         if not np.issubdtype(states.dtype, np.integer):
             raise ValueError("element states must be integers")
         if states.size and (states.min() < 0 or states.max() >= NUM_ELEMENT_STATES):
             raise ValueError("element states must be in 0..3")
-        states = states.astype(np.intp, copy=False)  # uint64 + int64 offsets would give float64
         self.calls += len(states)
-        cascades = []
-        for row, g, bit in ((table[0], self.chan.g_h, 1), (table[1], self.chan.g_v, 2)):
-            bits = states & bit
-            _, first, inverse = np.unique(_pattern_keys(bits), return_index=True, return_inverse=True)
-            x = row.take(bits[first] + offsets)
-            values = np.array([np.vdot(g, xp) for xp in x], dtype=np.complex128)
-            cascades.append(values[inverse])
-        return _gains_db(cascades[0] + cascades[1] + self.chan.h_los)
+        # intp first: uint64 + int64 offsets would give float64
+        re, im = self._kernel.read(states.astype(np.intp, copy=False) + self._kernel.offsets)
+        return np.array(list(map(_reading_db, re.tolist(), im.tolist())), dtype=np.float64)

@@ -23,9 +23,20 @@ DEFAULT_TX_ANGLE_DEG = 78.0
 DEFAULT_TX_DISTANCE_CM = 100.0
 
 
+def _dot3(a, b):
+    """Dot products over the last axis of (..., 3) stacks, a0*b0 + a1*b1 + a2*b2 with no BLAS kernel."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _length(v: np.ndarray) -> float:
+    """Length of one 3-vector in the order of _dot3; inf, with no warning, where a square overflows."""
+    x, y, z = v.tolist()
+    return math.sqrt(x * x + y * y + z * z)
+
+
 def _normalized(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(v))
+    n = _length(v)
     # false for NaN, so a NaN entry fails too
     if not 1e-12 <= n < math.inf:
         raise ValueError(f"{what} must be finite and non-zero")
@@ -70,20 +81,13 @@ def _gain_exponent(half_beamwidth_deg: float) -> float:
     return math.log(0.5) / math.log(math.cos(math.radians(half_beamwidth_deg)))
 
 
-def antenna_gain(term: Terminal, direction, floor: float = GAIN_FLOOR) -> float:
-    """Linear power gain toward a unit direction: 1 at boresight, floored
-    at -30 dB off the pattern."""
-    d = np.asarray(direction, dtype=np.float64)
-    if abs(float(np.linalg.norm(d)) - 1.0) > 1e-6:
-        raise ValueError("direction must be a unit vector")
-    c = max(float(term.boresight @ d), 0.0)
-    return max(c ** _gain_exponent(term.half_beamwidth_deg), floor)
-
-
-def gains_toward(term: Terminal, directions: np.ndarray, floor: float = GAIN_FLOOR) -> np.ndarray:
-    """Vectorized antenna_gain over an (N, 3) stack of unit directions."""
-    c = np.clip(np.asarray(directions, dtype=np.float64) @ term.boresight, 0.0, None)
-    return np.maximum(c ** _gain_exponent(term.half_beamwidth_deg), floor)
+def gains_toward(term: Terminal, directions, floor: float = GAIN_FLOOR) -> np.ndarray:
+    """Linear power gain toward each row of an (N, 3) stack of unit
+    directions: 1 at boresight, floored at -30 dB off the pattern. The power
+    of the cosine is a libm pow per value, not numpy's SIMD one."""
+    q = _gain_exponent(term.half_beamwidth_deg)
+    cosines = np.maximum(_dot3(np.asarray(directions, dtype=np.float64), term.boresight), 0.0)
+    return np.maximum(np.array([c ** q for c in cosines.tolist()]), floor)
 
 
 def check_spot(angle_deg, distance_cm) -> tuple[float, float]:
@@ -122,7 +126,7 @@ class Scene:
         for name, term in (("tx", self.tx), ("rx", self.rx)):
             if not term.position[1] > 0:
                 raise ValueError(f"{name} must sit on the reflective side of the surface")
-        if np.linalg.norm(self.rx.position - self.tx.position) < 1e-12:
+        if _length(self.rx.position - self.tx.position) < 1e-12:
             raise ValueError("tx and rx coincide")
 
     def with_rx_at(self, angle_deg: float, distance_cm: float) -> "Scene":
@@ -156,17 +160,17 @@ def direct_path(scene: Scene) -> tuple[float, float] | None:
     twice its half beamwidth and the gain product clears a -40 dB threshold.
     """
     sep = scene.rx.position - scene.tx.position
-    dist = float(np.linalg.norm(sep))
-    d = sep / dist
-    cos_tx = float(np.clip(scene.tx.boresight @ d, -1.0, 1.0))
-    cos_rx = float(np.clip(scene.rx.boresight @ -d, -1.0, 1.0))
-    off_tx = math.degrees(math.acos(cos_tx))
-    off_rx = math.degrees(math.acos(cos_rx))
+    dist = _length(sep)
+    d = (sep / dist)[None]
+    cos_tx = float(_dot3(d, scene.tx.boresight)[0])
+    cos_rx = float(_dot3(-d, scene.rx.boresight)[0])
+    off_tx = math.degrees(math.acos(min(max(cos_tx, -1.0), 1.0)))
+    off_rx = math.degrees(math.acos(min(max(cos_rx, -1.0), 1.0)))
     outside = (
         off_tx > 2.0 * scene.tx.half_beamwidth_deg
         or off_rx > 2.0 * scene.rx.half_beamwidth_deg
     )
-    product = antenna_gain(scene.tx, d) * antenna_gain(scene.rx, -d)
+    product = float(gains_toward(scene.tx, d)[0] * gains_toward(scene.rx, -d)[0])
     if outside or product < LOS_GAIN_PRODUCT_THRESHOLD:
         return None
     return dist, product

@@ -28,14 +28,12 @@ from rissim.channel import (
     quantize_adc,
     synthesize_channels,
     tone_waveform,
+    _Cascade,
     _entropy_words,
-    _gain_db,
-    _gains_db,
-    _state_products,
 )
 from rissim.experiments import DEFAULT_SWEEP_POINTS, ScenarioConfig, config_from_dict
 from rissim.geometry import Scene, make_scene
-from rissim.ris import RisConfig, RisLayout, theta_diag
+from rissim.ris import RisConfig, RisLayout
 
 
 def _unit_channel(n=1, h_los=0.0j, noise=0.0):
@@ -108,7 +106,7 @@ def test_synthesis_is_bit_deterministic():
 
 # sha256 over the channel bytes at the default sweep points plus the
 # 145 deg / 170 cm grouping spot, seed 7
-CHANNEL_DIGEST = "d19f212a42992297e4fc43eaa1456d8b3f30f19b07e1159982f6b0da1ef32114"
+CHANNEL_DIGEST = "65dad0f794ddf97bece02fe6de5580fece7240f6127cd2247401b7f48e5f2a3a"
 
 
 def test_default_spot_channels_match_digest():
@@ -145,16 +143,15 @@ def _oracle_channels(channel, scene):
             yield synthesize_channels(cfg.base_scene(), layout, params)
 
 
-# sha256 over the channel bytes, as synthesize_channels drew them before it
-# became link(...).draw(seed)
+# sha256 over the channel bytes of the oracle instances
 @pytest.mark.parametrize(
     "channel, scene, digest",
     [
-        ({}, {}, "1e5bdf80e9a414a13820cf1173b1ae19106b352eff06d7b02de5fdab8e788d81"),
-        ({"cross_pol_coupling": 0.3}, {}, "db7c2215d44fd5c14b90e42a5d6db102358cf5bad15e0a28272d09dd3089e94a"),
+        ({}, {}, "f2d4ea953ab71a6e525b1b1f14b5bd5dfa86c1c20129f807c343a016592ed07c"),
+        ({"cross_pol_coupling": 0.3}, {}, "273ba2aaad0337b61f26a36df46841e1e2ad91a76d2fa3fcf06c30e2d4067f31"),
         ({"rician_k_db": "inf"}, {}, "4151403b788a78d4412480fff3c68ba38bada170d3f69a55182bf08e3f5fcdd3"),
         # V-only horns: the H vectors are signed zeros
-        ({}, {"polarization": 1.0}, "2806bb4ef7fab2cccb14bb11348ce1b13ae16204ef27adce6716fbb4ff747c57"),
+        ({}, {"polarization": 1.0}, "92d7e50cb93c61fc518133551b985dd370c89a2dabff55761a17f31548320dc4"),
     ],
 )
 def test_oracle_instance_channels_match_digest(channel, scene, digest):
@@ -164,10 +161,10 @@ def test_oracle_instance_channels_match_digest(channel, scene, digest):
 def test_clear_direct_path_and_default_panel_channels_match_digest():
     clear = ScenarioConfig(seed=7).campaign(1).channel(130.0, 120.0)
     assert clear.h_los != 0.0
-    assert _channel_digest([clear]) == "a0b7bb4657c9a7680b49ce0937d8de7bb14f47055dbea123e2b32ebf17df1910"
+    assert _channel_digest([clear]) == "1b3ddbd3d5de508de5817397942062d8ad8e58419f1f606cb9c4b9722ed5a3fd"
     chans = [ScenarioConfig(seed=seed).campaign(1).channel(70.0, 170.0) for seed in range(5)]
     assert chans[0].n_elements == 76
-    assert _channel_digest(chans) == "4e9919176f72329dbc9dda658c118f568fcb30f34e98647985b2816a26a1ca19"
+    assert _channel_digest(chans) == "aef8daadb5a04c9b73085bf6957726b866d1b7c523622c49797a1e06cd494da8"
 
 
 def test_link_draws_equal_fresh_synthesis_in_any_seed_order():
@@ -420,7 +417,7 @@ def test_power_dbfs_anchors():
     tens = np.tile(np.array([[10, 0]], dtype=np.int16), (50, 1))
     assert power_dbfs(tens) == pytest.approx(20.0)
     full = np.tile(np.array([[2048, 0]], dtype=np.int16), (4, 1))
-    assert power_dbfs(full) == 20.0 * np.log10(2048.0)
+    assert power_dbfs(full) == 20.0 * math.log10(2048.0)
     assert power_dbfs(full) == pytest.approx(66.2266, abs=1e-3)
 
 
@@ -497,29 +494,72 @@ def test_meter_reading_at_the_clip_edge(h_los, clip_fraction):
     assert reading == power_dbfs(q.iq)
 
 
+def _pairwise_sum(values):
+    """numpy's float64 pairwise summation, written out: blocks of at most
+    128 summed with eight interleaved partial sums, longer runs split near
+    the middle at a multiple of 8; np.add.reduce starts from 0.0."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += values[i + j]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[i:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _contribution(chan, amplitude, i, s):
+    """x[i, s] = conj(g_h,i) a_H(s) h_h,i + conj(g_v,i) a_V(s) h_v,i as
+    (re, im) floats: a conj(g) h per polarization with real multiplies and
+    adds, then signed by s's diode bits."""
+    parts = []
+    for g, h, bit in ((chan.g_h[i], chan.h_h[i], 1), (chan.g_v[i], chan.h_v[i], 2)):
+        p = (amplitude * (g.real * h.real + g.imag * h.imag), amplitude * (g.real * h.imag - g.imag * h.real))
+        parts.append((-p[0], -p[1]) if s & bit else p)
+    (hr, hi), (vr, vi) = parts
+    return hr + vr, hi + vi
+
+
 def _reference_cascade(config, chan, amplitude):
-    """The cascade written out with theta_diag products and no per-state
-    tables: g_h^H (theta_h * h_h) + g_v^H (theta_v * h_v) + h_los."""
-    th = theta_diag(config, "H", amplitude)
-    tv = theta_diag(config, "V", amplitude)
-    total = np.vdot(chan.g_h, th * chan.h_h) + np.vdot(chan.g_v, tv * chan.h_v)
-    return complex(total + chan.h_los)
+    """The cascade written out stage by stage in the kernel's order: each
+    element's contribution, numpy's pairwise sum over the elements, then
+    h_los; returns (re, im)."""
+    xs = [_contribution(chan, amplitude, i, s) for i, s in enumerate(config.states)]
+    re = 0.0 + _pairwise_sum([x[0] for x in xs])
+    im = 0.0 + _pairwise_sum([x[1] for x in xs])
+    return re + chan.h_los.real, im + chan.h_los.imag
 
 
 def _reference_reading(config, chan, tone, full_scale, amplitude, noise_seed, index):
     """The receiver chain stage by stage, one temporary array per step;
     returns (dBFS or None for an all-zero buffer, clip fraction)."""
-    r = _reference_cascade(config, chan, amplitude) * tone_waveform(tone)
+    cr, ci = _reference_cascade(config, chan, amplitude)
+    w = tone_waveform(tone)
+    # c * w in real arithmetic: (cr wr - ci wi, cr wi + ci wr)
+    i_row, q_row = cr * w.real - ci * w.imag, cr * w.imag + ci * w.real
     if chan.noise_variance > 0.0:
-        z = derive_rng(noise_seed, index).standard_normal((2, len(r)))
-        r = r + math.sqrt(chan.noise_variance / 2.0) * (z[0] + 1j * z[1])
-    scaled = np.stack([r.real, r.imag], axis=-1) * (2048 / full_scale)
+        z = derive_rng(noise_seed, index).standard_normal((2, len(w)))
+        sigma = math.sqrt(chan.noise_variance / 2.0)
+        i_row, q_row = i_row + sigma * z[0], q_row + sigma * z[1]
+    scaled = np.stack([i_row, q_row], axis=-1) * (2048 / full_scale)
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
     over = (rounded > 2048) | (rounded < -2047)
     clip_fraction = float(np.mean(np.any(over, axis=-1)))
     a = np.clip(rounded, -2047, 2048).astype(np.int16).astype(np.float64)
     p = float(np.mean(a[:, 0] ** 2 + a[:, 1] ** 2))
-    return (float(20.0 * np.log10(math.sqrt(p))) if p else None), clip_fraction
+    return (20.0 * math.log10(math.sqrt(p)) if p else None), clip_fraction
 
 
 @given(
@@ -569,7 +609,7 @@ def test_meter_matches_reference_chain(
     coupling=st.floats(0.0, 1.0, exclude_min=True),
 )
 @settings(max_examples=200, deadline=None)
-def test_state_tables_match_written_out_cascade(seed, n, amplitude, source, coupling):
+def test_cascade_kernel_matches_written_out_cascade(seed, n, amplitude, source, coupling):
     rng = derive_rng(seed, "tables")
     lay = RisLayout.default() if n == 76 else RisLayout(nx=n, ny=1)
     if source == "synthesized":
@@ -589,10 +629,11 @@ def test_state_tables_match_written_out_cascade(seed, n, amplitude, source, coup
     tone = ToneParams(buffer_len=16)
     for index in range(3):
         config = RisConfig(lay, tuple(int(s) for s in rng.integers(0, 4, n)))
-        expected = _reference_cascade(config, chan, amplitude)
+        re, im = _reference_cascade(config, chan, amplitude)
+        expected = complex(re, im)
         assert channel_gain(config, chan, amplitude) == expected
-        g = abs(expected) ** 2
-        assert meter(config) == (float(10.0 * np.log10(g)) if g else float("-inf"))
+        g = re * re + im * im
+        assert meter(config) == (10.0 * math.log10(g) if g else float("-inf"))
         full_scale = 4.0 * abs(expected) if expected else 1.0
         if not math.isfinite(2048 / full_scale):
             with pytest.raises(ValueError, match="gives no finite ADC code scale"):
@@ -636,6 +677,17 @@ def test_channel_params_reject_non_finite_values(field, value):
 
 def test_channel_params_keep_infinite_rician_k():
     assert ChannelModelParams(rician_k_db=math.inf).rician_k_db == math.inf
+
+
+@pytest.mark.parametrize(
+    "k_db, w_sc, deterministic",
+    [(math.inf, 0.0, True), (4000.0, 0.0, True), (-math.inf, 1.0, False), (-4000.0, 1.0, False)],
+)
+def test_rician_k_extremes_weight_the_two_parts(k_db, w_sc, deterministic):
+    # +-inf dB and powers past float64's range: all deterministic, or all scatter
+    one = link(make_scene(rx_angle_deg=70.0), RisLayout(2, 2), ChannelModelParams(rician_k_db=k_db))
+    assert one.w_sc == w_sc
+    assert bool(one.det.any()) == deterministic
 
 
 @pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0])
@@ -740,16 +792,22 @@ def test_gain_meter_readings_keep_rows_apart_past_element_63():
     assert len(set(readings)) == len(readings)
 
 
-def test_state_table_entries_depend_only_on_their_diode_bit():
+@pytest.mark.parametrize("amplitude", [0.9, 1.0, 0.3])
+def test_contribution_table_entries_match_their_definition(amplitude):
     lay = RisLayout.default()
     params = ChannelModelParams(seed=5, noise_variance=0.0, cross_pol_coupling=0.3)
     chan = synthesize_channels(make_scene(rx_angle_deg=70.0), lay, params)
-    table, _ = _state_products(chan, 0.9)
-    h, v = table.reshape(2, lay.n_active, 4).transpose(0, 2, 1)
-    # H sees bit 0 only, V bit 1 only, to the last bit
-    assert h[0].tobytes() == h[2].tobytes() and h[1].tobytes() == h[3].tobytes()
-    assert v[0].tobytes() == v[1].tobytes() and v[2].tobytes() == v[3].tobytes()
-    assert h[0].tobytes() != h[1].tobytes() and v[0].tobytes() != v[2].tobytes()
+    table = _Cascade(chan, amplitude).table
+    assert table.shape == (2, 4 * lay.n_active)
+    for i in range(lay.n_active):
+        for s in range(4):
+            assert (table[0, 4 * i + s], table[1, 4 * i + s]) == _contribution(chan, amplitude, i, s)
+    re, im = table.reshape(2, lay.n_active, 4).transpose(0, 2, 1)
+    # flipping both diodes negates an entry exactly, and so does swapping them
+    assert (-re[0]).tobytes() == re[3].tobytes() and (-im[1]).tobytes() == im[2].tobytes()
+    assert re[0].tobytes() != re[1].tobytes() and re[0].tobytes() != re[2].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
 
 
 def test_gain_meter_readings_of_a_dark_channel_are_minus_inf_without_warning():
@@ -774,42 +832,60 @@ def test_gain_meter_readings_accept_any_integer_dtype(dtype):
     assert meter.readings(states).tolist() == expected
 
 
-# Values where numpy's own ops round differently from the libm hypot and pow
-# behind abs(c) ** 2: np.abs gives |c| of the first one last-bit apart, and
-# h * h (np.square, np.power(h, 2.0)) does so for |c|^2 of the second. That
-# gap vanishes in the dB rounding, but for the third it survives, and there
-# np.power with an array exponent differs too. 0j reads -inf, with no warning.
+# Coefficients where other routes to the dB reading round differently from
+# 10 log10(re * re + im * im) by libm: |c| ** 2 (hypot, then pow) gives other
+# power bits for the first two and another reading for the first, and on an
+# AVX-512 host numpy's own log10 gives another reading for the fourth. 0j
+# reads -inf, with no warning.
 _DB_RULE_CASES = [
     -1.303157231604361 - 2.5697088522508635j,
     0.020325520771516198 + 0j,
     0.3632201681837226 + 0.03287094380440391j,
+    0.7180634147223381 + 0j,
     0j,
 ]
 
 
-def test_array_db_rule_equals_the_scalar_rule_bit_for_bit():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        readings = _gains_db(np.array(_DB_RULE_CASES))
-        assert readings.tolist() == [_gain_db(c) for c in _DB_RULE_CASES]
-    assert readings[-1] == float("-inf")
+def test_calls_and_readings_share_one_db_rule_bit_for_bit():
+    # dark elements, so the coefficient of every configuration is h_los
+    dark = np.zeros(1, dtype=np.complex128)
+    lay = RisLayout(nx=1, ny=1)
+    for c in _DB_RULE_CASES:
+        meter = GainMeter(ChannelRealization(dark, dark, dark, dark, c, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call = meter(RisConfig.all_off(lay))
+            readings = meter.readings(np.array([[0], [3]]))
+        p = c.real * c.real + c.imag * c.imag
+        assert readings.tolist() == [call, call] == [10.0 * math.log10(p) if p else float("-inf")] * 2
+    assert call == float("-inf")
 
 
 @pytest.mark.parametrize("c", [1e200 + 0j, complex(1e308, 1e308), complex(math.nan, 1.0), complex(math.inf, 0.0)])
 def test_a_gain_that_is_not_a_finite_float64_has_no_reading(c):
-    with pytest.raises(MeasurementFloorError, match="no finite reading"):
-        _gain_db(c)
-    with pytest.raises(MeasurementFloorError, match="no finite reading"):
-        _gains_db(np.array([1.0, c]))
+    dark = np.zeros(2, dtype=np.complex128)
+    chan = ChannelRealization(dark, dark, dark, dark, c, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (GainMeter, TonePowerMeter, lambda ch: channel_gain(RisConfig.all_off(RisLayout(2, 1)), ch)):
+            with pytest.raises(MeasurementFloorError, match="no finite reading"):
+                build(chan)
 
 
 def test_gain_meter_reports_an_overflowing_gain_as_no_finite_reading():
+    # each product conj(g) h is 1e200: finite entries whose cascade would overflow
     big = np.full(2, 1e100, dtype=np.complex128)
-    meter = GainMeter(ChannelRealization(big, big, big, big, 0.0j, 0.0))
-    with pytest.raises(MeasurementFloorError, match="no finite reading"):
-        meter(RisConfig.all_off(RisLayout(nx=2, ny=1)))
-    with pytest.raises(MeasurementFloorError, match="no finite reading"):
-        meter.readings(np.zeros((3, 2), dtype=np.int64))
+    chan = ChannelRealization(big, big, big, big, 0.0j, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeasurementFloorError, match="no finite reading"):
+            GainMeter(chan)
+        with pytest.raises(MeasurementFloorError, match="no finite reading"):
+            TonePowerMeter(chan)
+    # a coefficient near 1e150 still reads
+    ok = np.full(2, 1e75, dtype=np.complex128)
+    meter = GainMeter(ChannelRealization(ok, ok, ok, ok, 0.0j, 0.0), amplitude=1.0)
+    assert meter(RisConfig.all_off(RisLayout(nx=2, ny=1))) == meter.readings(np.zeros((1, 2), dtype=np.int64))[0]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,19 @@
+import contextlib
 import copy
 import importlib
 import importlib.util
+import io
 import json
+import math
+import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rissim.cli as cli
+from rissim import experiments
 from rissim.experiments import ExperimentAssertionError
 from rissim.ris import RisLayout
 
@@ -258,7 +265,7 @@ _FLOORS = (
         (
             "oracle-check",
             {"scene": {"tx_distance_cm": 10}, "channel": {"path_loss_exponent": 600}, "oracle": {"instances": 2}},
-            "a configuration's gain is not a finite float64: no finite reading",
+            "a configuration's gain can pass float64's range: no finite reading",
         ),
     ],
 )
@@ -287,6 +294,130 @@ def test_channel_past_float64_exits_two(tmp_path, capsys, command, exponent, par
     assert rc == 2
     assert capsys.readouterr().err == "error: channel is not a finite float64\n"
     assert not out.exists()
+
+
+_COMMANDS = ("sweep", "codebook", "grouping", "oracle-check")
+
+
+def _data_rows(out: Path) -> dict:
+    """Every output file under out without its config_hash header line or key."""
+    rows = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            body = json.loads(text)
+            body.pop("config_hash", None)
+            body.get("metadata", {}).get("channel", {}).pop("rician_k_db", None)
+            rows[path.relative_to(out).as_posix()] = body
+        else:
+            rows[path.relative_to(out).as_posix()] = text.splitlines()[1:]
+    return rows
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k_db", [4000, 1e300])
+def test_rician_k_whose_power_overflows_is_the_deterministic_channel(tmp_path, capsys, k_db):
+    # 10 ** (K / 10) overflows float64 from K of about 3,083 dB on
+    outputs = {}
+    for k in (k_db, "inf"):
+        p = tmp_path / f"k_{k}.json"
+        p.write_text(json.dumps({**SMALL, "channel": {"noise_variance": 0.0, "rician_k_db": k}}))
+        for command in _COMMANDS:
+            out = tmp_path / f"{command}-{k}"
+            assert cli.main([command, "--config", str(p), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            outputs[command, k] = _data_rows(out)
+    for command in _COMMANDS:
+        assert outputs[command, k_db] == outputs[command, "inf"], command
+
+
+# The config fuzzer: a small valid config, and one or two of its schema keys
+# set to values from a fixed pool. Every key of experiments._SCHEMA is
+# fuzzed, so a new key needs no test edit; integer keys, which size arrays,
+# draw from small integers so that no example allocates more than a few MB.
+_FUZZ_BASE = {
+    "layout": {"nx": 2, "ny": 2, "disabled": []},
+    "tone": {"buffer_len": 64},
+    "sweep": {"points": [[70.0, 170.0]]},
+    "codebook": {"reference_angles_deg": [70.0], "reference_distance_cm": 170.0, "path": [[72.0, 165.0]]},
+    "grouping": {"group_sizes": [1], "angles_deg": [70.0], "distance_cm": 170.0},
+    "oracle": {"nx": 1, "ny": 2, "instances": 2},
+}
+_TX_SPOT = [78.0, 100.0]  # the default tx placement
+_VALUE_POOL = [
+    0,
+    -1.0,
+    5e-324,
+    1e300,
+    math.inf,
+    -math.inf,
+    math.nan,
+    True,
+    False,
+    None,
+    "x",
+    [],
+    [1, 2],
+    [_TX_SPOT],
+    [[70.0, 170.0], [70.0, 170.0]],
+]
+_SMALL_INT_POOL = [-1, 0, 1, 2, 3, True, None, "2", 1.5]
+_MUTATIONS = [
+    (section, key, value)
+    for section, key, _, parse, _ in experiments._SCHEMA
+    for value in (_SMALL_INT_POOL if parse is experiments._int else _VALUE_POOL)
+]
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _fuzz_config(mutations):
+    config = copy.deepcopy(_FUZZ_BASE)
+    for section, key, value in mutations:
+        (config if section is None else config.setdefault(section, {}))[key] = value
+    return config
+
+
+def _check_runners_on(config, root: Path):
+    """Every runner exits 0 or 2; a 2 prints error: lines and nothing else
+    on stderr (one line, except sweep's one per bad point), and every JSON
+    file written is strict JSON."""
+    path = root / "fuzz.json"
+    # json writes NaN and Infinity, which load_config reads back
+    path.write_text(json.dumps(config))
+    for command in _COMMANDS:
+        out = root / command
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--config", str(path), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2), (command, rc)
+        assert (rc == 2) == bool(lines), (command, lines)
+        assert all(line.startswith("error: ") for line in lines), (command, lines)
+        assert command == "sweep" or len(lines) <= 1, (command, lines)
+        for written in out.rglob("*.json"):
+            _strict_json(written.read_text())
+        shutil.rmtree(out, ignore_errors=True)
+
+
+def _every_single_mutation(test):
+    """test, with each single-key mutation as an explicit example."""
+    for mutation in _MUTATIONS:
+        test = example(mutations=[mutation])(test)
+    return test
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@_every_single_mutation
+@given(mutations=st.lists(st.sampled_from(_MUTATIONS), min_size=2, max_size=2))
+def test_no_config_makes_a_runner_crash(tmp_path_factory, mutations):
+    _check_runners_on(_fuzz_config(mutations), tmp_path_factory.mktemp("fuzz"))
 
 
 _EMPTY_BOOK = {

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from rissim.geometry import (
     Scene,
     Terminal,
-    antenna_gain,
     direct_path,
+    gains_toward,
     grid_point,
     make_scene,
 )
@@ -73,21 +73,21 @@ def test_make_scene_and_with_rx_at_place_rx_alike(angle_deg, distance_cm):
 
 def test_antenna_gain_anchors():
     term = Terminal(np.array([0.0, 1.0, 0.0]), np.array([0.0, -1.0, 0.0]), 40.0)
-    # boresight
-    assert antenna_gain(term, np.array([0.0, -1.0, 0.0])) == pytest.approx(1.0)
-    # half beamwidth off: -3 dB by construction
-    d = np.array([math.sin(math.radians(40.0)), -math.cos(math.radians(40.0)), 0.0])
-    assert antenna_gain(term, d) == pytest.approx(0.5, abs=1e-9)
-    # side direction floors out
-    assert antenna_gain(term, np.array([1.0, 0.0, 0.0])) <= 1e-3
+    half = math.radians(40.0)
+    # boresight; half beamwidth off, -3 dB by construction; a side direction, floored
+    directions = np.array([[0.0, -1.0, 0.0], [math.sin(half), -math.cos(half), 0.0], [1.0, 0.0, 0.0]])
+    on, edge, side = gains_toward(term, directions).tolist()
+    assert on == pytest.approx(1.0)
+    assert edge == pytest.approx(0.5, abs=1e-9)
+    assert side <= 1e-3
 
 
 def test_antenna_gain_monotone_off_boresight():
     term = Terminal(np.zeros(3), np.array([0.0, 1.0, 0.0]), 40.0)
     last = 2.0
     for deg in range(0, 91, 5):
-        d = np.array([math.sin(math.radians(deg)), math.cos(math.radians(deg)), 0.0])
-        g = antenna_gain(term, d)
+        d = np.array([[math.sin(math.radians(deg)), math.cos(math.radians(deg)), 0.0]])
+        g = float(gains_toward(term, d)[0])
         assert g <= last + 1e-12
         last = g
 
