@@ -212,68 +212,36 @@ def lookup_nearest(book: Codebook, rx_angle_deg: float, rx_distance_cm: float) -
     return min(book.entries, key=key)
 
 
-@dataclass(frozen=True)
-class PathPointRecord:
-    angle_deg: float
-    distance_cm: float
-    x_cm: float
-    y_cm: float
-    p_off_dbfs: float
-    p_codebook_dbfs: float
-    p_online_dbfs: float
-    codeword_angle_deg: float
-    codeword_distance_cm: float
-
-
-@dataclass(frozen=True, eq=False)
-class PathEvaluation:
-    """Replay of a receiver path under three strategies per point: all-off,
-    the looked-up codeword, and a fresh online greedy run on the same
-    channel realization."""
-
-    records: tuple[PathPointRecord, ...]
-    switch_count: int
-
-    @property
-    def reconfiguration_time_ms(self) -> float:
-        return self.switch_count * SWITCH_TIME_MS
-
-    def csv_rows(self):
-        for r in self.records:
-            yield {
-                "x_cm": r.x_cm,
-                "y_cm": r.y_cm,
-                "angle_deg": r.angle_deg,
-                "distance_cm": r.distance_cm,
-                "p_off": r.p_off_dbfs,
-                "p_codebook": r.p_codebook_dbfs,
-                "p_online": r.p_online_dbfs,
-                "codeword_angle": r.codeword_angle_deg,
-            }
-
-
-def _replay_point(job) -> tuple[float, float, float]:
-    campaign, index, angle_deg, distance_cm, codeword = job
+def _replay_point(job) -> dict:
+    """The path.csv row of one path point: all-off and codeword powers on
+    one meter, then online greedy on a fresh meter over the same channel."""
+    campaign, index, angle_deg, distance_cm, entry = job
     chan = campaign.channel(angle_deg, distance_cm)
     meter = campaign.meter(chan, "path", index)
     p_off = meter(RisConfig.all_off(campaign.layout))
-    p_codebook = meter(codeword)
+    p_codebook = meter(entry.config)
     _, trace = campaign.greedy(campaign.meter(chan, "path-online", index))
-    return p_off, p_codebook, trace.final_power
+    x_cm, y_cm = _planar_cm(angle_deg, distance_cm)
+    return {
+        "x_cm": x_cm,
+        "y_cm": y_cm,
+        "angle_deg": angle_deg,
+        "distance_cm": distance_cm,
+        "p_off": p_off,
+        "p_codebook": p_codebook,
+        "p_online": trace.final_power,
+        "codeword_angle": entry.angle_deg,
+    }
 
 
-def evaluate_path(book: Codebook, path, campaign: Campaign, parallel: int = 1) -> PathEvaluation:
+def evaluate_path(book: Codebook, path, campaign: Campaign, parallel: int = 1) -> tuple[list[dict], int]:
     """Walk the path; at each point measure all-off, codeword, and online
     greedy power on one shared channel realization. Points are independent,
-    so they replay on ``parallel`` worker processes."""
+    so they replay on ``parallel`` worker processes. Returns the path.csv
+    rows and the number of codeword loads, the first one included."""
     points = [(float(a), float(d)) for a, d in path]
     entries = [lookup_nearest(book, a, d) for a, d in points]
-    jobs = [(campaign, i, a, d, e.config) for i, ((a, d), e) in enumerate(zip(points, entries))]
-    replays = parallel_map(_replay_point, jobs, parallel)
-    records = tuple(
-        PathPointRecord(a, d, *_planar_cm(a, d), *powers, e.angle_deg, e.distance_cm)
-        for (a, d), e, powers in zip(points, entries, replays)
-    )
-    loads = [(r.codeword_angle_deg, r.codeword_distance_cm) for r in records]
+    jobs = [(campaign, i, a, d, e) for i, ((a, d), e) in enumerate(zip(points, entries))]
+    loads = [(e.angle_deg, e.distance_cm) for e in entries]
     switches = sum(prev != cur for prev, cur in zip([None] + loads, loads))
-    return PathEvaluation(records, switches)
+    return parallel_map(_replay_point, jobs, parallel), switches

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import statistics
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -27,12 +28,13 @@ from .channel import (
     derive_seed,
     link,
 )
-from .codebook import Campaign, Codebook, evaluate_path, generate_codebook
+from .codebook import SWITCH_TIME_MS, Campaign, Codebook, evaluate_path, generate_codebook
 from .geometry import (
     DEFAULT_GRID_ANGLES_DEG,
     DEFAULT_HALF_BEAMWIDTH_DEG,
     DEFAULT_TX_ANGLE_DEG,
     DEFAULT_TX_DISTANCE_CM,
+    BoresightError,
     Scene,
     make_scene,
 )
@@ -148,16 +150,20 @@ class ScenarioConfig:
         _distinct(self.codebook_angles_deg, "codebook reference angles")
         # sweep points are checked per point by run_sweep, which still
         # writes the good points' files
-        spots = [(a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
-        spots += self.path
-        spots += [(a, self.grouping_distance_cm) for a in self.grouping_angles_deg]
+        # each spot with the distance key to name if its horn cannot be aimed
+        spots = [("codebook.reference_distance_cm", a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
+        spots += [("codebook.path", a, d) for a, d in self.path]
+        spots += [("grouping.distance_cm", a, self.grouping_distance_cm) for a in self.grouping_angles_deg]
+        where = "scene.tx_distance_cm"
         try:
             # the terminals check the tx spot, beamwidth and polarization, and
             # a scene refuses a receiver outside it or on the tx spot
             scene = self.base_scene()
-            for angle_deg, distance_cm in spots:
+            for where, angle_deg, distance_cm in spots:
                 scene.with_rx_at(angle_deg, distance_cm)
             code_scale(self.full_scale)
+        except BoresightError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -330,20 +336,25 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     _require_keys(data, ["version", *(s or k for s, k, *_ in _SCHEMA)], "config")
     if data.get("version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config version {data.get('version')!r}")
-    try:
-        sections = {None: data}
-        kw: dict = {}
-        nested: dict = {}
-        for section, key, field, parse, _ in _SCHEMA:
-            if section not in sections:
-                sections[section] = dict(data.get(section, {}))
-                _require_keys(sections[section], keys[section], section)
-            head, _, attr = field.partition(".")
-            fields = nested.setdefault(head, {}) if attr else kw
-            if key in sections[section]:
+    sections = {None: data}
+    kw: dict = {}
+    nested: dict = {}
+    for section, key, field, parse, _ in _SCHEMA:
+        if section not in sections:
+            sections[section] = data.get(section, {})
+            if not isinstance(sections[section], dict):
+                raise ConfigError(f"{section} must be a JSON object")
+            _require_keys(sections[section], keys[section], section)
+        head, _, attr = field.partition(".")
+        fields = nested.setdefault(head, {}) if attr else kw
+        if key in sections[section]:
+            try:
                 value = parse(sections[section][key])
-                if value is not None:
-                    fields[attr or field] = value
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                raise ConfigError(f"{key if section is None else f'{section}.{key}'}: {exc}") from exc
+            if value is not None:
+                fields[attr or field] = value
+    try:
         for head, fields in nested.items():
             cls = type(getattr(ScenarioConfig, head))
             kw[head] = (_layout if cls is RisLayout else cls)(**fields)
@@ -460,19 +471,10 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
 
     angle = itemgetter("angle_deg")
     by_angle = groupby(sorted(rows, key=angle), angle)
-    medians = {f"{a:g}": _median(r["gain_db"] for r in group) for a, group in by_angle}
+    medians = {f"{a:g}": statistics.median(r["gain_db"] for r in group) for a, group in by_angle}
     summary = {"points": len(rows), "median_gain_db_by_angle": medians, "errors": errors}
     _write_json(out / "summary.json", config, summary)
     return summary
-
-
-def _median(values) -> float:
-    vals = sorted(values)
-    n = len(vals)
-    if n == 0:
-        raise ValueError("median of empty list")
-    mid = n // 2
-    return float(vals[mid]) if n % 2 else float((vals[mid - 1] + vals[mid]) / 2.0)
 
 
 def run_grouping_experiment(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
@@ -535,24 +537,24 @@ def run_codebook_experiment(
     else:
         refs = [(a, config.codebook_distance_cm) for a in config.codebook_angles_deg]
         book = generate_codebook(campaign, refs, parallel)
-    evaluation = evaluate_path(book, config.path, campaign, parallel)
+    rows, switches = evaluate_path(book, config.path, campaign, parallel)
     out.mkdir(parents=True, exist_ok=True)
     book.save(out / "codebook.json")
     _write_csv(
         out / "path.csv",
         config,
         ["x_cm", "y_cm", "angle_deg", "distance_cm", "p_off", "p_codebook", "p_online", "codeword_angle"],
-        evaluation.csv_rows(),
+        rows,
     )
-    diffs = [r.p_online_dbfs - r.p_codebook_dbfs for r in evaluation.records]
-    beats = [r.p_codebook_dbfs > r.p_off_dbfs for r in evaluation.records]
+    diffs = [r["p_online"] - r["p_codebook"] for r in rows]
+    beats = [r["p_codebook"] > r["p_off"] for r in rows]
     summary = {
         "codewords": len(book.entries),
-        "path_points": len(evaluation.records),
-        "median_online_minus_codebook_db": _median(diffs) if diffs else None,
+        "path_points": len(rows),
+        "median_online_minus_codebook_db": statistics.median(diffs) if diffs else None,
         "codebook_beats_off_fraction": (sum(beats) / len(beats)) if beats else None,
-        "switch_count": evaluation.switch_count,
-        "reconfiguration_time_ms": evaluation.reconfiguration_time_ms,
+        "switch_count": switches,
+        "reconfiguration_time_ms": switches * SWITCH_TIME_MS,
         "loaded_from": str(load_codebook) if load_codebook else None,
     }
     _write_json(out / "summary.json", config, summary)
@@ -624,7 +626,7 @@ def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict
         "elements": layout.n_active,
         "num_states": config.oracle_num_states,
         "min_gap_db": min(gaps),
-        "median_gap_db": _median(gaps),
+        "median_gap_db": statistics.median(gaps),
         "max_gap_db": max(gaps),
     }
     _write_json(out / "summary.json", config, summary)

@@ -34,12 +34,16 @@ def _length(v: np.ndarray) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
-def _normalized(v, what: str) -> np.ndarray:
+class BoresightError(ValueError):
+    """A boresight with no finite, non-zero length, as of a horn too near or too far to aim."""
+
+
+def _normalized(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n = _length(v)
     # false for NaN, so a NaN entry fails too
     if not 1e-12 <= n < math.inf:
-        raise ValueError(f"{what} must be finite and non-zero")
+        raise BoresightError("boresight must be finite and non-zero")
     out = v / n
     out.setflags(write=False)
     return out
@@ -64,7 +68,7 @@ class Terminal:
             raise ValueError("position must be a finite 3-vector")
         pos.setflags(write=False)
         object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "boresight", _normalized(self.boresight, "boresight"))
+        object.__setattr__(self, "boresight", _normalized(self.boresight))
         if not 0.0 < self.half_beamwidth_deg < 90.0:
             raise ValueError("half_beamwidth_deg must be in (0, 90) for the directional pattern")
         if math.cos(math.radians(self.half_beamwidth_deg)) == 1.0:
@@ -112,7 +116,7 @@ def grid_point(angle_deg: float, distance_cm: float) -> np.ndarray:
 def _horn(angle_deg, distance_cm, half_beamwidth_deg, polarization) -> Terminal:
     """A horn at a grid coordinate, aimed at the surface center."""
     pos = grid_point(angle_deg, distance_cm)
-    return Terminal(pos, _normalized(0.0 - pos, "boresight"), half_beamwidth_deg, polarization)
+    return Terminal(pos, _normalized(0.0 - pos), half_beamwidth_deg, polarization)
 
 
 @dataclass(frozen=True, eq=False)

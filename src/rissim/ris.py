@@ -208,10 +208,6 @@ class GroupingScheme:
     def n_groups(self) -> int:
         return len(self.groups)
 
-    @property
-    def n_elements(self) -> int:
-        return sum(len(g) for g in self.groups)
-
 
 def make_grouping(layout: RisLayout, group_size: int) -> GroupingScheme:
     """Tile the grid row-major into groups of up to ``group_size`` elements.

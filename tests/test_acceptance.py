@@ -193,10 +193,10 @@ def test_criterion_6_codebook_behavior():
         campaign = cfg.campaign(cfg.group_size)
         refs = [(a, cfg.codebook_distance_cm) for a in cfg.codebook_angles_deg]
         book = generate_codebook(campaign, refs)
-        ev = evaluate_path(book, cfg.path, campaign)
-        for r in ev.records:
-            diffs.append(r.p_online_dbfs - r.p_codebook_dbfs)
-            beats.append(r.p_codebook_dbfs > r.p_off_dbfs)
+        rows, _ = evaluate_path(book, cfg.path, campaign)
+        for r in rows:
+            diffs.append(r["p_online"] - r["p_codebook"])
+            beats.append(r["p_codebook"] > r["p_off"])
     med = statistics.median(diffs)
     beat_frac = sum(beats) / len(beats)
     elapsed = time.perf_counter() - t0

@@ -709,6 +709,12 @@ def test_calibration_script_reproduces_the_frozen_defaults(capsys):
     }
 
 
+def test_readme_config_block_shows_the_frozen_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f'"noise_variance": {DEFAULT_NOISE_VARIANCE!r},' in readme
+    assert f'"full_scale": {DEFAULT_FULL_SCALE!r}}}' in readme
+
+
 def test_gain_meter_dark_config_reads_minus_inf_without_warning():
     meter = GainMeter(_unit_channel(2), amplitude=1.0)
     dark = RisConfig(RisLayout(nx=2, ny=1), (1, 0))

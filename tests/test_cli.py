@@ -198,6 +198,45 @@ def test_repeated_group_sizes_flag_exits_two(tmp_path, capsys, config_path):
     assert not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("sweep", "points", 5),
+        ("codebook", "path", 5),
+        ("codebook", "reference_angles_deg", 5),
+        ("grouping", "angles_deg", 5),
+        ("grouping", "group_sizes", 5),
+        ("layout", "disabled", 5),
+        # a horn this far from, or this near to, the panel cannot be aimed at it
+        ("scene", "tx_distance_cm", 1e300),
+        ("scene", "tx_distance_cm", 5e-324),
+        ("codebook", "reference_distance_cm", 1e300),
+        ("codebook", "reference_distance_cm", 5e-324),
+        ("grouping", "distance_cm", 1e300),
+        ("grouping", "distance_cm", 5e-324),
+    ],
+)
+def test_config_error_names_its_key(tmp_path, capsys, section, key, value):
+    p = tmp_path / "bad_key.json"
+    p.write_text(json.dumps({**SMALL, section: {**SMALL.get(section, {}), key: value}}))
+    out = tmp_path / "out"
+    assert cli.main(["oracle-check", "--config", str(p), "--out", str(out)]) == 2
+    message = "'int' object is not iterable" if value == 5 else "boresight must be finite and non-zero"
+    assert capsys.readouterr().err == f"error: {section}.{key}: {message}\n"
+    assert not out.exists()
+
+
+# a list of key-value pairs is not an object either
+@pytest.mark.parametrize("value", [5, None, [["points", [[70.0, 170.0]]]]])
+def test_section_that_is_not_an_object_exits_two(tmp_path, capsys, value):
+    p = tmp_path / "bad_section.json"
+    p.write_text(json.dumps({**SMALL, "sweep": value}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sweep must be a JSON object\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_noise_variance_exits_two(tmp_path, capsys, value):
     p = tmp_path / "bad_noise.json"

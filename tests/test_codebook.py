@@ -8,6 +8,7 @@ from rissim.codebook import (
     Campaign,
     Codebook,
     CodebookEntry,
+    SWITCH_TIME_MS,
     evaluate_path,
     generate_codebook,
     lookup_nearest,
@@ -111,11 +112,10 @@ def test_path_evaluation_counts_switches_including_first_load():
     book = _book(refs)
     # near A, near A again, over to B, back to A: three loads
     path = [(68.0, 165.0), (72.0, 175.0), (112.0, 170.0), (70.0, 180.0)]
-    ev = evaluate_path(book, path, _campaign(LAY, NOISELESS))
-    assert ev.switch_count == 3
-    assert ev.reconfiguration_time_ms == pytest.approx(3.0)
-    assert [r.codeword_angle_deg for r in ev.records] == [70.0, 70.0, 110.0, 70.0]
-    rows = list(ev.csv_rows())
+    rows, switches = evaluate_path(book, path, _campaign(LAY, NOISELESS))
+    assert switches == 3
+    assert switches * SWITCH_TIME_MS == pytest.approx(3.0)
+    assert [r["codeword_angle"] for r in rows] == [70.0, 70.0, 110.0, 70.0]
     assert set(rows[0]) == {
         "x_cm", "y_cm", "angle_deg", "distance_cm",
         "p_off", "p_codebook", "p_online", "codeword_angle",
