@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+from pathlib import Path
 
 from .experiments import (
     ConfigError,
@@ -62,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_group.add_argument(
         "--group-sizes",
         metavar="LIST",
-        help='comma-separated sizes, e.g. "1,2,4" (default: all supported)',
+        help='comma-separated sizes, e.g. "1,2,4" (default: the config\'s grouping.group_sizes)',
     )
 
     p_oracle = sub.add_parser("oracle-check", help="greedy vs. exhaustive search on a small panel")
@@ -75,21 +77,30 @@ def _build_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
         config = config.with_seed(args.seed)
-    if getattr(args, "group_sizes", None):
+    if getattr(args, "group_sizes", None) is not None:
         try:
             sizes = tuple(int(s) for s in args.group_sizes.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --group-sizes value {args.group_sizes!r}") from exc
-        import dataclasses
-
         config = dataclasses.replace(config, grouping_sizes=sizes)
     return config
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out that cannot become a directory: an existing file, or
+    a path under one."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out: {path} is not a directory")
+            return
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _build_config(args)
+        _check_out(args.out)
         if args.command == "sweep":
             summary = run_sweep(config, args.out, parallel=args.parallel)
         elif args.command == "codebook":
@@ -102,7 +113,7 @@ def main(argv=None) -> int:
             summary = run_oracle_check(config, args.out, parallel=args.parallel)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, MeasurementFloorError) as exc:
+    except (ConfigError, MeasurementFloorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExperimentAssertionError as exc:

@@ -7,11 +7,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import ChannelModelParams, TonePowerMeter, ToneParams, synthesize_channels
-from .geometry import Scene, check_spot, grid_point
-from .optimizer import greedy_iterative
+from .geometry import check_spot, grid_point
 from .parallel import parallel_map
-from .ris import GroupingScheme, RisConfig, RisLayout, from_bit_array, to_bit_array
+from .ris import RisConfig, RisLayout, from_bit_array, to_bit_array
 
 CODEBOOK_SCHEMA_VERSION = 1
 SWITCH_TIME_MS = 1.0  # nominal controller latency per codeword swap
@@ -113,67 +111,27 @@ def _layout_meta(layout: RisLayout) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Campaign:
-    """The settings of a greedy measurement campaign, shared by every
-    receiver spot it visits; sent to pool workers."""
-
-    scene: Scene
-    layout: RisLayout
-    channel_params: ChannelModelParams
-    tone: ToneParams
-    full_scale: float
-    element_amplitude: float
-    num_states: int
-    grouping: GroupingScheme
-
-    def channel(self, angle_deg: float, distance_cm: float):
-        placed = self.scene.with_rx_at(angle_deg, distance_cm)
-        return synthesize_channels(placed, self.layout, self.channel_params)
-
-    def meter(self, chan, stream: str, *index) -> TonePowerMeter:
-        """Tone meter whose noise is keyed (seed, stream, *index)."""
-        return TonePowerMeter(
-            chan,
-            self.tone,
-            full_scale=self.full_scale,
-            amplitude=self.element_amplitude,
-            noise_seed=(self.channel_params.seed, stream, *index),
-        )
-
-    def greedy(self, meter):
-        return greedy_iterative(meter, self.layout, self.num_states, self.grouping)
-
-    def measure_spot(self, angle_deg: float, distance_cm: float, stream: str, *index):
-        """All-off baseline, then one greedy sweep, on one meter at one
-        receiver spot; returns (baseline dBFS, trace)."""
-        meter = self.meter(self.channel(angle_deg, distance_cm), stream, *index)
-        baseline = meter(RisConfig.all_off(self.layout))
-        _, trace = self.greedy(meter)
-        return baseline, trace
-
-
 def _train_codeword(job) -> RisConfig:
-    campaign, index, angle_deg, distance_cm = job
-    meter = campaign.meter(campaign.channel(angle_deg, distance_cm), "codebook", index)
-    config, _ = campaign.greedy(meter)
-    return config
+    config, index, angle_deg, distance_cm = job
+    meter = config.meter(config.channel_at(angle_deg, distance_cm), "codebook", index)
+    codeword, _ = config.greedy(meter)
+    return codeword
 
 
-def generate_codebook(campaign: Campaign, reference_points, parallel: int = 1) -> Codebook:
-    """Train one codeword per reference point with the campaign's greedy
-    sweep.
+def generate_codebook(config, reference_points, parallel: int = 1) -> Codebook:
+    """Train one codeword per reference point with the scenario config's
+    greedy sweep.
 
     Each point gets its own channel realization and measurement noise
     stream, both keyed on the scenario seed, so regeneration is exact and
     the points can train on ``parallel`` worker processes.
     """
-    params = campaign.channel_params
+    params = config.channel
     points = [(float(a), float(d)) for a, d in reference_points]
     k_db = params.rician_k_db
     meta = {
         "seed": params.seed,
-        "layout": _layout_meta(campaign.layout),
+        "layout": _layout_meta(config.layout),
         "channel": {
             "path_loss_exponent": params.path_loss_exponent,
             # strict JSON has no Infinity; "inf" is how configs spell it
@@ -181,13 +139,13 @@ def generate_codebook(campaign: Campaign, reference_points, parallel: int = 1) -
             "noise_variance": params.noise_variance,
             "cross_pol_coupling": params.cross_pol_coupling,
         },
-        "optimizer": {"num_states": campaign.num_states, "group_size": campaign.grouping.group_size},
-        "full_scale": campaign.full_scale,
-        "element_amplitude": campaign.element_amplitude,
+        "optimizer": {"num_states": config.num_states, "group_size": config.group_size},
+        "full_scale": config.full_scale,
+        "element_amplitude": config.element_amplitude,
     }
-    jobs = [(campaign, i, a, d) for i, (a, d) in enumerate(points)]
-    configs = parallel_map(_train_codeword, jobs, parallel)
-    entries = tuple(CodebookEntry(a, d, c) for (a, d), c in zip(points, configs))
+    jobs = [(config, i, a, d) for i, (a, d) in enumerate(points)]
+    codewords = parallel_map(_train_codeword, jobs, parallel)
+    entries = tuple(CodebookEntry(a, d, c) for (a, d), c in zip(points, codewords))
     return Codebook(entries, meta)
 
 
@@ -215,12 +173,12 @@ def lookup_nearest(book: Codebook, rx_angle_deg: float, rx_distance_cm: float) -
 def _replay_point(job) -> dict:
     """The path.csv row of one path point: all-off and codeword powers on
     one meter, then online greedy on a fresh meter over the same channel."""
-    campaign, index, angle_deg, distance_cm, entry = job
-    chan = campaign.channel(angle_deg, distance_cm)
-    meter = campaign.meter(chan, "path", index)
-    p_off = meter(RisConfig.all_off(campaign.layout))
+    config, index, angle_deg, distance_cm, entry = job
+    chan = config.channel_at(angle_deg, distance_cm)
+    meter = config.meter(chan, "path", index)
+    p_off = meter(RisConfig.all_off(config.layout))
     p_codebook = meter(entry.config)
-    _, trace = campaign.greedy(campaign.meter(chan, "path-online", index))
+    _, trace = config.greedy(config.meter(chan, "path-online", index))
     x_cm, y_cm = _planar_cm(angle_deg, distance_cm)
     return {
         "x_cm": x_cm,
@@ -234,14 +192,14 @@ def _replay_point(job) -> dict:
     }
 
 
-def evaluate_path(book: Codebook, path, campaign: Campaign, parallel: int = 1) -> tuple[list[dict], int]:
+def evaluate_path(book: Codebook, path, config, parallel: int = 1) -> tuple[list[dict], int]:
     """Walk the path; at each point measure all-off, codeword, and online
     greedy power on one shared channel realization. Points are independent,
     so they replay on ``parallel`` worker processes. Returns the path.csv
     rows and the number of codeword loads, the first one included."""
     points = [(float(a), float(d)) for a, d in path]
     entries = [lookup_nearest(book, a, d) for a, d in points]
-    jobs = [(campaign, i, a, d, e) for i, ((a, d), e) in enumerate(zip(points, entries))]
+    jobs = [(config, i, a, d, e) for i, ((a, d), e) in enumerate(zip(points, entries))]
     loads = [(e.angle_deg, e.distance_cm) for e in entries]
     switches = sum(prev != cur for prev, cur in zip([None] + loads, loads))
     return parallel_map(_replay_point, jobs, parallel), switches

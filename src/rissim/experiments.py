@@ -23,12 +23,14 @@ from .channel import (
     DEFAULT_FULL_SCALE,
     GainMeter,
     MeasurementFloorError,
+    TonePowerMeter,
     ToneParams,
     code_scale,
     derive_seed,
     link,
+    synthesize_channels,
 )
-from .codebook import SWITCH_TIME_MS, Campaign, Codebook, evaluate_path, generate_codebook
+from .codebook import SWITCH_TIME_MS, Codebook, evaluate_path, generate_codebook
 from .geometry import (
     DEFAULT_GRID_ANGLES_DEG,
     DEFAULT_HALF_BEAMWIDTH_DEG,
@@ -43,6 +45,7 @@ from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
     GROUP_SIZES,
+    RisConfig,
     RisLayout,
     controller_corner,
     make_grouping,
@@ -129,6 +132,10 @@ class ScenarioConfig:
     oracle_instances: int = 20
 
     def __post_init__(self):
+        # every random stream keys the seed as one 64-bit word, so a seed
+        # outside [0, 2**64) would rerun another seed under its own hash
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         # the channel draw is keyed on the master seed
         object.__setattr__(
             self, "channel", dataclasses.replace(self.channel, seed=int(self.seed))
@@ -178,19 +185,35 @@ class ScenarioConfig:
             polarization=self.polarization,
         )
 
-    def campaign(self, group_size: int) -> Campaign:
-        """The greedy measurement campaign this config runs at every
-        receiver spot, with elements grouped by ``group_size``."""
-        return Campaign(
-            self.base_scene(),
-            self.layout,
-            self.channel,
+    def channel_at(self, angle_deg: float, distance_cm: float):
+        """The channel realization with the receiver at one spot."""
+        placed = self.base_scene().with_rx_at(angle_deg, distance_cm)
+        return synthesize_channels(placed, self.layout, self.channel)
+
+    def meter(self, chan, stream: str, *index) -> TonePowerMeter:
+        """Tone meter whose noise is keyed (seed, stream, *index)."""
+        return TonePowerMeter(
+            chan,
             self.tone,
-            self.full_scale,
-            self.element_amplitude,
-            self.num_states,
-            make_grouping(self.layout, group_size),
+            full_scale=self.full_scale,
+            amplitude=self.element_amplitude,
+            noise_seed=(self.channel.seed, stream, *index),
         )
+
+    def greedy(self, meter, group_size: int | None = None):
+        """Greedy sweep on meter, elements grouped by group_size (default:
+        the optimizer's)."""
+        size = self.group_size if group_size is None else group_size
+        return greedy_iterative(meter, self.layout, self.num_states, make_grouping(self.layout, size))
+
+    def measure_spot(self, group_size: int, angle_deg: float, distance_cm: float, stream: str, *index):
+        """All-off baseline, then one greedy sweep with elements grouped by
+        group_size, on one meter at one receiver spot; returns (baseline
+        dBFS, trace)."""
+        meter = self.meter(self.channel_at(angle_deg, distance_cm), stream, *index)
+        baseline = meter(RisConfig.all_off(self.layout))
+        _, trace = self.greedy(meter, group_size)
+        return baseline, trace
 
     def to_dict(self) -> dict:
         out: dict = {"version": CONFIG_SCHEMA_VERSION}
@@ -429,11 +452,9 @@ _SPOT_FIELDS = ["p_baseline_dbfs", "p_final_dbfs", "gain_db", "measurements"]
 
 
 def _spot_job(args):
-    """All-off baseline and one greedy sweep at a receiver spot, with
-    elements grouped by ``size`` and noise keyed (seed, stream, *index);
-    returns the results row and the trace."""
+    """The results row and the trace of config.measure_spot at one spot."""
     config, size, angle_deg, distance_cm, stream, *index = args
-    baseline, trace = config.campaign(size).measure_spot(angle_deg, distance_cm, stream, *index)
+    baseline, trace = config.measure_spot(size, angle_deg, distance_cm, stream, *index)
     final = trace.final_power
     row = {
         "angle_deg": angle_deg,
@@ -526,7 +547,6 @@ def run_codebook_experiment(
     """Generate (or load) the reference codebook, then replay the configured
     path comparing all-off, codeword, and online greedy powers."""
     out = Path(out_dir)
-    campaign = config.campaign(config.group_size)
     if load_codebook is not None:
         try:
             book = Codebook.load(load_codebook)
@@ -536,8 +556,8 @@ def run_codebook_experiment(
             raise ConfigError("loaded codebook was built for a different layout")
     else:
         refs = [(a, config.codebook_distance_cm) for a in config.codebook_angles_deg]
-        book = generate_codebook(campaign, refs, parallel)
-    rows, switches = evaluate_path(book, config.path, campaign, parallel)
+        book = generate_codebook(config, refs, parallel)
+    rows, switches = evaluate_path(book, config.path, config, parallel)
     out.mkdir(parents=True, exist_ok=True)
     book.save(out / "codebook.json")
     _write_csv(

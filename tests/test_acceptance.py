@@ -102,7 +102,7 @@ def test_criterion_3_noiseless_traces_monotone():
     for seed in range(10):
         cfg = _noiseless(ScenarioConfig(seed=seed))
         for i, (angle, dist) in enumerate(cfg.sweep_points):
-            baseline, trace = cfg.campaign(cfg.group_size).measure_spot(angle, dist, "sweep", i)
+            baseline, trace = cfg.measure_spot(cfg.group_size, angle, dist, "sweep", i)
             running = [e.p_max_dbfs for e in trace.entries]
             if any(b < a for a, b in zip(running, running[1:])):
                 violations += 1
@@ -151,7 +151,7 @@ def test_criterion_5_sweep_gain_trend():
         cfg = ScenarioConfig(seed=seed)
         for angle in gains:
             for j, dist in enumerate((120.0, 220.0, 320.0)):
-                baseline, trace = cfg.campaign(cfg.group_size).measure_spot(angle, dist, "sweep", j)
+                baseline, trace = cfg.measure_spot(cfg.group_size, angle, dist, "sweep", j)
                 gains[angle].append(trace.final_power - baseline)
     pooled = statistics.median(gains[50.0] + gains[70.0] + gains[130.0])
     specular = statistics.median(gains[110.0])
@@ -172,7 +172,7 @@ def test_criterion_6_codebook_behavior():
     cfg0 = _noiseless(ScenarioConfig(seed=0))
     scene = cfg0.base_scene()
     refs = [(a, cfg0.codebook_distance_cm) for a in cfg0.codebook_angles_deg]
-    book = generate_codebook(cfg0.campaign(cfg0.group_size), refs)
+    book = generate_codebook(cfg0, refs)
     exact = True
     for entry in book.entries:
         placed = scene.with_rx_at(entry.angle_deg, entry.distance_cm)
@@ -190,10 +190,9 @@ def test_criterion_6_codebook_behavior():
     diffs, beats = [], []
     for seed in range(20):
         cfg = ScenarioConfig(seed=seed)
-        campaign = cfg.campaign(cfg.group_size)
         refs = [(a, cfg.codebook_distance_cm) for a in cfg.codebook_angles_deg]
-        book = generate_codebook(campaign, refs)
-        rows, _ = evaluate_path(book, cfg.path, campaign)
+        book = generate_codebook(cfg, refs)
+        rows, _ = evaluate_path(book, cfg.path, cfg)
         for r in rows:
             diffs.append(r["p_online"] - r["p_codebook"])
             beats.append(r["p_codebook"] > r["p_off"])

@@ -112,11 +112,11 @@ CHANNEL_DIGEST = "65dad0f794ddf97bece02fe6de5580fece7240f6127cd2247401b7f48e5f2a
 def test_default_spot_channels_match_digest():
     # every spot of the golden runs has a blocked direct path, so these
     # bytes are the ones that pin a non-zero h_los (130/120 and 145/170)
-    campaign = ScenarioConfig(seed=7).campaign(1)
+    cfg = ScenarioConfig(seed=7)
     h = hashlib.sha256()
     clear = []
     for angle, dist in DEFAULT_SWEEP_POINTS + ((145.0, 170.0),):
-        chan = campaign.channel(angle, dist)
+        chan = cfg.channel_at(angle, dist)
         for vec in (chan.h_h, chan.h_v, chan.g_h, chan.g_v, np.complex128(chan.h_los)):
             h.update(vec.tobytes())
         if chan.h_los != 0.0:
@@ -159,24 +159,24 @@ def test_oracle_instance_channels_match_digest(channel, scene, digest):
 
 
 def test_clear_direct_path_and_default_panel_channels_match_digest():
-    clear = ScenarioConfig(seed=7).campaign(1).channel(130.0, 120.0)
+    clear = ScenarioConfig(seed=7).channel_at(130.0, 120.0)
     assert clear.h_los != 0.0
     assert _channel_digest([clear]) == "1b3ddbd3d5de508de5817397942062d8ad8e58419f1f606cb9c4b9722ed5a3fd"
-    chans = [ScenarioConfig(seed=seed).campaign(1).channel(70.0, 170.0) for seed in range(5)]
+    chans = [ScenarioConfig(seed=seed).channel_at(70.0, 170.0) for seed in range(5)]
     assert chans[0].n_elements == 76
     assert _channel_digest(chans) == "aef8daadb5a04c9b73085bf6957726b866d1b7c523622c49797a1e06cd494da8"
 
 
 def test_link_draws_equal_fresh_synthesis_in_any_seed_order():
-    campaign = ScenarioConfig(seed=7).campaign(1)
-    params = dataclasses.replace(campaign.channel_params, cross_pol_coupling=0.3)
-    scene = campaign.scene.with_rx_at(130.0, 120.0)  # a clear direct path
-    one = link(scene, campaign.layout, params)
+    cfg = ScenarioConfig(seed=7)
+    params = dataclasses.replace(cfg.channel, cross_pol_coupling=0.3)
+    scene = cfg.base_scene().with_rx_at(130.0, 120.0)  # a clear direct path
+    one = link(scene, cfg.layout, params)
     seeds = list(range(12))
     random.Random(5).shuffle(seeds)
     for seed in seeds:
         drawn = one.draw(seed)
-        fresh = synthesize_channels(scene, campaign.layout, dataclasses.replace(params, seed=seed))
+        fresh = synthesize_channels(scene, cfg.layout, dataclasses.replace(params, seed=seed))
         assert _channel_digest([drawn]) == _channel_digest([fresh])
         assert drawn.noise_variance == fresh.noise_variance
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import importlib
@@ -5,6 +6,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -630,3 +632,68 @@ def test_traced_targets_resolve_and_codebook_spans_fire(tmp_path, config_path):
     assert rc == 0
     for name in ("codebook.generate", "codebook.evaluate_path", "codebook.lookup"):
         assert tracer.spans[name].calls > 0, name
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_seed_outside_64_bits_exits_two(tmp_path, capsys, command):
+    # every random stream keys the seed as one 64-bit word: -1 would rerun
+    # 2**64 - 1, and 2**64 would rerun 0
+    noisy = tmp_path / "noisy.json"  # SMALL's noiseless tone reads no power at 2**64 - 1
+    noisy.write_text(json.dumps({**SMALL, "channel": {}}))
+    out = tmp_path / "out"
+    for seed in (-1, 2**64):
+        keyed = tmp_path / "seed.json"
+        keyed.write_text(json.dumps({**SMALL, "channel": {}, "seed": seed}))
+        for args in (["--config", str(noisy), "--seed", str(seed)], ["--config", str(keyed)]):
+            assert cli.main([command, *args, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+            assert not out.exists()
+    assert cli.main([command, "--config", str(noisy), "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert f"seed={2**64 - 1}" in next(out.glob("*.csv")).read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, config_path, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "scenario.json"]
+    # any other OSError while writing is one error: line too; every runner
+    # writes a summary.json
+    busy = tmp_path / "busy"
+    (busy / "summary.json").mkdir(parents=True)
+    assert cli.main([command, "--config", str(config_path), "--out", str(busy)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{busy / 'summary.json'}'\n"
+
+
+def test_empty_group_sizes_flag_exits_two(tmp_path, capsys, config_path):
+    out = tmp_path / "g"
+    assert cli.main(["grouping", "--config", str(config_path), "--group-sizes=", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: bad --group-sizes value ''\n"
+    assert not out.exists()
+
+
+def _subcommands() -> dict:
+    """build_parser()'s subparsers by name."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_group_sizes_help_names_the_config_key():
+    help_text = " ".join(_subcommands()["grouping"].format_help().split())
+    assert "(default: the config's grouping.group_sizes)" in help_text
+
+
+def test_readme_flags_name_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r"^rissim ([\w-]+)", readme, re.M) == list(_subcommands())
+    _, table, extra, *_ = readme.split("Common flags:", 1)[1].split("\n\n")
+    common = set(re.findall(r"^\| `(--[\w-]+)", table, re.M))
+    extras = re.findall(r"`([\w-]+)`\s+(?:additionally\s+)?takes\s+`(--[\w-]+)", extra)
+    assert extras == [("codebook", "--load-codebook"), ("grouping", "--group-sizes")]
+    for name, parser in _subcommands().items():
+        options = {o for a in parser._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+        assert options == common | {flag for command, flag in extras if command == name}, name

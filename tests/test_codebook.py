@@ -5,7 +5,6 @@ import pytest
 
 from rissim.channel import ChannelModelParams, ToneParams, synthesize_channels, TonePowerMeter
 from rissim.codebook import (
-    Campaign,
     Codebook,
     CodebookEntry,
     SWITCH_TIME_MS,
@@ -13,9 +12,10 @@ from rissim.codebook import (
     generate_codebook,
     lookup_nearest,
 )
+from rissim.experiments import ScenarioConfig
 from rissim.geometry import make_scene
 from rissim.optimizer import greedy_iterative
-from rissim.ris import DEFAULT_ELEMENT_AMPLITUDE, RisConfig, RisLayout, make_grouping
+from rissim.ris import RisConfig, RisLayout
 
 LAY = RisLayout(nx=3, ny=2)
 NOISELESS = ChannelModelParams(noise_variance=0.0, seed=2)
@@ -23,14 +23,13 @@ TONE = ToneParams(buffer_len=1000)
 FS = 1.0
 
 
-def _campaign(layout, params):
-    grouping = make_grouping(layout, 1)
-    return Campaign(make_scene(), layout, params, TONE, FS, DEFAULT_ELEMENT_AMPLITUDE, 4, grouping)
+def _config(seed=2):
+    """Noiseless on LAY with the default scene, 4 states and single-element groups."""
+    return ScenarioConfig(seed=seed, layout=LAY, channel=NOISELESS, tone=TONE, full_scale=FS)
 
 
 def _book(refs, seed=2):
-    params = ChannelModelParams(noise_variance=0.0, seed=seed)
-    return generate_codebook(_campaign(LAY, params), refs)
+    return generate_codebook(_config(seed), refs)
 
 
 def test_generation_one_codeword_per_reference():
@@ -112,7 +111,7 @@ def test_path_evaluation_counts_switches_including_first_load():
     book = _book(refs)
     # near A, near A again, over to B, back to A: three loads
     path = [(68.0, 165.0), (72.0, 175.0), (112.0, 170.0), (70.0, 180.0)]
-    rows, switches = evaluate_path(book, path, _campaign(LAY, NOISELESS))
+    rows, switches = evaluate_path(book, path, _config())
     assert switches == 3
     assert switches * SWITCH_TIME_MS == pytest.approx(3.0)
     assert [r["codeword_angle"] for r in rows] == [70.0, 70.0, 110.0, 70.0]

@@ -388,7 +388,7 @@ def test_spot_rows_follow_the_configured_noise_keys(tmp_path):
     )
 
     def measured(size, angle, dist, *key):
-        baseline, trace = cfg.campaign(size).measure_spot(angle, dist, *key)
+        baseline, trace = cfg.measure_spot(size, angle, dist, *key)
         return [baseline, trace.final_power, trace.final_power - baseline, trace.measurement_count]
 
     def read(row, fields):
