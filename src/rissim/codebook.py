@@ -11,7 +11,7 @@ from .geometry import check_spot, grid_point
 from .parallel import parallel_map
 from .ris import RisConfig, RisLayout, from_bit_array, to_bit_array
 
-CODEBOOK_SCHEMA_VERSION = 1
+CODEBOOK_SCHEMA_VERSION = 2
 SWITCH_TIME_MS = 1.0  # nominal controller latency per codeword swap
 
 
@@ -33,7 +33,11 @@ class CodebookEntry:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """Codewords keyed by the reference point they were trained at."""
+    """Codewords keyed by the reference point they were trained at.
+
+    metadata is the training run's config_hash and seed, and its config's
+    layout section, which a loading config must match.
+    """
 
     entries: tuple[CodebookEntry, ...]
     metadata: dict = field(default_factory=dict)
@@ -70,45 +74,37 @@ class Codebook:
         }
 
     @classmethod
-    def from_json_dict(cls, data) -> "Codebook":
-        """A codebook from parsed JSON; ValueError unless each field has its JSON type."""
+    def from_json_dict(cls, data, config) -> "Codebook":
+        """A codebook from parsed JSON, its bits decoded on config.layout;
+        ValueError unless the file was built for that layout and each field
+        has its JSON type."""
         if _json(data, dict, "root").get("schema_version") != CODEBOOK_SCHEMA_VERSION:
             raise ValueError(f"unsupported codebook schema: {data.get('schema_version')!r}")
         meta = _json(data.get("metadata", {}), dict, "metadata")
-        lay = _json(meta.get("layout"), dict, "layout")
-        cells = [_json(c, list, "disabled cell") for c in _json(lay["disabled"], list, "layout disabled")]
-        layout = RisLayout(
-            nx=_json(lay["nx"], int, "layout nx"),
-            ny=_json(lay["ny"], int, "layout ny"),
-            spacing=None if lay["spacing"] is None else _json(lay["spacing"], float, "layout spacing"),
-            disabled=frozenset(tuple(_json(i, int, "disabled cell index") for i in c) for c in cells),
-            carrier_hz=_json(lay["carrier_hz"], float, "layout carrier_hz"),
-        )
+        layout = config.to_dict()["layout"]
+        if meta.get("layout") != layout:
+            raise ValueError("codebook was built for a different layout")
+        meta = {
+            "config_hash": _json(meta.get("config_hash"), str, "config_hash"),
+            "seed": _json(meta.get("seed"), int, "seed"),
+            "layout": layout,
+        }
         entries = []
         for e in _json(data.get("entries", []), list, "entries"):
             e = _json(e, dict, "entry")
             bits = [_json(b, bool, "bit") for b in _json(e["bits"], list, "entry bits")]
             angle_deg = _json(e["angle_deg"], float, "entry angle_deg")
             distance_cm = _json(e["distance_cm"], float, "entry distance_cm")
-            entries.append(CodebookEntry(angle_deg, distance_cm, from_bit_array(layout, bits)))
+            entries.append(CodebookEntry(angle_deg, distance_cm, from_bit_array(config.layout, bits)))
         return cls(entries, meta)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
-    def load(cls, path) -> "Codebook":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def _layout_meta(layout: RisLayout) -> dict:
-    return {
-        "nx": layout.nx,
-        "ny": layout.ny,
-        "spacing": layout.spacing,
-        "disabled": sorted([list(cell) for cell in layout.disabled]),
-        "carrier_hz": layout.carrier_hz,
-    }
+    def load(cls, path, config) -> "Codebook":
+        """The codebook saved at path, for config's layout (see from_json_dict)."""
+        return cls.from_json_dict(json.loads(Path(path).read_text()), config)
 
 
 def _train_codeword(job) -> RisConfig:
@@ -126,23 +122,8 @@ def generate_codebook(config, reference_points, parallel: int = 1) -> Codebook:
     stream, both keyed on the scenario seed, so regeneration is exact and
     the points can train on ``parallel`` worker processes.
     """
-    params = config.channel
     points = [(float(a), float(d)) for a, d in reference_points]
-    k_db = params.rician_k_db
-    meta = {
-        "seed": params.seed,
-        "layout": _layout_meta(config.layout),
-        "channel": {
-            "path_loss_exponent": params.path_loss_exponent,
-            # strict JSON has no Infinity; "inf" is how configs spell it
-            "rician_k_db": k_db if math.isfinite(k_db) else str(k_db),
-            "noise_variance": params.noise_variance,
-            "cross_pol_coupling": params.cross_pol_coupling,
-        },
-        "optimizer": {"num_states": config.num_states, "group_size": config.group_size},
-        "full_scale": config.full_scale,
-        "element_amplitude": config.element_amplitude,
-    }
+    meta = {"config_hash": config.config_hash(), "seed": config.seed, "layout": config.to_dict()["layout"]}
     jobs = [(config, i, a, d) for i, (a, d) in enumerate(points)]
     codewords = parallel_map(_train_codeword, jobs, parallel)
     entries = tuple(CodebookEntry(a, d, c) for (a, d), c in zip(points, codewords))

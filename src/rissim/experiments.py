@@ -438,6 +438,16 @@ def _trace_rows(baseline: float, trace: PowerTrace):
 _TRACE_FIELDS = ["measurement_index", "group_index", "candidate_state", "p_r_dbfs", "p_max_dbfs"]
 
 
+def _write_traces(out: Path, config: ScenarioConfig, prefix: str, traces: dict) -> None:
+    """Write traces/<prefix>_<name>.csv for each name -> (spot row, trace),
+    and delete the other traces/<prefix>_*.csv, which an earlier run left."""
+    paths = {out / "traces" / f"{prefix}_{name}.csv": job for name, job in traces.items()}
+    for path, (row, trace) in paths.items():
+        _write_csv(path, config, _TRACE_FIELDS, _trace_rows(row["p_baseline_dbfs"], trace))
+    for stale in set((out / "traces").glob(f"{prefix}_*.csv")) - set(paths):
+        stale.unlink()
+
+
 def _slug(angle_deg: float, distance_cm: float) -> str:
     def num(x):
         return f"{x:g}".replace(".", "p").replace("-", "m")
@@ -486,9 +496,7 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     results = parallel_map(_spot_job, jobs, parallel)
     rows = [row for row, _ in results]
     _write_csv(out / "results.csv", config, ["angle_deg", "distance_cm", *_SPOT_FIELDS], rows)
-    for row, trace in results:
-        name = f"sweep_{_slug(row['angle_deg'], row['distance_cm'])}.csv"
-        _write_csv(out / "traces" / name, config, _TRACE_FIELDS, _trace_rows(row["p_baseline_dbfs"], trace))
+    _write_traces(out, config, "sweep", {_slug(r["angle_deg"], r["distance_cm"]): (r, t) for r, t in results})
 
     angle = itemgetter("angle_deg")
     by_angle = groupby(sorted(rows, key=angle), angle)
@@ -509,9 +517,8 @@ def run_grouping_experiment(config: ScenarioConfig, out_dir, parallel: int = 1) 
         for size in config.grouping_sizes
     ]
     results = parallel_map(_spot_job, jobs, parallel)
-    for row, trace in results:
-        name = f"grouping_{_slug(row['angle_deg'], distance_cm)}_g{row['group_size']}.csv"
-        _write_csv(out / "traces" / name, config, _TRACE_FIELDS, _trace_rows(row["p_baseline_dbfs"], trace))
+    names = {f"{_slug(r['angle_deg'], distance_cm)}_g{r['group_size']}": (r, t) for r, t in results}
+    _write_traces(out, config, "grouping", names)
 
     rows = sorted((row for row, _ in results), key=itemgetter("angle_deg", "group_size"))
     summary_angles = {}
@@ -549,11 +556,9 @@ def run_codebook_experiment(
     out = Path(out_dir)
     if load_codebook is not None:
         try:
-            book = Codebook.load(load_codebook)
+            book = Codebook.load(load_codebook, config)
         except (OSError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"cannot load codebook: {exc}") from exc
-        if book.layout != config.layout:
-            raise ConfigError("loaded codebook was built for a different layout")
     else:
         refs = [(a, config.codebook_distance_cm) for a in config.codebook_angles_deg]
         book = generate_codebook(config, refs, parallel)

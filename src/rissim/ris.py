@@ -90,10 +90,6 @@ class RisLayout:
     def n_active(self) -> int:
         return len(self._actives)
 
-    def active_elements(self) -> tuple[tuple[int, int], ...]:
-        """Active (row, col) cells in row-major order. Stable across calls."""
-        return self._actives
-
     @cached_property
     def _positions(self) -> np.ndarray:
         cells = np.array(self._actives, dtype=np.float64)
@@ -114,7 +110,8 @@ class RisLayout:
 
 @dataclass(frozen=True)
 class RisConfig:
-    """States of a layout's active elements, in active_elements() order."""
+    """States of a layout's active elements, its (row, col) cells in row-major
+    order with the disabled cells skipped."""
 
     layout: RisLayout
     states: tuple[int, ...]

@@ -348,7 +348,7 @@ def _data_rows(out: Path) -> dict:
         if path.suffix == ".json":
             body = json.loads(text)
             body.pop("config_hash", None)
-            body.get("metadata", {}).get("channel", {}).pop("rician_k_db", None)
+            body.get("metadata", {}).pop("config_hash", None)
             rows[path.relative_to(out).as_posix()] = body
         else:
             rows[path.relative_to(out).as_posix()] = text.splitlines()[1:]
@@ -461,11 +461,14 @@ def test_no_config_makes_a_runner_crash(tmp_path_factory, mutations):
     _check_runners_on(_fuzz_config(mutations), tmp_path_factory.mktemp("fuzz"))
 
 
-_EMPTY_BOOK = {
-    "schema_version": 1,
-    "metadata": {"layout": {"nx": 4, "ny": 2, "spacing": 0.03, "disabled": [], "carrier_hz": 5.2e9}},
-    "entries": [],
+# the codebook.json metadata of a SMALL training run
+_SMALL_CONFIG = experiments.config_from_dict(SMALL)
+_BOOK_METADATA = {
+    "config_hash": _SMALL_CONFIG.config_hash(),
+    "seed": 3,
+    "layout": _SMALL_CONFIG.to_dict()["layout"],
 }
+_EMPTY_BOOK = {"schema_version": 2, "metadata": _BOOK_METADATA, "entries": []}
 
 
 @pytest.mark.parametrize(
@@ -539,29 +542,39 @@ def test_sweep_point_on_the_tx_spot_is_a_per_point_error(tmp_path, capsys, paral
 
 # a codebook for SMALL's layout that loads
 _BOOK = {
+    "schema_version": 2,
+    "metadata": _BOOK_METADATA,
+    "entries": [{"angle_deg": 70.0, "distance_cm": 170.0, "bits": [True, False] * 8}],
+}
+# _BOOK as schema 1 wrote it, with its own layout spelling; it no longer loads
+_BOOK_V1 = {
     "schema_version": 1,
     "metadata": {
         "layout": {"nx": 4, "ny": 2, "spacing": RisLayout(4, 2).spacing, "disabled": [], "carrier_hz": 5.2e9}
     },
-    "entries": [{"angle_deg": 70.0, "distance_cm": 170.0, "bits": [True, False] * 8}],
+    "entries": _BOOK["entries"],
 }
+_OTHER_LAYOUT = "codebook was built for a different layout"
 
 
 @pytest.mark.parametrize(
     "where, value, message",
     [
-        (("metadata", "layout", "nx"), "10", "codebook layout nx must be int, got str"),
-        (("metadata", "layout", "nx"), 10.5, "codebook layout nx must be int, got float"),
-        (("metadata", "layout", "carrier_hz"), None, "codebook layout carrier_hz must be float, got NoneType"),
-        (("metadata", "layout", "disabled"), 5, "codebook layout disabled must be list, got int"),
-        (("metadata", "layout", "disabled"), [[0, True]], "codebook disabled cell index must be int, got bool"),
+        (("metadata", "layout", "nx"), "10", _OTHER_LAYOUT),
+        (("metadata", "layout", "nx"), 10.5, _OTHER_LAYOUT),
+        (("metadata", "layout", "carrier_hz"), None, _OTHER_LAYOUT),
+        (("metadata", "layout", "disabled"), 5, _OTHER_LAYOUT),
+        (("metadata", "layout", "disabled"), [[0, True]], _OTHER_LAYOUT),
+        (("metadata", "config_hash"), None, "codebook config_hash must be str, got NoneType"),
+        (("metadata", "seed"), True, "codebook seed must be int, got bool"),
+        (("metadata", "seed"), float("nan"), "codebook seed must be int, got float"),
         (("entries", 0, "angle_deg"), None, "codebook entry angle_deg must be float, got NoneType"),
         (("entries", 0, "distance_cm"), True, "codebook entry distance_cm must be float, got bool"),
         (("entries", 0, "distance_cm"), 10**400, "int too large to convert to float"),
         (("entries",), {"0": _BOOK["entries"][0]}, "codebook entries must be list, got dict"),
         (("entries",), [[70.0, 170.0]], "codebook entry must be dict, got list"),
         (("metadata",), [_BOOK["metadata"]], "codebook metadata must be dict, got list"),
-        (("metadata",), {}, "codebook layout must be dict, got NoneType"),
+        (("metadata",), {}, _OTHER_LAYOUT),
         ((), [_BOOK], "codebook root must be dict, got list"),
         (("entries", 0, "bits"), [2] * 16, "codebook bit must be bool, got int"),
         (("entries", 0, "bits"), "1" * 16, "codebook entry bits must be list, got str"),
@@ -588,6 +601,84 @@ def test_malformed_codebook_file_exits_two(tmp_path, capsys, config_path, where,
     # the unchanged book loads
     path.write_text(json.dumps(_BOOK))
     assert cli.main(args) == 0
+
+
+def _train_small_codebook(tmp_path, config_path) -> Path:
+    """codebook.json of a SMALL training run, trained under seed 3."""
+    assert cli.main(["codebook", "--config", str(config_path), "--out", str(tmp_path / "trained")]) == 0
+    return tmp_path / "trained" / "codebook.json"
+
+
+def test_codebook_replays_under_another_seed_with_its_provenance(tmp_path):
+    # with noise: SMALL's noiseless tone reads no power on the seed-4 path
+    noisy = tmp_path / "noisy.json"
+    noisy.write_text(json.dumps({**SMALL, "channel": {}}))
+    book = _train_small_codebook(tmp_path, noisy)
+    out = tmp_path / "seed4"
+    args = ["codebook", "--config", str(noisy), "--seed", "4", "--out", str(out), "--load-codebook", str(book)]
+    assert cli.main(args) == 0
+    # the replay's files carry seed 4; the codebook keeps its training run's
+    config = experiments.load_config(noisy)
+    header = (out / "path.csv").read_text().splitlines()[0]
+    assert header == f"# config_hash={config.with_seed(4).config_hash()} seed=4"
+    assert (out / "codebook.json").read_bytes() == book.read_bytes()
+    assert json.loads(book.read_text())["metadata"] == {**_BOOK_METADATA, "config_hash": config.config_hash()}
+
+
+def test_reloaded_codebook_writes_the_training_run_bytes(tmp_path, config_path):
+    book = _train_small_codebook(tmp_path, config_path)
+    out = tmp_path / "reloaded"
+    assert cli.main(["codebook", "--config", str(config_path), "--out", str(out), "--load-codebook", str(book)]) == 0
+    for name in ("codebook.json", "path.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "trained" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("layout", [{"nx": 5}, {"carrier_hz": 2.4e9}])
+def test_codebook_for_another_layout_exits_two(tmp_path, capsys, config_path, layout):
+    book = _train_small_codebook(tmp_path, config_path)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**SMALL, "layout": {**SMALL["layout"], **layout}}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["codebook", "--config", str(other), "--out", str(out), "--load-codebook", str(book)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load codebook: {_OTHER_LAYOUT}\n"
+    assert not out.exists()
+
+
+def test_schema_1_codebook_exits_two(tmp_path, capsys, config_path):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(_BOOK_V1))
+    out = tmp_path / "out"
+    assert cli.main(["codebook", "--config", str(config_path), "--out", str(out), "--load-codebook", str(path)]) == 2
+    assert capsys.readouterr().err == "error: cannot load codebook: unsupported codebook schema: 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, first, second, kept",
+    [
+        ("sweep", {"sweep": {"points": [[70, 170], [110, 220]]}}, {"sweep": {"points": [[70, 170]]}}, "sweep_a70_d170"),
+        ("grouping", {}, {"grouping": {**SMALL["grouping"], "group_sizes": [1]}}, "grouping_a70_d170_g1"),
+    ],
+)
+def test_rerun_into_one_out_deletes_its_runners_stale_traces(tmp_path, command, first, second, kept):
+    out, config = tmp_path / "out", tmp_path / "scenario.json"
+    other = "grouping" if command == "sweep" else "sweep"
+
+    def traces(prefix):
+        return sorted(t.stem for t in (out / "traces").glob(f"{prefix}_*"))
+
+    def run(runner, section):
+        config.write_text(json.dumps({**SMALL, **section}))
+        assert cli.main([runner, "--config", str(config), "--out", str(out)]) == 0
+        return traces(runner)
+
+    others = run(other, {})
+    assert len(run(command, first)) == 2
+    assert run(command, second) == [kept]
+    assert traces(other) == others  # another runner's traces stay
+    header = f"# config_hash={experiments.config_from_dict({**SMALL, **second}).config_hash()} seed=3"
+    assert (out / "traces" / f"{kept}.csv").read_text().splitlines()[0] == header
 
 
 @pytest.mark.parametrize(

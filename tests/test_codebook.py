@@ -37,8 +37,8 @@ def test_generation_one_codeword_per_reference():
     book = _book(refs)
     assert [(e.angle_deg, e.distance_cm) for e in book.entries] == refs
     assert book.layout == LAY
-    assert book.metadata["seed"] == 2
-    assert book.metadata["optimizer"] == {"num_states": 4, "group_size": 1}
+    config = _config()
+    assert book.metadata == {"config_hash": config.config_hash(), "seed": 2, "layout": config.to_dict()["layout"]}
 
 
 def test_codeword_matches_online_rerun_at_reference():
@@ -94,16 +94,16 @@ def test_json_round_trip_is_byte_identical(tmp_path):
     book = _book([(70.0, 170.0), (110.0, 170.0)])
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     book.save(p1)
-    Codebook.load(p1).save(p2)
+    Codebook.load(p1, _config()).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
-    reloaded = Codebook.load(p1)
+    reloaded = Codebook.load(p1, _config())
     assert reloaded.entries == book.entries
     assert reloaded.layout == LAY
 
 
 def test_unknown_schema_rejected():
     with pytest.raises(ValueError):
-        Codebook.from_json_dict({"schema_version": 99, "entries": []})
+        Codebook.from_json_dict({"schema_version": 99, "entries": []}, _config())
 
 
 def test_path_evaluation_counts_switches_including_first_load():

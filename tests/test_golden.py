@@ -38,7 +38,7 @@ CRITERION_8_CONFIG = {
 
 GOLDEN = {
     "sweep": "369d65cabd39e75a15f92d0dcffe1d404d9c172503d8710e38d4447c78950c3a",
-    "codebook": "36707d5219462f8767cbf8fab91196951f4a060299dbc2e33d4f4534db377f95",
+    "codebook": "3f2dde0590a81795ff6dbd6396398d043c2ba522d43849fb3450115ca59061d5",
     "grouping": "b2b301a3ad0ecb1e50bd6f7e66fd7c99bce2f9ff5d2fe0d0b82a89e7e1f2441d",
     "oracle": "9a674b377c5026bd93f7672051788522196846f630e845a6a44da2f5b74c5713",
 }
