@@ -40,7 +40,7 @@ from .geometry import (
     Scene,
     make_scene,
 )
-from .optimizer import ENUMERATION_CAP, PowerTrace, TraceEntry, enumerate_readings, greedy_iterative, table_measure
+from .optimizer import ENUMERATION_CAP, TraceEntry, enumerate_readings, greedy_iterative, table_measure
 from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
@@ -48,7 +48,6 @@ from .ris import (
     RisConfig,
     RisLayout,
     controller_corner,
-    make_grouping,
 )
 
 CONFIG_SCHEMA_VERSION = 1
@@ -204,7 +203,7 @@ class ScenarioConfig:
         """Greedy sweep on meter, elements grouped by group_size (default:
         the optimizer's)."""
         size = self.group_size if group_size is None else group_size
-        return greedy_iterative(meter, self.layout, self.num_states, make_grouping(self.layout, size))
+        return greedy_iterative(meter, self.layout, self.num_states, size)
 
     def measure_spot(self, group_size: int, angle_deg: float, distance_cm: float, stream: str, *index):
         """All-off baseline, then one greedy sweep with elements grouped by
@@ -430,27 +429,29 @@ def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
-def _trace_rows(baseline: float, trace: PowerTrace):
-    yield TraceEntry(0, -1, 0, baseline, baseline)._asdict()
-    yield from trace.csv_rows()
-
-
-_TRACE_FIELDS = ["measurement_index", "group_index", "candidate_state", "p_r_dbfs", "p_max_dbfs"]
-
-
 def _write_traces(out: Path, config: ScenarioConfig, prefix: str, traces: dict) -> None:
     """Write traces/<prefix>_<name>.csv for each name -> (spot row, trace),
-    and delete the other traces/<prefix>_*.csv, which an earlier run left."""
+    the all-off baseline as measurement 0, and delete the other
+    traces/<prefix>_*.csv, which an earlier run left."""
     paths = {out / "traces" / f"{prefix}_{name}.csv": job for name, job in traces.items()}
     for path, (row, trace) in paths.items():
-        _write_csv(path, config, _TRACE_FIELDS, _trace_rows(row["p_baseline_dbfs"], trace))
+        baseline = row["p_baseline_dbfs"]
+        entries = (TraceEntry(0, -1, 0, baseline, baseline), *trace.entries)
+        _write_csv(path, config, TraceEntry._fields, (e._asdict() for e in entries))
     for stale in set((out / "traces").glob(f"{prefix}_*.csv")) - set(paths):
         stale.unlink()
 
 
+def _spot_key(x: float) -> str:
+    """x as short as it reads back exactly: f"{x:g}" (70.0 -> "70") when
+    that parses to x, else repr(x), so distinct spots get distinct keys."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def _slug(angle_deg: float, distance_cm: float) -> str:
     def num(x):
-        return f"{x:g}".replace(".", "p").replace("-", "m")
+        return _spot_key(x).replace(".", "p").replace("-", "m")
 
     return f"a{num(angle_deg)}_d{num(distance_cm)}"
 
@@ -500,7 +501,7 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
 
     angle = itemgetter("angle_deg")
     by_angle = groupby(sorted(rows, key=angle), angle)
-    medians = {f"{a:g}": statistics.median(r["gain_db"] for r in group) for a, group in by_angle}
+    medians = {_spot_key(a): statistics.median(r["gain_db"] for r in group) for a, group in by_angle}
     summary = {"points": len(rows), "median_gain_db_by_angle": medians, "errors": errors}
     _write_json(out / "summary.json", config, summary)
     return summary
@@ -530,7 +531,7 @@ def run_grouping_experiment(config: ScenarioConfig, out_dir, parallel: int = 1) 
         for row in group:
             delta = row["gain_db"] - ref["gain_db"] if ref["group_size"] == 1 else None
             row["gain_delta_vs_size1_db"] = delta
-            summary_angles.setdefault(f"{angle_deg:g}", {})[str(row["group_size"])] = {
+            summary_angles.setdefault(_spot_key(angle_deg), {})[str(row["group_size"])] = {
                 "gain_db": row["gain_db"],
                 "gain_delta_vs_size1_db": delta,
                 "measurements": row["measurements"],
@@ -608,7 +609,7 @@ def _oracle_layout(config: ScenarioConfig) -> RisLayout:
 
 
 def _oracle_job(args):
-    config, layout, chan_link, grouping, instance = args
+    config, layout, chan_link, instance = args
     meter = GainMeter(chan_link.draw(derive_seed(config.seed, "oracle", instance)), config.element_amplitude)
     table = enumerate_readings(meter.readings, layout, config.oracle_num_states)
     # readings are finite or -inf, so the maximum is the first maximum's reading
@@ -616,9 +617,8 @@ def _oracle_job(args):
     if oracle_db == float("-inf"):
         raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
     # greedy replays the enumeration's readings, so the gap is exactly >= 0
-    _, gtrace = greedy_iterative(
-        table_measure(table, layout, config.oracle_num_states), layout, config.oracle_num_states, grouping
-    )
+    measure = table_measure(table, layout, config.oracle_num_states)
+    _, gtrace = greedy_iterative(measure, layout, config.oracle_num_states)
     return {
         "instance": instance,
         "oracle_db": oracle_db,
@@ -636,8 +636,7 @@ def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict
     out = Path(out_dir)
     layout = _oracle_layout(config)
     chan_link = link(config.base_scene(), layout, dataclasses.replace(config.channel, noise_variance=0.0))
-    shared = (config, layout, chan_link, make_grouping(layout, 1))
-    jobs = [(*shared, i) for i in range(config.oracle_instances)]
+    jobs = [(config, layout, chan_link, i) for i in range(config.oracle_instances)]
     rows = parallel_map(_oracle_job, jobs, parallel)
     _write_csv(
         out / "gaps.csv",

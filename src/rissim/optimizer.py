@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ris import GroupingScheme, NUM_ELEMENT_STATES, RisConfig, RisLayout, _unchecked_config, make_grouping
+from .ris import NUM_ELEMENT_STATES, RisConfig, RisLayout, _unchecked_config, make_grouping
 
 MeasureFn = Callable[[RisConfig], float]
 ReadFn = Callable[[np.ndarray], Sequence[float]]
@@ -55,42 +55,32 @@ class PowerTrace:
             raise ValueError("empty trace has no final power")
         return self.entries[-1].p_max_dbfs
 
-    def csv_rows(self):
-        for e in self.entries:
-            yield e._asdict()
-
-
-def _check_partition(grouping: GroupingScheme, layout: RisLayout) -> None:
-    flat = sorted(i for g in grouping.groups for i in g)
-    if flat != list(range(layout.n_active)):
-        raise ValueError("grouping must partition the layout's active elements")
-
 
 def greedy_iterative(
     measure: MeasureFn,
     layout: RisLayout,
     num_states: int = NUM_ELEMENT_STATES,
-    grouping: GroupingScheme | None = None,
+    group_size: int = 1,
 ) -> tuple[RisConfig, PowerTrace]:
-    """One greedy sweep: per group, try every state and keep the argmax.
+    """One greedy sweep: per tile of make_grouping(layout, group_size), try
+    every state and keep the argmax.
 
     Starts all-off with the running maximum at -inf, so the very first
     measurement (the all-off configuration itself) always registers. A group
     only moves off its current state when a candidate measures strictly
     higher than everything seen so far; ties keep the earlier state. The
-    budget is exactly n_groups * num_states measurements.
+    budget is exactly len(make_grouping(layout, group_size)) * num_states
+    measurements.
     """
     if not 2 <= num_states <= NUM_ELEMENT_STATES:
         raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
-    if grouping is None:
-        grouping = make_grouping(layout, 1)
-    _check_partition(grouping, layout)
+    groups = make_grouping(layout, group_size)
 
     states = [0] * layout.n_active
     entries: list[TraceEntry] = []
     p_max = float("-inf")
     index = 0
-    for gi, group in enumerate(grouping.groups):
+    for gi, group in enumerate(groups):
         best_state = states[group[0]]
         for s in range(num_states):
             for i in group:

@@ -178,36 +178,9 @@ def from_bit_array(layout: RisLayout, bits) -> RisConfig:
     )
 
 
-@dataclass(frozen=True)
-class GroupingScheme:
-    """Partition of active-element indices into same-state groups."""
-
-    group_size: int
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.group_size not in GROUP_SIZES:
-            raise ValueError(f"group_size must be one of {GROUP_SIZES}")
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        seen = set()
-        for g in groups:
-            if not g:
-                raise ValueError("groups must be non-empty")
-            if len(g) > self.group_size:
-                raise ValueError("group larger than group_size")
-            for i in g:
-                if i in seen:
-                    raise ValueError("groups must not overlap")
-                seen.add(i)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-
-def make_grouping(layout: RisLayout, group_size: int) -> GroupingScheme:
-    """Tile the grid row-major into groups of up to ``group_size`` elements.
+def make_grouping(layout: RisLayout, group_size: int) -> tuple[tuple[int, ...], ...]:
+    """Tile the grid row-major into groups of up to ``group_size`` elements,
+    each a tuple of active-element indices in ascending order.
 
     Tiles that overlap the disabled corner come out partial, so every active
     element belongs to exactly one group.
@@ -226,5 +199,5 @@ def make_grouping(layout: RisLayout, group_size: int) -> GroupingScheme:
                 if (r, c) in index
             ]
             if members:
-                groups.append(tuple(sorted(members)))
-    return GroupingScheme(group_size, tuple(groups))
+                groups.append(tuple(members))
+    return tuple(groups)

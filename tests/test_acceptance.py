@@ -31,7 +31,7 @@ from rissim.experiments import (
 )
 from rissim.geometry import make_scene
 from rissim.optimizer import exhaustive_search, greedy_iterative
-from rissim.ris import RisConfig, RisLayout, make_grouping
+from rissim.ris import RisConfig, RisLayout
 
 
 def _verdict(num: int, name: str, ok: bool) -> bool:
@@ -53,7 +53,7 @@ def test_criterion_1_measurement_budgets():
     counts = {}
     for size in (1, 2, 4, 8):
         meter = GainMeter(chan)
-        greedy_iterative(meter, cfg.layout, 4, make_grouping(cfg.layout, size))
+        greedy_iterative(meter, cfg.layout, 4, size)
         counts[size] = meter.calls
     elapsed = time.perf_counter() - t0
     ok = (
@@ -223,9 +223,7 @@ def test_criterion_7_grouping_tradeoff():
                     noise_seed=(cfg.seed, "grouping", ai, size),
                 )
                 base = meter(RisConfig.all_off(cfg.layout))
-                _, trace = greedy_iterative(
-                    meter, cfg.layout, 4, make_grouping(cfg.layout, size)
-                )
+                _, trace = greedy_iterative(meter, cfg.layout, 4, size)
                 gain[size] = trace.final_power - base
             for size in (2, 4, 8):
                 deficits[size].append(gain[1] - gain[size])

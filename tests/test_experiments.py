@@ -22,7 +22,7 @@ from rissim.experiments import (
     run_sweep,
 )
 from rissim.optimizer import exhaustive_search, greedy_iterative
-from rissim.ris import SPEED_OF_LIGHT, RisConfig, RisLayout, make_grouping
+from rissim.ris import SPEED_OF_LIGHT, RisConfig, RisLayout
 
 SMALL = {
     "seed": 3,
@@ -375,6 +375,29 @@ def test_grouping_without_size1_writes_null_delta(tmp_path):
     assert [r["gain_delta_vs_size1_db"] for r in rows] == ["", ""]
 
 
+def test_spots_that_print_alike_keep_their_own_traces_and_keys(tmp_path):
+    # 70.0000001 prints as "70" under :g; it must neither overwrite the 70
+    # trace nor share its summary key
+    near = 70.0000001
+    sweep = {"points": [[70.0, 170.0], [near, 170.0]]}
+    grouping = {**SMALL["grouping"], "angles_deg": [70.0, near]}
+    cfg = config_from_dict({**SMALL, "sweep": sweep, "grouping": grouping})
+    summary = run_sweep(cfg, tmp_path / "sweep")
+    traces = sorted(p.name for p in (tmp_path / "sweep" / "traces").iterdir())
+    assert traces == ["sweep_a70_d170.csv", "sweep_a70p0000001_d170.csv"]
+    assert set(summary["median_gain_db_by_angle"]) == {"70", "70.0000001"}
+    rows = list(csv.DictReader(_read_lines(tmp_path / "sweep" / "results.csv")[1:]))
+    for row, name in zip(rows, traces):
+        baseline = list(csv.DictReader(_read_lines(tmp_path / "sweep" / "traces" / name)[1:]))[0]
+        assert baseline["p_r_dbfs"] == row["p_baseline_dbfs"]
+
+    summary = run_grouping_experiment(cfg, tmp_path / "grp")
+    assert set(summary["angles"]) == {"70", "70.0000001"}
+    assert sorted(p.name for p in (tmp_path / "grp" / "traces").iterdir()) == [
+        f"grouping_a{a}_d170_g{g}.csv" for a in ("70", "70p0000001") for g in (1, 8)
+    ]
+
+
 def test_spot_rows_follow_the_configured_noise_keys(tmp_path):
     # sizes and angles out of order, no size 1, and a rejected sweep point in
     # the middle: every row is measure_spot at its configured-order index
@@ -474,7 +497,7 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
         meter = GainMeter(chan, cfg.element_amplitude)
         _, oracle_db = exhaustive_search(meter.readings, layout, 4)
         _, gtrace = greedy_iterative(meter, layout, 4)
-        row = _oracle_job((cfg, layout, chan_link, make_grouping(layout, 1), instance))
+        row = _oracle_job((cfg, layout, chan_link, instance))
         assert row == {
             "instance": instance,
             "oracle_db": oracle_db,
@@ -495,7 +518,6 @@ def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
     layout = RisLayout(2, 2, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
     assert (cfg.oracle_nx, cfg.oracle_ny, cfg.oracle_num_states) == (2, 2, 4)
     scene = cfg.base_scene()
-    grouping = make_grouping(layout, 1)
     chan_link = link(scene, layout, dataclasses.replace(cfg.channel, noise_variance=0.0))
     for instance in range(40):
         params = dataclasses.replace(
@@ -505,8 +527,8 @@ def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
         best = float("-inf")
         for states in itertools.product(range(4), repeat=4):
             best = max(best, meter(RisConfig(layout, states)))
-        _, gtrace = greedy_iterative(meter, layout, 4, grouping)
-        row = _oracle_job((cfg, layout, chan_link, grouping, instance))
+        _, gtrace = greedy_iterative(meter, layout, 4)
+        row = _oracle_job((cfg, layout, chan_link, instance))
         assert row["oracle_db"] == best
         assert row["greedy_db"] == gtrace.final_power
         assert row["oracle_measurements"] == 256

@@ -18,7 +18,7 @@ from rissim.optimizer import (
     greedy_iterative,
     table_measure,
 )
-from rissim.ris import GroupingScheme, RisConfig, RisLayout, make_grouping
+from rissim.ris import RisConfig, RisLayout, make_grouping
 
 
 def _scripted(values):
@@ -53,7 +53,7 @@ def _noiseless_meter(lay, seed):
 def test_measurement_budget_is_groups_times_states(size, budget):
     lay = RisLayout.default()
     measure = _scripted(range(budget))
-    _, trace = greedy_iterative(measure, lay, 4, make_grouping(lay, size))
+    _, trace = greedy_iterative(measure, lay, 4, size)
     assert trace.measurement_count == budget
 
 
@@ -102,24 +102,30 @@ def test_first_measurement_is_all_off():
 
 def test_group_members_move_together():
     lay = RisLayout.default()
-    grouping = make_grouping(lay, 4)
+    groups = make_grouping(lay, 4)
     cells = {}
 
     def measure(config):
-        for g in grouping.groups:
+        for g in groups:
             states = {config.states[i] for i in g}
             assert len(states) == 1  # whole tile shares one state
         cells[len(cells)] = config.states
         return float(len(cells))
 
-    greedy_iterative(measure, lay, 4, grouping)
+    greedy_iterative(measure, lay, 4, 4)
 
 
-def test_non_partition_grouping_rejected():
+def test_unsupported_group_size_rejected_before_any_measurement():
     lay = RisLayout(nx=2, ny=1)
-    partial = GroupingScheme(1, ((0,),))
-    with pytest.raises(ValueError):
-        greedy_iterative(_scripted(range(4)), lay, grouping=partial)
+    seen = []
+
+    def measure(config):
+        seen.append(config)
+        return 0.0
+
+    with pytest.raises(ValueError, match="group_size"):
+        greedy_iterative(measure, lay, group_size=3)
+    assert seen == []
 
 
 def test_trace_rejects_decreasing_running_max():
@@ -284,12 +290,11 @@ def test_enumerate_readings_equals_per_row_reads_in_lexicographic_order(
 @pytest.mark.parametrize("size", [1, 2, 4])
 def test_greedy_replayed_from_the_table_equals_greedy_on_the_meter(nx, ny, num_states, size):
     lay = RisLayout(nx=nx, ny=ny)
-    grouping = make_grouping(lay, size)
     for seed in range(3):
         meter = _noiseless_meter(lay, seed)
         table = enumerate_readings(meter.readings, lay, num_states)
-        replayed = greedy_iterative(table_measure(table, lay, num_states), lay, num_states, grouping)
-        assert replayed == greedy_iterative(meter, lay, num_states, grouping)
+        replayed = greedy_iterative(table_measure(table, lay, num_states), lay, num_states, size)
+        assert replayed == greedy_iterative(meter, lay, num_states, size)
 
 
 def test_table_measure_refuses_a_table_or_configuration_of_another_shape():
@@ -360,7 +365,7 @@ def test_search_candidates_pass_risconfig_validation(nx, ny, num_states, size, s
         seen.append(config)
         return float(rng.normal())
 
-    _, trace = greedy_iterative(measure, lay, num_states, make_grouping(lay, size))
+    _, trace = greedy_iterative(measure, lay, num_states, size)
     assert len(seen) == trace.measurement_count
     seen.clear()
     best, _ = exhaustive_search(_per_row(measure, lay), lay, num_states)

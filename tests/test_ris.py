@@ -134,19 +134,20 @@ def test_from_bit_array_length_check():
 @pytest.mark.parametrize("size,n_groups", [(1, 76), (2, 38), (4, 19), (8, 10)])
 def test_grouping_counts_on_default_layout(size, n_groups):
     lay = RisLayout.default()
-    scheme = make_grouping(lay, size)
-    assert scheme.n_groups == n_groups
+    groups = make_grouping(lay, size)
+    assert len(groups) == n_groups
     # a partition: every active index exactly once
-    flat = sorted(i for g in scheme.groups for i in g)
+    flat = sorted(i for g in groups for i in g)
     assert flat == list(range(76))
-    assert all(len(g) <= size for g in scheme.groups)
+    assert all(len(g) <= size for g in groups)
+    assert all(list(g) == sorted(g) for g in groups)
 
 
 def test_grouping_tiles_are_contiguous():
     lay = RisLayout(nx=4, ny=4)
-    scheme = make_grouping(lay, 4)  # 2x2 tiles
+    groups = make_grouping(lay, 4)  # 2x2 tiles
     cells = [(r, c) for r in range(4) for c in range(4)]  # state order: row-major
-    for g in scheme.groups:
+    for g in groups:
         rows = {cells[i][0] for i in g}
         cols = {cells[i][1] for i in g}
         assert len(rows) <= 2 and len(cols) <= 2
