@@ -22,12 +22,12 @@ REFERENCE_DISTANCE_CM = 170.0
 
 def main() -> None:
     layout = RisLayout.default()
-    params = ChannelModelParams(rician_k_db=float("inf"), noise_variance=0.0)
+    params = ChannelModelParams(rician_k_db=float("inf"))
     off = RisConfig.all_off(layout)
     mags = []
     for angle in DEFAULT_GRID_ANGLES_DEG:
         scene = make_scene(rx_angle_deg=angle, rx_distance_cm=REFERENCE_DISTANCE_CM)
-        chan = synthesize_channels(scene, layout, params)
+        chan = synthesize_channels(scene, layout, params, 0)
         mags.append(abs(channel_gain(off, chan)))
         print(f"  {angle:6.1f} deg: |c| = {mags[-1]:.6f}")
     c_ref = float(np.median(mags))

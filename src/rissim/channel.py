@@ -91,12 +91,11 @@ class MeasurementFloorError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelModelParams:
-    """Propagation model knobs shared by every synthesized link."""
+    """Propagation model knobs shared by every synthesized link; the draw
+    takes its seed, and TonePowerMeter the receiver's noise variance."""
 
     path_loss_exponent: float = 2.0
     rician_k_db: float = 10.0  # deterministic-to-scattered power ratio; inf is pure deterministic
-    noise_variance: float = DEFAULT_NOISE_VARIANCE
-    seed: int = 0
     cross_pol_coupling: float = 0.0
 
     def __post_init__(self):
@@ -105,7 +104,6 @@ class ChannelModelParams:
             raise ValueError("path_loss_exponent must be finite and at least 1")
         if math.isnan(self.rician_k_db):
             raise ValueError("rician_k_db must not be NaN")
-        _check_noise_variance(self.noise_variance)
         if not 0.0 <= self.cross_pol_coupling <= 1.0:
             raise ValueError("cross_pol_coupling must be in [0, 1]")
 
@@ -119,7 +117,6 @@ class ChannelRealization:
     g_h: np.ndarray
     g_v: np.ndarray
     h_los: complex
-    noise_variance: float
 
     def __post_init__(self):
         n = None
@@ -136,7 +133,6 @@ class ChannelRealization:
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
         object.__setattr__(self, "h_los", complex(self.h_los))
-        _check_noise_variance(self.noise_variance)
 
     @property
     def n_elements(self) -> int:
@@ -158,7 +154,6 @@ class Link:
     pol: np.ndarray
     h_los: complex
     cross_pol_coupling: float
-    noise_variance: float
 
     def draw(self, seed: int) -> ChannelRealization:
         """The realization at one seed: a Rician scattered part on the
@@ -173,7 +168,7 @@ class Link:
                 v = math.sqrt(1.0 - c) * v + math.sqrt(c) * v[[1, 0, 3, 2]]
         if not np.isfinite(v.view(np.float64)).all():
             raise MeasurementFloorError("channel is not a finite float64")
-        return ChannelRealization(*v, self.h_los, self.noise_variance)
+        return ChannelRealization(*v, self.h_los)
 
 
 def _pow(x: float, e: float) -> float:
@@ -215,13 +210,13 @@ def link(scene: Scene, layout: RisLayout, params: ChannelModelParams) -> Link:
     for a in (amp, det, pol):
         a.setflags(write=False)
     key = tuple(_entropy_words([scene.tx.position, scene.rx.position]))
-    return Link(key, amp, det, w_sc, pol, h_los, params.cross_pol_coupling, params.noise_variance)
+    return Link(key, amp, det, w_sc, pol, h_los, params.cross_pol_coupling)
 
 
-def synthesize_channels(scene: Scene, layout: RisLayout, params: ChannelModelParams) -> ChannelRealization:
-    """Draw h, g, and the direct scalar for one placement: link(scene, layout, params).draw(params.seed),
+def synthesize_channels(scene: Scene, layout: RisLayout, params: ChannelModelParams, seed: int) -> ChannelRealization:
+    """Draw h, g, and the direct scalar for one placement at one seed: link(scene, layout, params).draw(seed),
     keyed on (seed, tx position, rx position), so reruns are bit-identical and placements independent."""
-    return link(scene, layout, params).draw(params.seed)
+    return link(scene, layout, params).draw(seed)
 
 
 class _Cascade:
@@ -389,7 +384,8 @@ def power_dbfs(iq) -> float:
 class TonePowerMeter:
     """Measurement function: tone through one channel, AWGN, ADC, dBFS.
 
-    Calls are counted and each call's noise comes from a stream keyed on
+    noise_variance, the receiver's per sample, has no default; 0.0 draws no
+    noise. Calls are counted and each call's noise comes from a stream keyed on
     (noise_seed, call index), so a rerun reproduces the exact sequence. A
     call builds the I and Q rows of c * w as re(c) [wr; wi] + im(c) [-wi; wr],
     never with numpy's complex multiply, then adds the noise, quantizes and
@@ -404,23 +400,21 @@ class TonePowerMeter:
         *,
         full_scale: float = DEFAULT_FULL_SCALE,
         amplitude: float = DEFAULT_ELEMENT_AMPLITUDE,
+        noise_variance: float,
         noise_seed=0,
     ):
-        self.chan = chan
-        self.tone = tone if tone is not None else ToneParams()
-        self.full_scale = float(full_scale)
-        self.amplitude = float(amplitude)
-        self.noise_seed = noise_seed
+        _check_noise_variance(noise_variance)
         self.calls = 0
         self.last_clip_fraction = 0.0
-        self._code_scale = code_scale(self.full_scale)
-        w = tone_waveform(self.tone)
+        self._code_scale = code_scale(float(full_scale))
+        w = tone_waveform(tone if tone is not None else ToneParams())
         self._w, self._jw = np.array([w.real, w.imag]), np.array([-w.imag, w.real])
         self._noise_words = _entropy_words([noise_seed])
-        self._noise_scale = math.sqrt(self.chan.noise_variance / 2.0)
-        self._buf = np.empty((2, self.tone.buffer_len))
+        self._noise_variance = noise_variance
+        self._noise_scale = math.sqrt(noise_variance / 2.0)
+        self._buf = np.empty((2, len(w)))
         self._mags = np.empty_like(self._buf)
-        self._kernel = _Cascade(chan, self.amplitude)
+        self._kernel = _Cascade(chan, float(amplitude))
 
     def __call__(self, config: RisConfig) -> float:
         index = self.calls
@@ -429,7 +423,7 @@ class TonePowerMeter:
         buf, mags = self._buf, self._mags
         np.multiply(self._w, re, out=buf)
         buf += np.multiply(self._jw, im, out=mags)
-        if self.chan.noise_variance > 0.0:
+        if self._noise_variance > 0.0:
             # fills the rows in the order standard_normal((2, K)) draws them
             derive_rng(self._noise_words, index).standard_normal(out=mags)
             mags *= self._noise_scale
@@ -454,10 +448,8 @@ class GainMeter:
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
-        self.chan = chan
-        self.amplitude = float(amplitude)
         self.calls = 0
-        self._kernel = _Cascade(chan, self.amplitude)
+        self._kernel = _Cascade(chan, float(amplitude))
 
     def __call__(self, config: RisConfig) -> float:
         self.calls += 1

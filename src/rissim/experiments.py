@@ -21,10 +21,12 @@ from pathlib import Path
 from .channel import (
     ChannelModelParams,
     DEFAULT_FULL_SCALE,
+    DEFAULT_NOISE_VARIANCE,
     GainMeter,
     MeasurementFloorError,
     TonePowerMeter,
     ToneParams,
+    _check_noise_variance,
     code_scale,
     derive_seed,
     link,
@@ -99,9 +101,12 @@ class ExperimentAssertionError(RuntimeError):
     """An experiment-level sanity assertion failed."""
 
 
-def _distinct(values, what: str) -> None:
+def _distinct(values, key: str) -> None:
+    """A config list must hold something to run, each item once."""
+    if not values:
+        raise ConfigError(f"{key} must not be empty")
     if len(set(values)) != len(values):
-        raise ConfigError(f"{what} must not repeat: {list(values)}")
+        raise ConfigError(f"{key} must not repeat: {list(values)}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,7 @@ class ScenarioConfig:
     half_beamwidth_deg: float = DEFAULT_HALF_BEAMWIDTH_DEG
     polarization: float = 0.5
     channel: ChannelModelParams = ChannelModelParams()
+    noise_variance: float = DEFAULT_NOISE_VARIANCE
     tone: ToneParams = ToneParams()
     full_scale: float = DEFAULT_FULL_SCALE
     element_amplitude: float = DEFAULT_ELEMENT_AMPLITUDE
@@ -135,10 +141,6 @@ class ScenarioConfig:
         # outside [0, 2**64) would rerun another seed under its own hash
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        # the channel draw is keyed on the master seed
-        object.__setattr__(
-            self, "channel", dataclasses.replace(self.channel, seed=int(self.seed))
-        )
         if self.num_states not in (2, 3, 4) or self.oracle_num_states not in (2, 3, 4):
             raise ConfigError("num_states must be 2, 3, or 4")
         if self.group_size not in GROUP_SIZES:
@@ -149,13 +151,13 @@ class ScenarioConfig:
             raise ConfigError("oracle_instances must be positive")
         if not 0.0 < self.element_amplitude <= 1.0:
             raise ConfigError("element_amplitude must be in (0, 1]")
-        _distinct(self.grouping_sizes, "grouping sizes")
-        _distinct(self.grouping_angles_deg, "grouping angles")
-        if not self.codebook_angles_deg:
-            raise ConfigError("codebook reference angles must not be empty")
-        _distinct(self.codebook_angles_deg, "codebook reference angles")
-        # sweep points are checked per point by run_sweep, which still
-        # writes the good points' files
+        _distinct(self.grouping_sizes, "grouping.group_sizes")
+        _distinct(self.grouping_angles_deg, "grouping.angles_deg")
+        _distinct(self.codebook_angles_deg, "codebook.reference_angles_deg")
+        # run_sweep checks each sweep point and still writes the good points'
+        # files; an empty codebook.path is fine, since training needs no replay
+        if not self.sweep_points:
+            raise ConfigError("sweep.points must not be empty")
         # each spot with the distance key to name if its horn cannot be aimed
         spots = [("codebook.reference_distance_cm", a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
         spots += [("codebook.path", a, d) for a, d in self.path]
@@ -168,6 +170,7 @@ class ScenarioConfig:
             for where, angle_deg, distance_cm in spots:
                 scene.with_rx_at(angle_deg, distance_cm)
             code_scale(self.full_scale)
+            _check_noise_variance(self.noise_variance)
         except BoresightError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         except ValueError as exc:
@@ -185,18 +188,19 @@ class ScenarioConfig:
         )
 
     def channel_at(self, angle_deg: float, distance_cm: float):
-        """The channel realization with the receiver at one spot."""
+        """The channel realization at the master seed, with the receiver at one spot."""
         placed = self.base_scene().with_rx_at(angle_deg, distance_cm)
-        return synthesize_channels(placed, self.layout, self.channel)
+        return synthesize_channels(placed, self.layout, self.channel, self.seed)
 
     def meter(self, chan, stream: str, *index) -> TonePowerMeter:
-        """Tone meter whose noise is keyed (seed, stream, *index)."""
+        """Tone meter with the receiver's noise, keyed (seed, stream, *index)."""
         return TonePowerMeter(
             chan,
             self.tone,
             full_scale=self.full_scale,
             amplitude=self.element_amplitude,
-            noise_seed=(self.channel.seed, stream, *index),
+            noise_variance=self.noise_variance,
+            noise_seed=(self.seed, stream, *index),
         )
 
     def greedy(self, meter, group_size: int | None = None):
@@ -317,7 +321,8 @@ _SCHEMA = (
     ("channel", "path_loss_exponent", "channel.path_loss_exponent", _float, _same),
     # _float also reads the string "inf"
     ("channel", "rician_k_db", "channel.rician_k_db", _float, _same),
-    ("channel", "noise_variance", "channel.noise_variance", _optional(_float), _same),
+    # the receiver's noise, which meter() hands to TonePowerMeter
+    ("channel", "noise_variance", "noise_variance", _optional(_float), _same),
     ("channel", "cross_pol_coupling", "channel.cross_pol_coupling", _float, _same),
     ("tone", "tone_hz", "tone.tone_hz", _float, _same),
     ("tone", "sample_rate_hz", "tone.sample_rate_hz", _float, _same),
@@ -484,17 +489,19 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     table, and a JSON summary with per-angle median gains."""
     out = Path(out_dir)
     scene = config.base_scene()
-    jobs, errors = [], []
+    jobs, errors = {}, []
     for i, point in enumerate(config.sweep_points):
         try:
-            angle_deg, distance_cm = float(point[0]), float(point[1])
-            scene.with_rx_at(angle_deg, distance_cm)  # outside the scene, or on the tx spot
+            spot = float(point[0]), float(point[1])
+            scene.with_rx_at(*spot)  # outside the scene, or on the tx spot
+            if spot in jobs:  # its trace would overwrite the first one's
+                raise ValueError("repeats an earlier sweep point")
         except (TypeError, ValueError, IndexError) as exc:
             errors.append({"point": list(point), "error": str(exc)})
         else:
-            jobs.append((config, config.group_size, angle_deg, distance_cm, "sweep", i))
+            jobs[spot] = (config, config.group_size, *spot, "sweep", i)
 
-    results = parallel_map(_spot_job, jobs, parallel)
+    results = parallel_map(_spot_job, jobs.values(), parallel)
     rows = [row for row, _ in results]
     _write_csv(out / "results.csv", config, ["angle_deg", "distance_cm", *_SPOT_FIELDS], rows)
     _write_traces(out, config, "sweep", {_slug(r["angle_deg"], r["distance_cm"]): (r, t) for r, t in results})
@@ -635,7 +642,7 @@ def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict
     gap fails the run."""
     out = Path(out_dir)
     layout = _oracle_layout(config)
-    chan_link = link(config.base_scene(), layout, dataclasses.replace(config.channel, noise_variance=0.0))
+    chan_link = link(config.base_scene(), layout, config.channel)
     jobs = [(config, layout, chan_link, i) for i in range(config.oracle_instances)]
     rows = parallel_map(_oracle_job, jobs, parallel)
     _write_csv(

@@ -40,16 +40,14 @@ def _verdict(num: int, name: str, ok: bool) -> bool:
 
 
 def _noiseless(cfg: ScenarioConfig) -> ScenarioConfig:
-    return dataclasses.replace(
-        cfg, channel=dataclasses.replace(cfg.channel, noise_variance=0.0)
-    )
+    return dataclasses.replace(cfg, noise_variance=0.0)
 
 
 def test_criterion_1_measurement_budgets():
     t0 = time.perf_counter()
     cfg = ScenarioConfig(seed=0)
     scene = cfg.base_scene().with_rx_at(70.0, 170.0)
-    chan = synthesize_channels(scene, cfg.layout, cfg.channel)
+    chan = synthesize_channels(scene, cfg.layout, cfg.channel, cfg.seed)
     counts = {}
     for size in (1, 2, 4, 8):
         meter = GainMeter(chan)
@@ -74,10 +72,8 @@ def test_criterion_2_exhaustive_never_below_greedy():
     for instance in range(17):  # 17 * 6 shapes = 102 instances
         for nx, ny in shapes:
             lay = RisLayout(nx=nx, ny=ny)
-            params = ChannelModelParams(
-                noise_variance=0.0, seed=derive_seed(11, "oracle", instance, nx, ny)
-            )
-            chan = synthesize_channels(scene, lay, params)
+            seed = derive_seed(11, "oracle", instance, nx, ny)
+            chan = synthesize_channels(scene, lay, ChannelModelParams(), seed)
             _, oracle_db = exhaustive_search(GainMeter(chan).readings, lay)
             _, gtrace = greedy_iterative(GainMeter(chan), lay)
             gap = oracle_db - gtrace.final_power
@@ -131,13 +127,13 @@ def test_criterion_4_dbfs_meter():
 
     ones = np.ones(1, dtype=np.complex128)
     zeros = np.zeros(1, dtype=np.complex128)
-    chan = ChannelRealization(ones, zeros, ones, zeros, 0.0j, 0.0)
+    chan = ChannelRealization(ones, zeros, ones, zeros, 0.0j)
     lay = RisLayout(nx=1, ny=1)
     off = RisConfig.all_off(lay)
     scaling_ok = True
     for hi, lo in ((0.9, 0.45), (0.8, 0.2), (1.0, 0.5)):
-        p_hi = TonePowerMeter(chan, full_scale=4.0, amplitude=hi)(off)
-        p_lo = TonePowerMeter(chan, full_scale=4.0, amplitude=lo)(off)
+        p_hi = TonePowerMeter(chan, full_scale=4.0, amplitude=hi, noise_variance=0.0)(off)
+        p_lo = TonePowerMeter(chan, full_scale=4.0, amplitude=lo, noise_variance=0.0)(off)
         scaling_ok &= abs((p_hi - p_lo) - 20.0 * np.log10(hi / lo)) <= 0.05
     elapsed = time.perf_counter() - t0
     ok = exact and scaling_ok and elapsed < 10.0
@@ -176,13 +172,15 @@ def test_criterion_6_codebook_behavior():
     exact = True
     for entry in book.entries:
         placed = scene.with_rx_at(entry.angle_deg, entry.distance_cm)
-        chan = synthesize_channels(placed, cfg0.layout, cfg0.channel)
+        chan = synthesize_channels(placed, cfg0.layout, cfg0.channel, cfg0.seed)
         meter = TonePowerMeter(
-            chan, cfg0.tone, full_scale=cfg0.full_scale, amplitude=cfg0.element_amplitude
+            chan, cfg0.tone, full_scale=cfg0.full_scale, amplitude=cfg0.element_amplitude,
+            noise_variance=cfg0.noise_variance,
         )
         _, trace = greedy_iterative(meter, cfg0.layout)
         p_codeword = TonePowerMeter(
-            chan, cfg0.tone, full_scale=cfg0.full_scale, amplitude=cfg0.element_amplitude
+            chan, cfg0.tone, full_scale=cfg0.full_scale, amplitude=cfg0.element_amplitude,
+            noise_variance=cfg0.noise_variance,
         )(entry.config)
         exact &= p_codeword == trace.final_power
 
@@ -214,12 +212,13 @@ def test_criterion_7_grouping_tradeoff():
         cfg = ScenarioConfig(seed=seed)
         for ai, angle in enumerate((70.0, 130.0)):
             scene = cfg.base_scene().with_rx_at(angle, 170.0)
-            chan = synthesize_channels(scene, cfg.layout, cfg.channel)
+            chan = synthesize_channels(scene, cfg.layout, cfg.channel, cfg.seed)
             gain = {}
             for size in (1, 2, 4, 8):
                 meter = TonePowerMeter(
                     chan, cfg.tone, full_scale=cfg.full_scale,
                     amplitude=cfg.element_amplitude,
+                    noise_variance=cfg.noise_variance,
                     noise_seed=(cfg.seed, "grouping", ai, size),
                 )
                 base = meter(RisConfig.all_off(cfg.layout))

@@ -17,6 +17,7 @@ from rissim.channel import (
     ChannelModelParams,
     ChannelRealization,
     GainMeter,
+    Link,
     MeasurementFloorError,
     TonePowerMeter,
     ToneParams,
@@ -36,11 +37,11 @@ from rissim.geometry import Scene, make_scene
 from rissim.ris import RisConfig, RisLayout
 
 
-def _unit_channel(n=1, h_los=0.0j, noise=0.0):
+def _unit_channel(n=1, h_los=0.0j):
     """Synthetic realization with unit entries on H and dark V."""
     ones = np.ones(n, dtype=np.complex128)
     zeros = np.zeros(n, dtype=np.complex128)
-    return ChannelRealization(ones, zeros, ones, zeros, h_los, noise)
+    return ChannelRealization(ones, zeros, ones, zeros, h_los)
 
 
 # --- seeding -----------------------------------------------------------
@@ -94,13 +95,13 @@ def test_derive_rng_seeds_the_stream_of_its_words(parts, key, index):
 def test_synthesis_is_bit_deterministic():
     scene = make_scene(rx_angle_deg=70.0, rx_distance_cm=170.0)
     lay = RisLayout.default()
-    params = ChannelModelParams(seed=11)
-    a = synthesize_channels(scene, lay, params)
-    b = synthesize_channels(scene, lay, params)
+    params = ChannelModelParams()
+    a = synthesize_channels(scene, lay, params, 11)
+    b = synthesize_channels(scene, lay, params, 11)
     for name in ("h_h", "h_v", "g_h", "g_v"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.h_los == b.h_los
-    c = synthesize_channels(scene, lay, ChannelModelParams(seed=12))
+    c = synthesize_channels(scene, lay, params, 12)
     assert not np.array_equal(a.h_h, c.h_h)
 
 
@@ -139,8 +140,7 @@ def _oracle_channels(channel, scene):
         cfg = config_from_dict({"seed": seed, "channel": channel, "scene": scene})
         layout = RisLayout(2, 2, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
         for i in range(40):
-            params = dataclasses.replace(cfg.channel, seed=derive_seed(seed, "oracle", i), noise_variance=0.0)
-            yield synthesize_channels(cfg.base_scene(), layout, params)
+            yield synthesize_channels(cfg.base_scene(), layout, cfg.channel, derive_seed(seed, "oracle", i))
 
 
 # sha256 over the channel bytes of the oracle instances
@@ -176,9 +176,8 @@ def test_link_draws_equal_fresh_synthesis_in_any_seed_order():
     random.Random(5).shuffle(seeds)
     for seed in seeds:
         drawn = one.draw(seed)
-        fresh = synthesize_channels(scene, cfg.layout, dataclasses.replace(params, seed=seed))
+        fresh = synthesize_channels(scene, cfg.layout, params, seed)
         assert _channel_digest([drawn]) == _channel_digest([fresh])
-        assert drawn.noise_variance == fresh.noise_variance
 
 
 def test_link_is_read_only():
@@ -208,19 +207,19 @@ def test_a_channel_past_float64_is_a_measurement_floor(exponent, stage):
             with pytest.raises(MeasurementFloorError, match="^channel is not a finite float64$"):
                 one.draw(0)
         with pytest.raises(MeasurementFloorError, match="^channel is not a finite float64$"):
-            synthesize_channels(scene, RisLayout(2, 2), params)
+            synthesize_channels(scene, RisLayout(2, 2), params, 0)
 
 
 def test_deterministic_part_mirror_symmetric():
     # pure deterministic channel on a symmetric panel, transmitter on
     # broadside: mirrored receiver angles see the same all-off magnitude
     lay = RisLayout(nx=4, ny=3)
-    params = ChannelModelParams(rician_k_db=float("inf"), noise_variance=0.0)
+    params = ChannelModelParams(rician_k_db=float("inf"))
     off = RisConfig.all_off(lay)
     mags = []
     for ang in (70.0, 110.0):
         scene = make_scene(rx_angle_deg=ang, rx_distance_cm=170.0, tx_angle_deg=90.0)
-        chan = synthesize_channels(scene, lay, params)
+        chan = synthesize_channels(scene, lay, params, 0)
         mags.append(abs(channel_gain(off, chan)))
     assert mags[0] == pytest.approx(mags[1], rel=1e-10)
 
@@ -229,9 +228,9 @@ def test_return_amplitude_follows_inverse_distance():
     # single element at the surface center: doubling the receiver range
     # exactly halves |g| under the default path-loss exponent
     lay = RisLayout(nx=1, ny=1)
-    params = ChannelModelParams(rician_k_db=float("inf"), noise_variance=0.0)
-    near = synthesize_channels(make_scene(rx_angle_deg=90.0, rx_distance_cm=100.0), lay, params)
-    far = synthesize_channels(make_scene(rx_angle_deg=90.0, rx_distance_cm=200.0), lay, params)
+    params = ChannelModelParams(rician_k_db=float("inf"))
+    near = synthesize_channels(make_scene(rx_angle_deg=90.0, rx_distance_cm=100.0), lay, params, 0)
+    far = synthesize_channels(make_scene(rx_angle_deg=90.0, rx_distance_cm=200.0), lay, params, 0)
     assert abs(near.g_h[0]) / abs(far.g_h[0]) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -240,8 +239,8 @@ def test_rician_weights_preserve_envelope_scale():
     # per-element magnitude stays within a factor of a few of deterministic
     lay = RisLayout(nx=2, ny=2)
     scene = make_scene(rx_angle_deg=70.0, rx_distance_cm=170.0)
-    det = synthesize_channels(scene, lay, ChannelModelParams(rician_k_db=float("inf")))
-    mixed = synthesize_channels(scene, lay, ChannelModelParams(rician_k_db=10.0, seed=3))
+    det = synthesize_channels(scene, lay, ChannelModelParams(rician_k_db=float("inf")), 0)
+    mixed = synthesize_channels(scene, lay, ChannelModelParams(rician_k_db=10.0), 3)
     ratio = np.abs(mixed.h_h) / np.abs(det.h_h)
     assert np.all(ratio > 0.3) and np.all(ratio < 3.0)
 
@@ -251,16 +250,16 @@ def test_terminal_on_element_rejected():
     scene = make_scene(rx_angle_deg=90.0, rx_distance_cm=100.0)
     bad = scene.with_rx_at(90.0, 1e-8)
     with pytest.raises(ValueError):
-        synthesize_channels(bad, lay, ChannelModelParams())
+        synthesize_channels(bad, lay, ChannelModelParams(), 0)
 
 
 def test_cross_pol_coupling_mixes_power():
     lay = RisLayout(nx=2, ny=2)
     scene = make_scene(rx_angle_deg=70.0, rx_distance_cm=170.0, polarization=1.0)
-    pure = synthesize_channels(scene, lay, ChannelModelParams(seed=5))
+    pure = synthesize_channels(scene, lay, ChannelModelParams(), 5)
     # V-only terminals: the H vector starts dark, coupling lights it up
     assert np.allclose(pure.h_h, 0.0)
-    mixed = synthesize_channels(scene, lay, ChannelModelParams(seed=5, cross_pol_coupling=0.1))
+    mixed = synthesize_channels(scene, lay, ChannelModelParams(cross_pol_coupling=0.1), 5)
     assert np.all(np.abs(mixed.h_h) > 0.0)
 
 
@@ -278,7 +277,7 @@ def test_two_element_cascade_extremes():
 
 def test_v_diode_flips_only_v_branch():
     ones = np.ones(2, dtype=np.complex128)
-    chan = ChannelRealization(ones, ones, ones, ones, 0.0j, 0.0)
+    chan = ChannelRealization(ones, ones, ones, ones, 0.0j)
     lay = RisLayout(nx=2, ny=1)
     # state 2 engages V on both elements: H sums +2, V sums -2
     assert abs(channel_gain(RisConfig(lay, (2, 2)), chan, amplitude=1.0)) ** 2 == pytest.approx(0.0, abs=1e-15)
@@ -293,7 +292,7 @@ def test_channel_gain_matches_direct_formula():
     vecs = [
         (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2) for _ in range(4)
     ]
-    chan = ChannelRealization(vecs[0], vecs[1], vecs[2], vecs[3], 0.2 - 0.1j, 0.0)
+    chan = ChannelRealization(vecs[0], vecs[1], vecs[2], vecs[3], 0.2 - 0.1j)
     states = tuple(rng.integers(0, 4, n))
     config = RisConfig(lay, states)
     alpha = 0.9
@@ -319,9 +318,9 @@ def test_gain_invariant_to_global_phase(phi):
     n = 6
     vecs = [(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(4)]
     rot = np.exp(1j * phi)
-    chan = ChannelRealization(vecs[0], vecs[1], vecs[2], vecs[3], 0.3j, 0.0)
+    chan = ChannelRealization(vecs[0], vecs[1], vecs[2], vecs[3], 0.3j)
     spun = ChannelRealization(
-        vecs[0] * rot, vecs[1] * rot, vecs[2], vecs[3], 0.3j * rot, 0.0
+        vecs[0] * rot, vecs[1] * rot, vecs[2], vecs[3], 0.3j * rot
     )
     lay = RisLayout(nx=3, ny=2)
     config = RisConfig(lay, (0, 1, 2, 3, 0, 1))
@@ -349,11 +348,11 @@ def test_channel_gain_is_reciprocal(tx, rx, polarization, coupling, states):
         assert str(exc) == "tx and rx coincide"
         reject()
     lay = RisLayout.default()
-    params = ChannelModelParams(rician_k_db=math.inf, seed=3, cross_pol_coupling=coupling)
+    params = ChannelModelParams(rician_k_db=math.inf, cross_pol_coupling=coupling)
     swapped = Scene(scene.rx, scene.tx)
     config = RisConfig(lay, tuple(states))
-    forward = channel_gain(config, synthesize_channels(scene, lay, params))
-    backward = channel_gain(config, synthesize_channels(swapped, lay, params))
+    forward = channel_gain(config, synthesize_channels(scene, lay, params, 3))
+    backward = channel_gain(config, synthesize_channels(swapped, lay, params, 3))
     assert abs(backward - forward) <= 1e-12 * abs(forward)
 
 
@@ -373,13 +372,13 @@ def test_tone_waveform_unit_circle():
 
 def test_meter_noise_only_reading():
     # dark channel: the reading is the noise power in codes, sigma^2 (2048/fs)^2
-    chan = ChannelRealization(*(np.zeros(1, np.complex128),) * 4, 0.0j, 0.01)
+    chan = ChannelRealization(*(np.zeros(1, np.complex128),) * 4, 0.0j)
     off = RisConfig.all_off(RisLayout(nx=1, ny=1))
-    p = TonePowerMeter(chan, full_scale=4.0, noise_seed=5)(off)
+    p = TonePowerMeter(chan, full_scale=4.0, noise_variance=0.01, noise_seed=5)(off)
     expected = 10.0 * math.log10(0.01 * (2048.0 / 4.0) ** 2)
     assert p == pytest.approx(expected, abs=10.0 * math.log10(1.05))
     # same seed reproduces the exact reading
-    assert TonePowerMeter(chan, full_scale=4.0, noise_seed=5)(off) == p
+    assert TonePowerMeter(chan, full_scale=4.0, noise_variance=0.01, noise_seed=5)(off) == p
 
 
 # --- quantization ------------------------------------------------------
@@ -408,7 +407,7 @@ def test_quantize_full_scale_and_clipping():
     with pytest.raises(ValueError):
         quantize_adc(np.array([1.0 + 0j]), 0.0)
     with pytest.raises(ValueError):
-        TonePowerMeter(_unit_channel(1), full_scale=0.0)
+        TonePowerMeter(_unit_channel(1), full_scale=0.0, noise_variance=0.0)
 
 
 def test_power_dbfs_anchors():
@@ -434,14 +433,14 @@ def test_power_dbfs_rejects_empty_and_zero():
 
 
 def test_meter_counts_calls_and_reproduces():
-    chan = _unit_channel(1, noise=1e-4)
+    chan = _unit_channel(1)
     lay = RisLayout(nx=1, ny=1)
-    meter = TonePowerMeter(chan, full_scale=4.0, noise_seed=(3, "m"))
+    meter = TonePowerMeter(chan, full_scale=4.0, noise_variance=1e-4, noise_seed=(3, "m"))
     off = RisConfig.all_off(lay)
     p0, p1 = meter(off), meter(off)
     assert meter.calls == 2
     # fresh meter replays the same per-call noise streams
-    again = TonePowerMeter(chan, full_scale=4.0, noise_seed=(3, "m"))
+    again = TonePowerMeter(chan, full_scale=4.0, noise_variance=1e-4, noise_seed=(3, "m"))
     assert again(off) == p0
     assert again(off) == p1
     assert p0 != p1  # distinct call indices draw distinct noise
@@ -450,7 +449,7 @@ def test_meter_counts_calls_and_reproduces():
 def test_meter_matches_analytic_level_noiseless():
     chan = _unit_channel(1)
     lay = RisLayout(nx=1, ny=1)
-    meter = TonePowerMeter(chan, full_scale=4.0, amplitude=0.9)
+    meter = TonePowerMeter(chan, full_scale=4.0, amplitude=0.9, noise_variance=0.0)
     p = meter(RisConfig.all_off(lay))
     expected = 20.0 * math.log10(0.9 * 2048.0 / 4.0)
     assert p == pytest.approx(expected, abs=0.01)
@@ -462,8 +461,8 @@ def test_meter_amplitude_scaling_law():
     chan = _unit_channel(1)
     lay = RisLayout(nx=1, ny=1)
     off = RisConfig.all_off(lay)
-    hi = TonePowerMeter(chan, full_scale=4.0, amplitude=0.9)(off)
-    lo = TonePowerMeter(chan, full_scale=4.0, amplitude=0.45)(off)
+    hi = TonePowerMeter(chan, full_scale=4.0, amplitude=0.9, noise_variance=0.0)(off)
+    lo = TonePowerMeter(chan, full_scale=4.0, amplitude=0.45, noise_variance=0.0)(off)
     assert hi - lo == pytest.approx(20.0 * math.log10(2.0), abs=0.05)
 
 
@@ -474,9 +473,8 @@ def test_meter_floor_error_on_dark_channel():
         np.zeros(1, np.complex128),
         np.zeros(1, np.complex128),
         0.0j,
-        0.0,
     )
-    meter = TonePowerMeter(chan, full_scale=4.0)
+    meter = TonePowerMeter(chan, full_scale=4.0, noise_variance=0.0)
     with pytest.raises(MeasurementFloorError):
         meter(RisConfig.all_off(RisLayout(nx=1, ny=1)))
 
@@ -486,7 +484,8 @@ def test_meter_reading_at_the_clip_edge(h_los, clip_fraction):
     # one code per unit: +2048 is the top code, -2048 clamps to -2047
     dark = np.zeros(1, np.complex128)
     tone = ToneParams(buffer_len=1)
-    meter = TonePowerMeter(ChannelRealization(dark, dark, dark, dark, h_los, 0.0), tone, full_scale=2048.0)
+    chan = ChannelRealization(dark, dark, dark, dark, h_los)
+    meter = TonePowerMeter(chan, tone, full_scale=2048.0, noise_variance=0.0)
     reading = meter(RisConfig.all_off(RisLayout(nx=1, ny=1)))
     assert meter.last_clip_fraction == clip_fraction
     q = quantize_adc(h_los * tone_waveform(tone), 2048.0)
@@ -542,16 +541,16 @@ def _reference_cascade(config, chan, amplitude):
     return re + chan.h_los.real, im + chan.h_los.imag
 
 
-def _reference_reading(config, chan, tone, full_scale, amplitude, noise_seed, index):
+def _reference_reading(config, chan, tone, full_scale, amplitude, noise_variance, noise_seed, index):
     """The receiver chain stage by stage, one temporary array per step;
     returns (dBFS or None for an all-zero buffer, clip fraction)."""
     cr, ci = _reference_cascade(config, chan, amplitude)
     w = tone_waveform(tone)
     # c * w in real arithmetic: (cr wr - ci wi, cr wi + ci wr)
     i_row, q_row = cr * w.real - ci * w.imag, cr * w.imag + ci * w.real
-    if chan.noise_variance > 0.0:
+    if noise_variance > 0.0:
         z = derive_rng(noise_seed, index).standard_normal((2, len(w)))
-        sigma = math.sqrt(chan.noise_variance / 2.0)
+        sigma = math.sqrt(noise_variance / 2.0)
         i_row, q_row = i_row + sigma * z[0], q_row + sigma * z[1]
     scaled = np.stack([i_row, q_row], axis=-1) * (2048 / full_scale)
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
@@ -584,14 +583,16 @@ def test_meter_matches_reference_chain(
     rng = derive_rng(seed, "reference")
     weight = 0.0 if dark else 1.0
     vecs = [weight * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(4)]
-    chan = ChannelRealization(*vecs, h_los, noise_variance)
+    chan = ChannelRealization(*vecs, h_los)
     lay = RisLayout(nx=n, ny=1)
     tone = ToneParams(buffer_len=buffer_len)
-    meter = TonePowerMeter(chan, tone, full_scale=full_scale, amplitude=amplitude, noise_seed=(seed, "m"))
+    meter = TonePowerMeter(
+        chan, tone, full_scale=full_scale, amplitude=amplitude, noise_variance=noise_variance, noise_seed=(seed, "m")
+    )
     for index in range(2):
         config = RisConfig(lay, tuple(int(s) for s in rng.integers(0, 4, n)))
         expected, clip_fraction = _reference_reading(
-            config, chan, tone, full_scale, amplitude, (seed, "m"), index
+            config, chan, tone, full_scale, amplitude, noise_variance, (seed, "m"), index
         )
         if expected is None:
             with pytest.raises(MeasurementFloorError):
@@ -618,13 +619,13 @@ def test_cascade_kernel_matches_written_out_cascade(seed, n, amplitude, source, 
             rx_distance_cm=float(rng.uniform(60.0, 250.0)),
             polarization=float(rng.uniform(0.0, 1.0)),
         )
-        params = ChannelModelParams(seed=seed, noise_variance=0.0, cross_pol_coupling=coupling)
-        chan = synthesize_channels(scene, lay, params)
+        params = ChannelModelParams(cross_pol_coupling=coupling)
+        chan = synthesize_channels(scene, lay, params, seed)
     else:
         weight = 0.0 if source == "dark" else 1.0
         vecs = [weight * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(4)]
         h_los = 0.0j if source == "dark" else complex(*rng.standard_normal(2))
-        chan = ChannelRealization(*vecs, h_los, 0.0)
+        chan = ChannelRealization(*vecs, h_los)
     meter = GainMeter(chan, amplitude)
     tone = ToneParams(buffer_len=16)
     for index in range(3):
@@ -637,10 +638,10 @@ def test_cascade_kernel_matches_written_out_cascade(seed, n, amplitude, source, 
         full_scale = 4.0 * abs(expected) if expected else 1.0
         if not math.isfinite(2048 / full_scale):
             with pytest.raises(ValueError, match="gives no finite ADC code scale"):
-                TonePowerMeter(chan, tone, full_scale=full_scale, amplitude=amplitude)
+                TonePowerMeter(chan, tone, full_scale=full_scale, amplitude=amplitude, noise_variance=0.0)
             continue
-        reading, _ = _reference_reading(config, chan, tone, full_scale, amplitude, 0, index)
-        tone_meter = TonePowerMeter(chan, tone, full_scale=full_scale, amplitude=amplitude)
+        reading, _ = _reference_reading(config, chan, tone, full_scale, amplitude, 0.0, 0, index)
+        tone_meter = TonePowerMeter(chan, tone, full_scale=full_scale, amplitude=amplitude, noise_variance=0.0)
         if reading is None:
             with pytest.raises(MeasurementFloorError):
                 tone_meter(config)
@@ -655,15 +656,12 @@ def test_full_scale_without_finite_code_scale_is_rejected(full_scale):
     with pytest.raises(ValueError, match="gives no finite ADC code scale"):
         quantize_adc(np.array([0.0j, 1e-323 + 0j]), full_scale)
     with pytest.raises(ValueError, match="gives no finite ADC code scale"):
-        TonePowerMeter(_unit_channel(1), full_scale=full_scale)
+        TonePowerMeter(_unit_channel(1), full_scale=full_scale, noise_variance=0.0)
 
 
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("noise_variance", math.nan),
-        ("noise_variance", math.inf),
-        ("noise_variance", -1.0),
         ("path_loss_exponent", math.nan),
         ("path_loss_exponent", math.inf),
         ("path_loss_exponent", 0.5),
@@ -679,6 +677,14 @@ def test_channel_params_keep_infinite_rician_k():
     assert ChannelModelParams(rician_k_db=math.inf).rician_k_db == math.inf
 
 
+def test_channel_types_hold_only_propagation():
+    # the seed goes to the draw and the receiver's noise to the meter
+    names = {f.name for f in dataclasses.fields(ChannelModelParams)}
+    assert names == {"path_loss_exponent", "rician_k_db", "cross_pol_coupling"}
+    for cls in (ChannelRealization, Link):
+        assert not {"seed", "noise_variance"} & {f.name for f in dataclasses.fields(cls)}
+
+
 @pytest.mark.parametrize(
     "k_db, w_sc, deterministic",
     [(math.inf, 0.0, True), (4000.0, 0.0, True), (-math.inf, 1.0, False), (-4000.0, 1.0, False)],
@@ -691,9 +697,15 @@ def test_rician_k_extremes_weight_the_two_parts(k_db, w_sc, deterministic):
 
 
 @pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0])
-def test_realization_rejects_bad_noise_variance(noise):
+def test_meter_rejects_bad_noise_variance(noise):
     with pytest.raises(ValueError, match="noise_variance must be finite and non-negative"):
-        _unit_channel(noise=noise)
+        TonePowerMeter(_unit_channel(), noise_variance=noise)
+
+
+def test_meter_requires_a_noise_variance():
+    # no default, so no call site silently gains or loses the receiver's noise
+    with pytest.raises(TypeError, match="noise_variance"):
+        TonePowerMeter(_unit_channel())
 
 
 def test_calibration_script_reproduces_the_frozen_defaults(capsys):
@@ -729,7 +741,7 @@ def test_meters_reject_amplitude_at_construction(amplitude):
     with pytest.raises(ValueError, match=r"amplitude must be in \(0, 1\]"):
         GainMeter(chan, amplitude)
     with pytest.raises(ValueError, match=r"amplitude must be in \(0, 1\]"):
-        TonePowerMeter(chan, amplitude=amplitude)
+        TonePowerMeter(chan, amplitude=amplitude, noise_variance=0.0)
 
 
 def test_gain_meter_reports_decibels():
@@ -765,8 +777,8 @@ def test_gain_meter_readings_equal_calls_bit_for_bit(seed, shape, coupling, rows
         rx_distance_cm=float(rng.uniform(60.0, 250.0)),
         polarization=float(rng.uniform(0.0, 1.0)),
     )
-    params = ChannelModelParams(seed=seed, noise_variance=0.0, cross_pol_coupling=coupling)
-    meter = GainMeter(synthesize_channels(scene, lay, params))
+    params = ChannelModelParams(cross_pol_coupling=coupling)
+    meter = GainMeter(synthesize_channels(scene, lay, params, seed))
     base = rng.integers(0, 4, (rows, n))
     # repeated rows; base ^ 2 keeps every H pattern and base ^ 1 every V one
     parts = [base, base[::-1], base ^ 2, base ^ 1]
@@ -786,8 +798,8 @@ def test_gain_meter_readings_equal_calls_bit_for_bit(seed, shape, coupling, rows
 
 def test_gain_meter_readings_keep_rows_apart_past_element_63():
     lay = RisLayout.default()
-    params = ChannelModelParams(seed=3, noise_variance=0.0, cross_pol_coupling=0.3)
-    meter = GainMeter(synthesize_channels(make_scene(rx_angle_deg=130.0), lay, params))
+    params = ChannelModelParams(cross_pol_coupling=0.3)
+    meter = GainMeter(synthesize_channels(make_scene(rx_angle_deg=130.0), lay, params, 3))
     # the all-off row, then one element at index >= 60 switched per row
     states = np.zeros((1 + 2 * 16, 76), dtype=np.int64)
     for k, i in enumerate(range(60, 76)):
@@ -801,8 +813,8 @@ def test_gain_meter_readings_keep_rows_apart_past_element_63():
 @pytest.mark.parametrize("amplitude", [0.9, 1.0, 0.3])
 def test_contribution_table_entries_match_their_definition(amplitude):
     lay = RisLayout.default()
-    params = ChannelModelParams(seed=5, noise_variance=0.0, cross_pol_coupling=0.3)
-    chan = synthesize_channels(make_scene(rx_angle_deg=70.0), lay, params)
+    params = ChannelModelParams(cross_pol_coupling=0.3)
+    chan = synthesize_channels(make_scene(rx_angle_deg=70.0), lay, params, 5)
     table = _Cascade(chan, amplitude).table
     assert table.shape == (2, 4 * lay.n_active)
     for i in range(lay.n_active):
@@ -818,7 +830,7 @@ def test_contribution_table_entries_match_their_definition(amplitude):
 
 def test_gain_meter_readings_of_a_dark_channel_are_minus_inf_without_warning():
     zeros = np.zeros(3, dtype=np.complex128)
-    meter = GainMeter(ChannelRealization(zeros, zeros, zeros, zeros, 0.0j, 0.0))
+    meter = GainMeter(ChannelRealization(zeros, zeros, zeros, zeros, 0.0j))
     half_dark = GainMeter(_unit_channel(2), amplitude=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -831,8 +843,8 @@ def test_gain_meter_readings_of_a_dark_channel_are_minus_inf_without_warning():
 @pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int8, np.uint32, np.int16])
 def test_gain_meter_readings_accept_any_integer_dtype(dtype):
     lay = RisLayout(nx=3, ny=2)
-    params = ChannelModelParams(seed=9, noise_variance=0.0, cross_pol_coupling=0.3)
-    meter = GainMeter(synthesize_channels(make_scene(rx_angle_deg=110.0), lay, params))
+    params = ChannelModelParams(cross_pol_coupling=0.3)
+    meter = GainMeter(synthesize_channels(make_scene(rx_angle_deg=110.0), lay, params, 9))
     states = np.indices((4,) * 3).reshape(3, -1).T.repeat(2, axis=1).astype(dtype)
     expected = [meter(RisConfig(lay, row)) for row in _states_of(states)]
     assert meter.readings(states).tolist() == expected
@@ -857,7 +869,7 @@ def test_calls_and_readings_share_one_db_rule_bit_for_bit():
     dark = np.zeros(1, dtype=np.complex128)
     lay = RisLayout(nx=1, ny=1)
     for c in _DB_RULE_CASES:
-        meter = GainMeter(ChannelRealization(dark, dark, dark, dark, c, 0.0))
+        meter = GainMeter(ChannelRealization(dark, dark, dark, dark, c))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             call = meter(RisConfig.all_off(lay))
@@ -870,10 +882,14 @@ def test_calls_and_readings_share_one_db_rule_bit_for_bit():
 @pytest.mark.parametrize("c", [1e200 + 0j, complex(1e308, 1e308), complex(math.nan, 1.0), complex(math.inf, 0.0)])
 def test_a_gain_that_is_not_a_finite_float64_has_no_reading(c):
     dark = np.zeros(2, dtype=np.complex128)
-    chan = ChannelRealization(dark, dark, dark, dark, c, 0.0)
+    chan = ChannelRealization(dark, dark, dark, dark, c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for build in (GainMeter, TonePowerMeter, lambda ch: channel_gain(RisConfig.all_off(RisLayout(2, 1)), ch)):
+        for build in (
+            GainMeter,
+            lambda ch: TonePowerMeter(ch, noise_variance=0.0),
+            lambda ch: channel_gain(RisConfig.all_off(RisLayout(2, 1)), ch),
+        ):
             with pytest.raises(MeasurementFloorError, match="no finite reading"):
                 build(chan)
 
@@ -881,16 +897,16 @@ def test_a_gain_that_is_not_a_finite_float64_has_no_reading(c):
 def test_gain_meter_reports_an_overflowing_gain_as_no_finite_reading():
     # each product conj(g) h is 1e200: finite entries whose cascade would overflow
     big = np.full(2, 1e100, dtype=np.complex128)
-    chan = ChannelRealization(big, big, big, big, 0.0j, 0.0)
+    chan = ChannelRealization(big, big, big, big, 0.0j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MeasurementFloorError, match="no finite reading"):
             GainMeter(chan)
         with pytest.raises(MeasurementFloorError, match="no finite reading"):
-            TonePowerMeter(chan)
+            TonePowerMeter(chan, noise_variance=0.0)
     # a coefficient near 1e150 still reads
     ok = np.full(2, 1e75, dtype=np.complex128)
-    meter = GainMeter(ChannelRealization(ok, ok, ok, ok, 0.0j, 0.0), amplitude=1.0)
+    meter = GainMeter(ChannelRealization(ok, ok, ok, ok, 0.0j), amplitude=1.0)
     assert meter(RisConfig.all_off(RisLayout(nx=2, ny=1))) == meter.readings(np.zeros((1, 2), dtype=np.int64))[0]
 
 

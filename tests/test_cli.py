@@ -196,7 +196,7 @@ def test_repeated_group_sizes_flag_exits_two(tmp_path, capsys, config_path):
         ["grouping", "--config", str(config_path), "--group-sizes", "8,8", "--out", str(tmp_path / "g")]
     )
     assert rc == 2
-    assert capsys.readouterr().err == "error: grouping sizes must not repeat: [8, 8]\n"
+    assert capsys.readouterr().err == "error: grouping.group_sizes must not repeat: [8, 8]\n"
     assert not (tmp_path / "g").exists()
 
 
@@ -477,7 +477,7 @@ _EMPTY_BOOK = {"schema_version": 2, "metadata": _BOOK_METADATA, "entries": []}
         (
             {"codebook": {**SMALL["codebook"], "reference_angles_deg": []}},
             None,
-            "codebook reference angles must not be empty",
+            "codebook.reference_angles_deg must not be empty",
         ),
         ({}, _EMPTY_BOOK, "cannot load codebook: a codebook needs at least one codeword"),
     ],
@@ -503,6 +503,65 @@ def test_infinite_sweep_point_is_a_per_point_error(tmp_path, capsys):
     assert "error: point [90.0, inf]: point (90.0, inf) is outside the scene" in capsys.readouterr().err
     assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 3
     assert (tmp_path / "out" / "traces" / "sweep_a70_d170.csv").exists()
+
+
+def _sweep_rows(config: dict, out: Path, parallel: int = 1):
+    """(exit code, results.csv rows) of one sweep run on config."""
+    p = out.parent / f"{out.name}.json"
+    p.write_text(json.dumps(config))
+    rc = cli.main(["sweep", "--config", str(p), "--out", str(out), "--parallel", str(parallel)])
+    return rc, (out / "results.csv").read_text().splitlines()[2:]
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_repeated_sweep_point_is_a_per_point_error(tmp_path, capsys, parallel):
+    # default noise, so a point that ran under another noise key would read differently
+    noisy = {**SMALL, "channel": {}}
+    points = [[70.0, 170.0], [70.0, 170.0], [110.0, 220.0], [110, 220.0]]
+    rc, rows = _sweep_rows({**noisy, "sweep": {"points": points}}, tmp_path / "out", parallel)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: point [70.0, 170.0]: repeats an earlier sweep point\n"
+        "error: point [110.0, 220.0]: repeats an earlier sweep point\n"
+    )
+    assert sorted(t.name for t in (tmp_path / "out" / "traces").iterdir()) == [
+        "sweep_a110_d220.csv",
+        "sweep_a70_d170.csv",
+    ]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["points"] == 2 and len(summary["errors"]) == 2
+    # each first occurrence keeps the noise key of its own index in sweep.points
+    _, first = _sweep_rows({**noisy, "sweep": {"points": points[:1]}}, tmp_path / "first")
+    others = [[130.0, 220.0], [50.0, 220.0], points[2]]
+    _, third = _sweep_rows({**noisy, "sweep": {"points": others}}, tmp_path / "third")
+    assert rows == [first[0], third[2]]
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ({"grouping": {**SMALL["grouping"], "group_sizes": []}}, "grouping.group_sizes"),
+        ({"grouping": {**SMALL["grouping"], "angles_deg": []}}, "grouping.angles_deg"),
+        ({"sweep": {"points": []}}, "sweep.points"),
+    ],
+)
+def test_empty_list_is_a_config_error(tmp_path, capsys, section, key):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({**SMALL, **section}))
+    out = tmp_path / "out"
+    for command in _COMMANDS:
+        assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must not be empty\n"
+        assert not out.exists()
+
+
+def test_empty_codebook_path_trains_a_codebook(tmp_path):
+    p = tmp_path / "no_path.json"
+    p.write_text(json.dumps({**SMALL, "codebook": {**SMALL["codebook"], "path": []}}))
+    out = tmp_path / "out"
+    assert cli.main(["codebook", "--config", str(p), "--out", str(out)]) == 0
+    assert len(json.loads((out / "codebook.json").read_text())["entries"]) == 2
+    assert len((out / "path.csv").read_text().splitlines()) == 2
 
 
 # SMALL's tx sits at 78 deg, 100 cm

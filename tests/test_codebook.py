@@ -18,14 +18,13 @@ from rissim.optimizer import greedy_iterative
 from rissim.ris import RisConfig, RisLayout
 
 LAY = RisLayout(nx=3, ny=2)
-NOISELESS = ChannelModelParams(noise_variance=0.0, seed=2)
 TONE = ToneParams(buffer_len=1000)
 FS = 1.0
 
 
 def _config(seed=2):
     """Noiseless on LAY with the default scene, 4 states and single-element groups."""
-    return ScenarioConfig(seed=seed, layout=LAY, channel=NOISELESS, tone=TONE, full_scale=FS)
+    return ScenarioConfig(seed=seed, layout=LAY, noise_variance=0.0, tone=TONE, full_scale=FS)
 
 
 def _book(refs, seed=2):
@@ -46,11 +45,11 @@ def test_codeword_matches_online_rerun_at_reference():
     # on the identical configuration and power
     book = _book([(70.0, 170.0)])
     scene = make_scene().with_rx_at(70.0, 170.0)
-    chan = synthesize_channels(scene, LAY, NOISELESS)
-    meter = TonePowerMeter(chan, TONE, full_scale=FS)
+    chan = synthesize_channels(scene, LAY, ChannelModelParams(), 2)
+    meter = TonePowerMeter(chan, TONE, full_scale=FS, noise_variance=0.0)
     online, trace = greedy_iterative(meter, LAY)
     assert online == book.entries[0].config
-    check = TonePowerMeter(chan, TONE, full_scale=FS)
+    check = TonePowerMeter(chan, TONE, full_scale=FS, noise_variance=0.0)
     assert check(book.entries[0].config) == trace.final_power
 
 

@@ -1,11 +1,11 @@
 import csv
-import dataclasses
 import itertools
 import json
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rissim.channel import GainMeter, channel_gain, derive_seed, link, synthesize_channels
@@ -43,10 +43,17 @@ def _small_config():
     return config_from_dict(json.loads(json.dumps(SMALL)))
 
 
-def test_master_seed_drives_channel_seed():
+def _channel_bytes(chan) -> bytes:
+    return b"".join(v.tobytes() for v in (chan.h_h, chan.h_v, chan.g_h, chan.g_v, np.complex128(chan.h_los)))
+
+
+def test_master_seed_drives_the_channel_draw():
     cfg = ScenarioConfig(seed=9)
-    assert cfg.channel.seed == 9
-    assert cfg.with_seed(3).channel.seed == 3
+    scene = cfg.base_scene().with_rx_at(70.0, 170.0)
+    at = {seed: _channel_bytes(synthesize_channels(scene, cfg.layout, cfg.channel, seed)) for seed in (9, 3)}
+    assert at[9] != at[3]
+    assert _channel_bytes(cfg.channel_at(70.0, 170.0)) == at[9]
+    assert _channel_bytes(cfg.with_seed(3).channel_at(70.0, 170.0)) == at[3]
 
 
 def test_config_round_trip_and_hash():
@@ -148,11 +155,11 @@ def test_integer_keys_accept_integral_floats():
 @pytest.mark.parametrize(
     "data, message",
     [
-        ({"grouping": {"group_sizes": [8, 8]}}, "grouping sizes must not repeat: [8, 8]"),
-        ({"grouping": {"angles_deg": [70, 90, 70]}}, "grouping angles must not repeat"),
+        ({"grouping": {"group_sizes": [8, 8]}}, "grouping.group_sizes must not repeat: [8, 8]"),
+        ({"grouping": {"angles_deg": [70, 90, 70]}}, "grouping.angles_deg must not repeat"),
         (
             {"codebook": {"reference_angles_deg": [70, 70.0]}},
-            "codebook reference angles must not repeat",
+            "codebook.reference_angles_deg must not repeat",
         ),
     ],
 )
@@ -469,12 +476,8 @@ def test_oracle_layout_follows_configured_carrier(tmp_path):
     rows = list(csv.DictReader(_read_lines(out / "gaps.csv")[1:]))
     layout = RisLayout(2, 2, spacing=SPEED_OF_LIGHT / carrier / 2.0, carrier_hz=carrier)
     for row in rows:
-        params = dataclasses.replace(
-            cfg.channel,
-            seed=derive_seed(cfg.seed, "oracle", int(row["instance"])),
-            noise_variance=0.0,
-        )
-        chan = synthesize_channels(cfg.base_scene(), layout, params)
+        seed = derive_seed(cfg.seed, "oracle", int(row["instance"]))
+        chan = synthesize_channels(cfg.base_scene(), layout, cfg.channel, seed)
         best = max(
             abs(channel_gain(RisConfig(layout, states), chan, cfg.element_amplitude)) ** 2
             for states in itertools.product(range(4), repeat=4)
@@ -488,12 +491,9 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
     layout = RisLayout(nx, ny, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
     scene = cfg.base_scene()
     n = layout.n_active
-    chan_link = link(scene, layout, dataclasses.replace(cfg.channel, noise_variance=0.0))
+    chan_link = link(scene, layout, cfg.channel)
     for instance in range(6):
-        params = dataclasses.replace(
-            cfg.channel, seed=derive_seed(cfg.seed, "oracle", instance), noise_variance=0.0
-        )
-        chan = synthesize_channels(scene, layout, params)
+        chan = synthesize_channels(scene, layout, cfg.channel, derive_seed(cfg.seed, "oracle", instance))
         meter = GainMeter(chan, cfg.element_amplitude)
         _, oracle_db = exhaustive_search(meter.readings, layout, 4)
         _, gtrace = greedy_iterative(meter, layout, 4)
@@ -518,12 +518,10 @@ def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
     layout = RisLayout(2, 2, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
     assert (cfg.oracle_nx, cfg.oracle_ny, cfg.oracle_num_states) == (2, 2, 4)
     scene = cfg.base_scene()
-    chan_link = link(scene, layout, dataclasses.replace(cfg.channel, noise_variance=0.0))
+    chan_link = link(scene, layout, cfg.channel)
     for instance in range(40):
-        params = dataclasses.replace(
-            cfg.channel, seed=derive_seed(seed, "oracle", instance), noise_variance=0.0
-        )
-        meter = GainMeter(synthesize_channels(scene, layout, params), cfg.element_amplitude)
+        chan = synthesize_channels(scene, layout, cfg.channel, derive_seed(seed, "oracle", instance))
+        meter = GainMeter(chan, cfg.element_amplitude)
         best = float("-inf")
         for states in itertools.product(range(4), repeat=4):
             best = max(best, meter(RisConfig(layout, states)))

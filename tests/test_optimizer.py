@@ -42,8 +42,7 @@ def _per_row(measure, lay):
 
 def _noiseless_meter(lay, seed):
     scene = make_scene(rx_angle_deg=70.0, rx_distance_cm=170.0)
-    params = ChannelModelParams(noise_variance=0.0, seed=seed)
-    return GainMeter(synthesize_channels(scene, lay, params))
+    return GainMeter(synthesize_channels(scene, lay, ChannelModelParams(), seed))
 
 
 # --- budgets and trace shape ------------------------------------------
