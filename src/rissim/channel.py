@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, _dot3, direct_path, gains_toward
+from .geometry import Scene, SettingError, _dot3, direct_path, gains_toward
 from .ris import DEFAULT_ELEMENT_AMPLITUDE, NUM_ELEMENT_STATES, RisConfig, RisLayout
 
 ADC_CODE_MAX = 2048
@@ -58,24 +58,28 @@ def _entropy_words(parts) -> list[int]:
     return words
 
 
-def derive_rng(*parts) -> np.random.Generator:
-    """Generator keyed on a mixed tuple of ints, floats, strings, arrays.
-
-    The seed is the uint32 array SeedSequence would build from the 64-bit
-    words itself (a word below 2**32 is one entry, any other its low half
-    then its high half), so the stream is default_rng(_entropy_words(parts))
-    without numpy's per-int coercion. A list of words from _entropy_words
-    keys the same stream as the parts it came from.
-    """
+def _entropy(parts) -> np.ndarray:
+    """The uint32 array SeedSequence would build from the 64-bit words of
+    parts itself: a word below 2**32 is one entry, any other its low half
+    then its high half. Seeding with it skips numpy's per-int coercion."""
     entropy: list[int] = []
     for w in _entropy_words(parts):
         entropy.extend((w & 0xFFFFFFFF, w >> 32) if w >> 32 else (w,))
-    return np.random.default_rng(np.array(entropy, dtype=np.uint32))
+    return np.array(entropy, dtype=np.uint32)
+
+
+def derive_rng(*parts) -> np.random.Generator:
+    """Generator keyed on a mixed tuple of ints, floats, strings, arrays:
+    default_rng(_entropy_words(parts)), seeded through _entropy. A list of
+    words from _entropy_words keys the same stream as the parts it came from."""
+    return np.random.default_rng(_entropy(parts))
 
 
 def derive_seed(*parts) -> int:
-    """Stable 64-bit sub-seed from the same kind of mixed key."""
-    return int(np.random.SeedSequence(_entropy_words(parts)).generate_state(1, np.uint64)[0])
+    """Stable 64-bit sub-seed from the same kind of mixed key: the first
+    uint64 word of SeedSequence(_entropy_words(parts)), seeded with the
+    uint32 array of _entropy as derive_rng is."""
+    return int(np.random.SeedSequence(_entropy(parts)).generate_state(1, np.uint64)[0])
 
 
 def _check_noise_variance(noise_variance: float) -> None:
@@ -101,11 +105,11 @@ class ChannelModelParams:
     def __post_init__(self):
         # chained comparisons are false for NaN, so NaN fails each check
         if not 1.0 <= self.path_loss_exponent < math.inf:
-            raise ValueError("path_loss_exponent must be finite and at least 1")
+            raise SettingError("path_loss_exponent must be finite and at least 1", "path_loss_exponent")
         if math.isnan(self.rician_k_db):
-            raise ValueError("rician_k_db must not be NaN")
+            raise SettingError("rician_k_db must not be NaN", "rician_k_db")
         if not 0.0 <= self.cross_pol_coupling <= 1.0:
-            raise ValueError("cross_pol_coupling must be in [0, 1]")
+            raise SettingError("cross_pol_coupling must be in [0, 1]", "cross_pol_coupling")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +125,10 @@ class ChannelRealization:
     def __post_init__(self):
         n = None
         for name in ("h_h", "h_v", "g_h", "g_v"):
-            vec = np.asarray(getattr(self, name), dtype=np.complex128).copy()
+            vec = np.array(getattr(self, name), dtype=np.complex128)
             if vec.ndim != 1:
                 raise ValueError(f"{name} must be a vector")
-            if not np.all(np.isfinite(vec.view(np.float64))):
+            if not np.isfinite(vec.view(np.float64)).all():
                 raise ValueError(f"{name} has non-finite entries")
             if n is None:
                 n = vec.shape[0]
@@ -289,13 +293,13 @@ class ToneParams:
     def __post_init__(self):
         # chained comparisons are false for NaN, so NaN fails each check
         if not 0.0 < self.sample_rate_hz < math.inf:
-            raise ValueError("sample_rate_hz must be finite and positive")
+            raise SettingError("sample_rate_hz must be finite and positive", "sample_rate_hz")
         if not 0.0 < self.tone_hz < self.sample_rate_hz / 2.0:
-            raise ValueError("tone_hz must sit below Nyquist")
+            raise SettingError("tone_hz must sit below Nyquist")
         if self.buffer_len < 1:
-            raise ValueError("buffer_len must be at least 1")
+            raise SettingError("buffer_len must be at least 1", "buffer_len")
         if not 0.0 < self.tx_amplitude < math.inf:
-            raise ValueError("tx_amplitude must be finite and positive")
+            raise SettingError("tx_amplitude must be finite and positive", "tx_amplitude")
 
 
 def tone_waveform(tone: ToneParams) -> np.ndarray:
@@ -444,7 +448,10 @@ class GainMeter:
 
     Shares the measurement-function contract and the _Cascade kernel with
     TonePowerMeter; zero gain reads -inf. readings() reads a whole matrix of
-    states, as the exhaustive search does, each row to the bits of a call.
+    states, as the exhaustive search does, each row to the bits of a call:
+    it takes the block's powers as array ops and maps libm's log10 over the
+    nonzero ones, the IEEE steps of _reading_db, never numpy's log10, which
+    may round otherwise on SIMD hosts.
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
@@ -468,4 +475,10 @@ class GainMeter:
         self.calls += len(states)
         # intp first: uint64 + int64 offsets would give float64
         re, im = self._kernel.read(states.astype(np.intp, copy=False) + self._kernel.offsets)
-        return np.array(list(map(_reading_db, re.tolist(), im.tolist())), dtype=np.float64)
+        # _reading_db over the block: the same IEEE power, libm log10 per
+        # nonzero power, then one multiply by 10.0
+        p = re * re + im * im
+        out = np.full(p.shape, -math.inf)
+        lit = p != 0.0
+        out[lit] = 10.0 * np.fromiter(map(math.log10, p[lit].tolist()), np.float64)
+        return out

@@ -40,6 +40,7 @@ from .geometry import (
     DEFAULT_TX_DISTANCE_CM,
     BoresightError,
     Scene,
+    SettingError,
     make_scene,
 )
 from .optimizer import ENUMERATION_CAP, TraceEntry, enumerate_readings, greedy_iterative, table_measure
@@ -101,12 +102,25 @@ class ExperimentAssertionError(RuntimeError):
     """An experiment-level sanity assertion failed."""
 
 
-def _distinct(values, key: str) -> None:
+def _distinct(values, field: str) -> None:
     """A config list must hold something to run, each item once."""
     if not values:
-        raise ConfigError(f"{key} must not be empty")
+        raise ConfigError(f"{_KEYS[field]}: must not be empty")
     if len(set(values)) != len(values):
-        raise ConfigError(f"{key} must not repeat: {list(values)}")
+        raise ConfigError(f"{_KEYS[field]}: must not repeat: {list(values)}")
+
+
+def _placement_key(exc: ValueError, angle_field: str, distance_field: str) -> str:
+    """The config key an error in placing a spot names: the section for a
+    rule that spans keys (tx and rx coincide), the distance key when the
+    distance is out of range or its horn cannot be aimed, the beamwidth or
+    polarization key when a horn refuses those, else the angle (or list) key."""
+    name = getattr(exc, "name", "")
+    if name is None:
+        return _SECTIONS[angle_field]
+    if isinstance(exc, BoresightError) or name == "distance_cm":
+        return _KEYS[distance_field]
+    return _KEYS[name if name in ("half_beamwidth_deg", "polarization") else angle_field]
 
 
 @dataclass(frozen=True)
@@ -139,42 +153,45 @@ class ScenarioConfig:
     def __post_init__(self):
         # every random stream keys the seed as one 64-bit word, so a seed
         # outside [0, 2**64) would rerun another seed under its own hash
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.num_states not in (2, 3, 4) or self.oracle_num_states not in (2, 3, 4):
-            raise ConfigError("num_states must be 2, 3, or 4")
-        if self.group_size not in GROUP_SIZES:
-            raise ConfigError(f"group_size must be one of {GROUP_SIZES}")
-        if any(g not in GROUP_SIZES for g in self.grouping_sizes):
-            raise ConfigError(f"grouping sizes must come from {GROUP_SIZES}")
-        if self.oracle_instances < 1:
-            raise ConfigError("oracle_instances must be positive")
-        if not 0.0 < self.element_amplitude <= 1.0:
-            raise ConfigError("element_amplitude must be in (0, 1]")
-        _distinct(self.grouping_sizes, "grouping.group_sizes")
-        _distinct(self.grouping_angles_deg, "grouping.angles_deg")
-        _distinct(self.codebook_angles_deg, "codebook.reference_angles_deg")
+        rules = (
+            ("seed", 0 <= self.seed < 2**64, f"must be in [0, 2**64), got {self.seed}"),
+            ("num_states", self.num_states in (2, 3, 4), "must be 2, 3, or 4"),
+            ("oracle_num_states", self.oracle_num_states in (2, 3, 4), "must be 2, 3, or 4"),
+            ("group_size", self.group_size in GROUP_SIZES, f"must be one of {GROUP_SIZES}"),
+            ("grouping_sizes", all(g in GROUP_SIZES for g in self.grouping_sizes), f"must come from {GROUP_SIZES}"),
+            ("oracle_instances", self.oracle_instances >= 1, "must be positive"),
+            ("element_amplitude", 0.0 < self.element_amplitude <= 1.0, "must be in (0, 1]"),
+        )
+        for field, holds, rule in rules:
+            if not holds:
+                raise ConfigError(f"{_KEYS[field]}: {rule}")
+        _distinct(self.grouping_sizes, "grouping_sizes")
+        _distinct(self.grouping_angles_deg, "grouping_angles_deg")
+        _distinct(self.codebook_angles_deg, "codebook_angles_deg")
         # run_sweep checks each sweep point and still writes the good points'
         # files; an empty codebook.path is fine, since training needs no replay
         if not self.sweep_points:
-            raise ConfigError("sweep.points must not be empty")
-        # each spot with the distance key to name if its horn cannot be aimed
-        spots = [("codebook.reference_distance_cm", a, self.codebook_distance_cm) for a in self.codebook_angles_deg]
-        spots += [("codebook.path", a, d) for a, d in self.path]
-        spots += [("grouping.distance_cm", a, self.grouping_distance_cm) for a in self.grouping_angles_deg]
-        where = "scene.tx_distance_cm"
+            raise ConfigError(f"{_KEYS['sweep_points']}: must not be empty")
+        for field, check in (("full_scale", code_scale), ("noise_variance", _check_noise_variance)):
+            try:
+                check(getattr(self, field))
+            except ValueError as exc:
+                raise ConfigError(f"{_KEYS[field]}: {exc}") from exc
+        # each spot with the fields of its angle (or list) and distance
+        spots = [("codebook_angles_deg", "codebook_distance_cm", a, self.codebook_distance_cm)
+                 for a in self.codebook_angles_deg]
+        spots += [("path", "path", a, d) for a, d in self.path]
+        spots += [("grouping_angles_deg", "grouping_distance_cm", a, self.grouping_distance_cm)
+                  for a in self.grouping_angles_deg]
+        where = "tx_angle_deg", "tx_distance_cm"
         try:
             # the terminals check the tx spot, beamwidth and polarization, and
             # a scene refuses a receiver outside it or on the tx spot
             scene = self.base_scene()
-            for where, angle_deg, distance_cm in spots:
+            for *where, angle_deg, distance_cm in spots:
                 scene.with_rx_at(angle_deg, distance_cm)
-            code_scale(self.full_scale)
-            _check_noise_variance(self.noise_variance)
-        except BoresightError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{_placement_key(exc, *where)}: {exc}") from exc
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(self, seed=int(seed))
@@ -295,10 +312,14 @@ def _cell_lists(cells) -> list:
 def _layout(disabled=_CONTROLLER_CORNER, **fields) -> RisLayout:
     """RisLayout from its config fields. "controller-corner", also the
     default, disables the top-right 2x2 block of the final nx x ny grid."""
-    if disabled == _CONTROLLER_CORNER:
-        shape = RisLayout(**fields)
-        disabled = controller_corner(shape.nx, shape.ny)
-    return RisLayout(disabled=disabled, **fields)
+    if disabled != _CONTROLLER_CORNER:
+        return RisLayout(disabled=disabled, **fields)
+    shape = RisLayout(**fields)
+    try:
+        return RisLayout(disabled=controller_corner(shape.nx, shape.ny), **fields)
+    except SettingError as exc:
+        # the corner is built from nx and ny, so its rule spans them
+        raise SettingError(str(exc)) from exc
 
 
 # (section, key, ScenarioConfig field, parse, dump), one row per config key.
@@ -344,6 +365,10 @@ _SCHEMA = (
     ("oracle", "num_states", "oracle_num_states", _int, _same),
     ("oracle", "instances", "oracle_instances", _int, _same),
 )
+# the config key of each ScenarioConfig field (a nested object's dotted),
+# and the section of each field or nested object
+_KEYS = {field: key if section is None else f"{section}.{key}" for section, key, field, *_ in _SCHEMA}
+_SECTIONS = {field.partition(".")[0]: section for section, _, field, *_ in _SCHEMA}
 
 
 def _require_keys(section: dict, allowed, where: str) -> None:
@@ -381,15 +406,15 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 raise ConfigError(f"{key if section is None else f'{section}.{key}'}: {exc}") from exc
             if value is not None:
                 fields[attr or field] = value
-    try:
-        for head, fields in nested.items():
-            cls = type(getattr(ScenarioConfig, head))
+    for head, fields in nested.items():
+        cls = type(getattr(ScenarioConfig, head))
+        try:
             kw[head] = (_layout if cls is RisLayout else cls)(**fields)
-        return ScenarioConfig(**kw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            # a rule that spans keys, or names none, names the section
+            name = getattr(exc, "name", None)
+            raise ConfigError(f"{_KEYS[f'{head}.{name}'] if name else _SECTIONS[head]}: {exc}") from exc
+    return ScenarioConfig(**kw)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -34,6 +34,15 @@ def _length(v: np.ndarray) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
+class SettingError(ValueError):
+    """A setting outside its rule. name is the parameter the rule checks, or
+    None for a rule that spans several, so a config can name its key."""
+
+    def __init__(self, rule: str, name: str | None = None):
+        super().__init__(rule)
+        self.name = name
+
+
 class BoresightError(ValueError):
     """A boresight with no finite, non-zero length, as of a horn too near or too far to aim."""
 
@@ -70,14 +79,17 @@ class Terminal:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "boresight", _normalized(self.boresight))
         if not 0.0 < self.half_beamwidth_deg < 90.0:
-            raise ValueError("half_beamwidth_deg must be in (0, 90) for the directional pattern")
+            raise SettingError(
+                "half_beamwidth_deg must be in (0, 90) for the directional pattern", "half_beamwidth_deg"
+            )
         if math.cos(math.radians(self.half_beamwidth_deg)) == 1.0:
             # _gain_exponent divides by log(cos(half_beamwidth))
-            raise ValueError(
-                f"half_beamwidth_deg {self.half_beamwidth_deg!r} is too narrow: its cosine rounds to 1"
+            raise SettingError(
+                f"half_beamwidth_deg {self.half_beamwidth_deg!r} is too narrow: its cosine rounds to 1",
+                "half_beamwidth_deg",
             )
         if not 0.0 <= self.polarization <= 1.0:
-            raise ValueError("polarization must be in [0, 1]")
+            raise SettingError("polarization must be in [0, 1]", "polarization")
 
 
 def _gain_exponent(half_beamwidth_deg: float) -> float:
@@ -95,12 +107,14 @@ def gains_toward(term: Terminal, directions, floor: float = GAIN_FLOOR) -> np.nd
 
 
 def check_spot(angle_deg, distance_cm) -> tuple[float, float]:
-    """A receiver spot as floats; ValueError unless it is in the scene:
-    0 < angle < 180 degrees and a finite positive range."""
+    """A receiver spot as floats; SettingError unless it is in the scene:
+    0 < angle < 180 degrees and a finite positive range. Its name is
+    distance_cm when the range is out, else angle_deg."""
     angle_deg, distance_cm = float(angle_deg), float(distance_cm)
-    # chained comparisons are false for NaN, so NaN fails the check
-    if not (0.0 < angle_deg < 180.0 and 0.0 < distance_cm < math.inf):
-        raise ValueError(f"point ({angle_deg}, {distance_cm}) is outside the scene")
+    # chained comparisons are false for NaN, so NaN fails each check
+    for name, inside in (("distance_cm", 0.0 < distance_cm < math.inf), ("angle_deg", 0.0 < angle_deg < 180.0)):
+        if not inside:
+            raise SettingError(f"point ({angle_deg}, {distance_cm}) is outside the scene", name)
     return angle_deg, distance_cm
 
 
@@ -131,7 +145,7 @@ class Scene:
             if not term.position[1] > 0:
                 raise ValueError(f"{name} must sit on the reflective side of the surface")
         if _length(self.rx.position - self.tx.position) < 1e-12:
-            raise ValueError("tx and rx coincide")
+            raise SettingError("tx and rx coincide")
 
     def with_rx_at(self, angle_deg: float, distance_cm: float) -> "Scene":
         """Same scene with the receiver moved to a grid coordinate, re-aimed

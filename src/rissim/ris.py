@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .geometry import SettingError
+
 SPEED_OF_LIGHT = 299_792_458.0
 DEFAULT_CARRIER_HZ = 5.2e9
 
@@ -48,21 +50,21 @@ class RisLayout:
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid dimensions must be positive")
+            raise SettingError("grid dimensions must be positive")
         # chained comparisons are false for NaN, so NaN fails each check
         if not 0.0 < self.carrier_hz < math.inf:
-            raise ValueError("carrier_hz must be finite and positive")
+            raise SettingError("carrier_hz must be finite and positive", "carrier_hz")
         disabled = frozenset((int(r), int(c)) for r, c in self.disabled)
         object.__setattr__(self, "disabled", disabled)
         for r, c in disabled:
             if not (0 <= r < self.ny and 0 <= c < self.nx):
-                raise ValueError(f"disabled cell {(r, c)} outside the {self.ny}x{self.nx} grid")
+                raise SettingError(f"disabled cell {(r, c)} outside the {self.ny}x{self.nx} grid", "disabled")
         if len(disabled) >= self.nx * self.ny:
-            raise ValueError("layout has no active elements")
+            raise SettingError("layout has no active elements")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
         if not 0.0 < self.spacing < math.inf:
-            raise ValueError("spacing must be finite and positive")
+            raise SettingError("spacing must be finite and positive", "spacing")
 
     @classmethod
     def default(cls) -> "RisLayout":

@@ -89,6 +89,13 @@ def test_derive_rng_seeds_the_stream_of_its_words(parts, key, index):
     assert from_words == derive_rng(key, index).bit_generator.state
 
 
+@given(parts=st.lists(_SEED_PARTS, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_derive_seed_is_the_first_word_of_the_sequence_of_its_words(parts):
+    expected = int(np.random.SeedSequence(_entropy_words(parts)).generate_state(1, np.uint64)[0])
+    assert derive_seed(*parts) == expected
+
+
 # --- synthesis ---------------------------------------------------------
 
 
@@ -838,6 +845,18 @@ def test_gain_meter_readings_of_a_dark_channel_are_minus_inf_without_warning():
         readings = half_dark.readings(np.array([[1, 0], [0, 0], [3, 2]])).tolist()
     assert readings == [float("-inf"), pytest.approx(10.0 * math.log10(4.0)), float("-inf")]
     assert meter.readings(np.zeros((0, 3), dtype=np.int64)).tolist() == []
+    # equal H and V entries, so states 1 and 2 cancel an element exactly and
+    # state 0 adds 2 |v|^2: one row each with a subnormal power (|c| = 1e-160),
+    # a power whose square underflows to 0 (|c| = 1e-170) and a normal power
+    v = np.array([math.sqrt(5e-161), math.sqrt(5e-171), math.sqrt(0.5)], dtype=np.complex128)
+    mixed = GainMeter(ChannelRealization(v, v, v, v, 0.0j), amplitude=1.0)
+    states = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0], [0, 0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        readings = mixed.readings(states)
+        calls = [mixed(RisConfig(RisLayout(nx=3, ny=1), row)) for row in states.tolist()]
+    assert readings.tobytes() == np.array(calls).tobytes()
+    assert -3300.0 < readings[0] < -3100.0 and readings[1] == float("-inf") and abs(readings[2]) < 1e-9
 
 
 @pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int8, np.uint32, np.int16])

@@ -165,20 +165,28 @@ def test_parallel_below_one_is_rejected(tmp_path, capsys, value):
 @pytest.mark.parametrize(
     "command, section, message",
     [
-        ("codebook", {"codebook": {**SMALL["codebook"], "path": [[200.0, 50.0]]}}, "(200.0, 50.0)"),
+        (
+            "codebook",
+            {"codebook": {**SMALL["codebook"], "path": [[200.0, 50.0]]}},
+            "codebook.path: point (200.0, 50.0)",
+        ),
         (
             "codebook",
             {"codebook": {**SMALL["codebook"], "reference_distance_cm": -5}},
-            "(70.0, -5.0)",
+            "codebook.reference_distance_cm: point (70.0, -5.0)",
         ),
-        ("grouping", {"grouping": {**SMALL["grouping"], "angles_deg": [200]}}, "(200.0, 170.0)"),
-        ("sweep", {"scene": {"tx_angle_deg": 200.0}}, "(200.0, 100.0)"),
-        ("sweep", {"scene": {"tx_angle_deg": float("nan")}}, "(nan, 100.0)"),
-        ("sweep", {"scene": {"tx_distance_cm": float("inf")}}, "(78.0, inf)"),
+        (
+            "grouping",
+            {"grouping": {**SMALL["grouping"], "angles_deg": [200]}},
+            "grouping.angles_deg: point (200.0, 170.0)",
+        ),
+        ("sweep", {"scene": {"tx_angle_deg": 200.0}}, "scene.tx_angle_deg: point (200.0, 100.0)"),
+        ("sweep", {"scene": {"tx_angle_deg": float("nan")}}, "scene.tx_angle_deg: point (nan, 100.0)"),
+        ("sweep", {"scene": {"tx_distance_cm": float("inf")}}, "scene.tx_distance_cm: point (78.0, inf)"),
         (
             "codebook",
             {"codebook": {**SMALL["codebook"], "reference_distance_cm": float("inf")}},
-            "(70.0, inf)",
+            "codebook.reference_distance_cm: point (70.0, inf)",
         ),
     ],
 )
@@ -187,7 +195,7 @@ def test_point_outside_scene_exits_two(tmp_path, capsys, command, section, messa
     p.write_text(json.dumps({**SMALL, **section}))
     rc = cli.main([command, "--config", str(p), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: point {message} is outside the scene\n"
+    assert capsys.readouterr().err == f"error: {message} is outside the scene\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -196,7 +204,7 @@ def test_repeated_group_sizes_flag_exits_two(tmp_path, capsys, config_path):
         ["grouping", "--config", str(config_path), "--group-sizes", "8,8", "--out", str(tmp_path / "g")]
     )
     assert rc == 2
-    assert capsys.readouterr().err == "error: grouping.group_sizes must not repeat: [8, 8]\n"
+    assert capsys.readouterr().err == "error: grouping.group_sizes: must not repeat: [8, 8]\n"
     assert not (tmp_path / "g").exists()
 
 
@@ -228,6 +236,54 @@ def test_config_error_names_its_key(tmp_path, capsys, section, key, value):
     assert not out.exists()
 
 
+# A value a key cannot take, or a flag's value, is reported under that key;
+# a rule that spans keys (Nyquist, nx/ny, tx/rx coincidence) under its
+# section; a spot under its distance key when the distance is out, else
+# under its list key.
+@pytest.mark.parametrize(
+    "settings, flags, key",
+    [
+        ({"optimizer": {"num_states": 5}}, [], "optimizer.num_states"),
+        ({"oracle": {**SMALL["oracle"], "num_states": 5}}, [], "oracle.num_states"),
+        ({"oracle": {**SMALL["oracle"], "instances": 0}}, [], "oracle.instances"),
+        ({"ris": {"element_amplitude": 0.0}}, [], "ris.element_amplitude"),
+        ({"optimizer": {"group_size": 3}}, [], "optimizer.group_size"),
+        ({"grouping": {**SMALL["grouping"], "group_sizes": [3]}}, [], "grouping.group_sizes"),
+        ({}, ["--group-sizes", "1,3"], "grouping.group_sizes"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({"channel": {"noise_variance": -1.0}}, [], "channel.noise_variance"),
+        ({"receiver": {"full_scale": -1.0}}, [], "receiver.full_scale"),
+        ({"codebook": {**SMALL["codebook"], "reference_angles_deg": [190]}}, [], "codebook.reference_angles_deg"),
+        ({"codebook": {**SMALL["codebook"], "reference_distance_cm": -5}}, [], "codebook.reference_distance_cm"),
+        ({"codebook": {**SMALL["codebook"], "path": [[72.0, -5.0]]}}, [], "codebook.path"),
+        ({"grouping": {**SMALL["grouping"], "angles_deg": [190]}}, [], "grouping.angles_deg"),
+        ({"grouping": {**SMALL["grouping"], "distance_cm": -5}}, [], "grouping.distance_cm"),
+        ({"scene": {"tx_angle_deg": 190}}, [], "scene.tx_angle_deg"),
+        ({"scene": {"tx_angle_deg": 190, "tx_distance_cm": -5}}, [], "scene.tx_distance_cm"),
+        ({"scene": {"polarization": -0.5}}, [], "scene.polarization"),
+        ({"scene": {"tx_angle_deg": 90, "tx_distance_cm": 170}}, [], "scene"),
+        ({"tone": {"tone_hz": 0.0}}, [], "tone"),
+        ({"tone": {"sample_rate_hz": -1.0}}, [], "tone.sample_rate_hz"),
+        ({"tone": {"buffer_len": 0}}, [], "tone.buffer_len"),
+        ({"layout": {**SMALL["layout"], "spacing_m": -0.01}}, [], "layout.spacing_m"),
+        ({"layout": {**SMALL["layout"], "nx": 0}}, [], "layout"),
+        # the default controller corner does not fit a one-column grid
+        ({"layout": {"nx": 1, "ny": 2}}, [], "layout"),
+        ({"layout": {**SMALL["layout"], "disabled": [[5, 0]]}}, [], "layout.disabled"),
+        ({"channel": {"cross_pol_coupling": 1.5}}, [], "channel.cross_pol_coupling"),
+        ({"channel": {"path_loss_exponent": 0.5}}, [], "channel.path_loss_exponent"),
+    ],
+)
+def test_every_config_error_names_its_key(tmp_path, capsys, settings, flags, key):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**SMALL, **settings}))
+    out = tmp_path / "out"
+    assert cli.main(["grouping", "--config", str(p), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 # a list of key-value pairs is not an object either
 @pytest.mark.parametrize("value", [5, None, [["points", [[70.0, 170.0]]]]])
 def test_section_that_is_not_an_object_exits_two(tmp_path, capsys, value):
@@ -246,7 +302,7 @@ def test_non_finite_noise_variance_exits_two(tmp_path, capsys, value):
     p.write_text(json.dumps({**SMALL, "channel": {"noise_variance": value}}))
     rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: noise_variance must be finite and non-negative\n"
+    assert capsys.readouterr().err == "error: channel.noise_variance: noise_variance must be finite and non-negative\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -255,20 +311,23 @@ def test_non_finite_noise_variance_exits_two(tmp_path, capsys, value):
     [
         (
             {"scene": {"half_beamwidth_deg": 95.0}},
-            "half_beamwidth_deg must be in (0, 90) for the directional pattern",
+            "scene.half_beamwidth_deg: half_beamwidth_deg must be in (0, 90) for the directional pattern",
         ),
-        ({"scene": {"polarization": 2.0}}, "polarization must be in [0, 1]"),
-        ({"ris": {"element_amplitude": 2.0}}, "element_amplitude must be in (0, 1]"),
+        ({"scene": {"polarization": 2.0}}, "scene.polarization: polarization must be in [0, 1]"),
+        ({"ris": {"element_amplitude": 2.0}}, "ris.element_amplitude: must be in (0, 1]"),
         (
             {"layout": {**SMALL["layout"], "carrier_hz": float("nan")}},
-            "carrier_hz must be finite and positive",
+            "layout.carrier_hz: carrier_hz must be finite and positive",
         ),
-        ({"tone": {"tx_amplitude": float("inf")}}, "tx_amplitude must be finite and positive"),
-        ({"receiver": {"full_scale": 0.0}}, "full_scale must be positive"),
-        ({"receiver": {"full_scale": float("nan")}}, "full_scale nan gives no finite ADC code scale"),
+        ({"tone": {"tx_amplitude": float("inf")}}, "tone.tx_amplitude: tx_amplitude must be finite and positive"),
+        ({"receiver": {"full_scale": 0.0}}, "receiver.full_scale: full_scale must be positive"),
+        (
+            {"receiver": {"full_scale": float("nan")}},
+            "receiver.full_scale: full_scale nan gives no finite ADC code scale",
+        ),
         (
             {"scene": {"half_beamwidth_deg": 1e-320}},
-            "half_beamwidth_deg 1e-320 is too narrow: its cosine rounds to 1",
+            "scene.half_beamwidth_deg: half_beamwidth_deg 1e-320 is too narrow: its cosine rounds to 1",
         ),
     ],
 )
@@ -477,7 +536,7 @@ _EMPTY_BOOK = {"schema_version": 2, "metadata": _BOOK_METADATA, "entries": []}
         (
             {"codebook": {**SMALL["codebook"], "reference_angles_deg": []}},
             None,
-            "codebook.reference_angles_deg must not be empty",
+            "codebook.reference_angles_deg: must not be empty",
         ),
         ({}, _EMPTY_BOOK, "cannot load codebook: a codebook needs at least one codeword"),
     ],
@@ -551,7 +610,7 @@ def test_empty_list_is_a_config_error(tmp_path, capsys, section, key):
     out = tmp_path / "out"
     for command in _COMMANDS:
         assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {key} must not be empty\n"
+        assert capsys.readouterr().err == f"error: {key}: must not be empty\n"
         assert not out.exists()
 
 
@@ -564,7 +623,8 @@ def test_empty_codebook_path_trains_a_codebook(tmp_path):
     assert len((out / "path.csv").read_text().splitlines()) == 2
 
 
-# SMALL's tx sits at 78 deg, 100 cm
+# SMALL's tx sits at 78 deg, 100 cm; the rule spans the spot's keys and the
+# tx's, so the error names the section of the spot
 @pytest.mark.parametrize(
     "commands, section",
     [
@@ -584,7 +644,7 @@ def test_receiver_on_the_tx_spot_exits_two(tmp_path, capsys, commands, section):
     out = tmp_path / "out"
     for command in commands:
         assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: tx and rx coincide\n"
+        assert capsys.readouterr().err == f"error: {next(iter(section))}: tx and rx coincide\n"
         assert not out.exists()
 
 
@@ -796,7 +856,7 @@ def test_seed_outside_64_bits_exits_two(tmp_path, capsys, command):
         keyed.write_text(json.dumps({**SMALL, "channel": {}, "seed": seed}))
         for args in (["--config", str(noisy), "--seed", str(seed)], ["--config", str(keyed)]):
             assert cli.main([command, *args, "--out", str(out)]) == 2
-            assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+            assert capsys.readouterr().err == f"error: seed: must be in [0, 2**64), got {seed}\n"
             assert not out.exists()
     assert cli.main([command, "--config", str(noisy), "--seed", str(2**64 - 1), "--out", str(out)]) == 0
     assert f"seed={2**64 - 1}" in next(out.glob("*.csv")).read_text().splitlines()[0]

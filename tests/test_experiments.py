@@ -155,11 +155,11 @@ def test_integer_keys_accept_integral_floats():
 @pytest.mark.parametrize(
     "data, message",
     [
-        ({"grouping": {"group_sizes": [8, 8]}}, "grouping.group_sizes must not repeat: [8, 8]"),
-        ({"grouping": {"angles_deg": [70, 90, 70]}}, "grouping.angles_deg must not repeat"),
+        ({"grouping": {"group_sizes": [8, 8]}}, "grouping.group_sizes: must not repeat: [8, 8]"),
+        ({"grouping": {"angles_deg": [70, 90, 70]}}, "grouping.angles_deg: must not repeat"),
         (
             {"codebook": {"reference_angles_deg": [70, 70.0]}},
-            "codebook.reference_angles_deg must not repeat",
+            "codebook.reference_angles_deg: must not repeat",
         ),
     ],
 )

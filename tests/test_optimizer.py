@@ -284,6 +284,25 @@ def test_enumerate_readings_equals_per_row_reads_in_lexicographic_order(
     assert table.tolist() == [values[row] for row in rows]
 
 
+def test_state_blocks_are_built_once_read_only_and_keyed_on_their_shape():
+    block = optimizer._product_block(0, 16, 2, 4)
+    assert optimizer._product_block(0, 16, 2, 4) is block
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 1
+    # enumerations of interleaved (n, num_states) pairs read the blocks the
+    # cache holds, which must equal blocks built afresh, and the readings of
+    # state matrices built without the cache
+    for nx, ny, num_states in [(2, 1, 4), (3, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 3), (2, 1, 3)]:
+        lay = RisLayout(nx=nx, ny=ny)
+        n, budget = lay.n_active, num_states**lay.n_active
+        fresh = optimizer._product_block.__wrapped__(0, budget, n, num_states)
+        assert np.array_equal(optimizer._product_block(0, budget, n, num_states), fresh)
+        meter = _noiseless_meter(lay, nx + num_states)
+        rows = np.array(list(itertools.product(range(num_states), repeat=n)))
+        table = enumerate_readings(meter.readings, lay, num_states)
+        assert table.tobytes() == meter.readings(rows).tobytes()
+
+
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
 @pytest.mark.parametrize("num_states", [2, 3, 4])
 @pytest.mark.parametrize("size", [1, 2, 4])
