@@ -114,7 +114,9 @@ class ChannelModelParams:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One drawn link: per-polarization element vectors plus the direct term."""
+    """One drawn link: per-polarization element vectors plus the direct term.
+    A stack of S draws of one placement holds (S, n) vectors, row i those of
+    draw i, and the direct term the draws share."""
 
     h_h: np.ndarray
     h_v: np.ndarray
@@ -123,24 +125,24 @@ class ChannelRealization:
     h_los: complex
 
     def __post_init__(self):
-        n = None
+        shape = None
         for name in ("h_h", "h_v", "g_h", "g_v"):
             vec = np.array(getattr(self, name), dtype=np.complex128)
-            if vec.ndim != 1:
-                raise ValueError(f"{name} must be a vector")
+            if vec.ndim not in (1, 2):
+                raise ValueError(f"{name} must be a vector or a stack of vectors")
             if not np.isfinite(vec.view(np.float64)).all():
                 raise ValueError(f"{name} has non-finite entries")
-            if n is None:
-                n = vec.shape[0]
-            elif vec.shape[0] != n:
-                raise ValueError("channel vectors must share one length")
+            if shape is None:
+                shape = vec.shape
+            elif vec.shape != shape:
+                raise ValueError("channel vectors must share one shape")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
         object.__setattr__(self, "h_los", complex(self.h_los))
 
     @property
     def n_elements(self) -> int:
-        return self.h_h.shape[0]
+        return self.h_h.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,14 +167,31 @@ class Link:
         position), which draws both polarizations of the tx side, then of
         the rx side. MeasurementFloorError if a vector is past float64's range."""
         z = derive_rng(seed, self.key).standard_normal((4, 2, self.amp.shape[1]))
+        return ChannelRealization(*self._vectors(z), self.h_los)
+
+    def draw_stack(self, seeds) -> ChannelRealization:
+        """The realizations at each of seeds as one stack: row i holds the
+        vectors of draw(seeds[i]), each seed's normals from its own
+        generator, and the arithmetic runs once over the stack."""
+        z = np.empty((len(seeds), 4, 2, self.amp.shape[1]))
+        for row, seed in zip(z, seeds):
+            # the normals standard_normal((4, 2, n)) would draw, in order
+            derive_rng(seed, self.key).standard_normal(out=row)
+        return ChannelRealization(*self._vectors(z).swapaxes(0, 1), self.h_los)
+
+    def _vectors(self, z: np.ndarray) -> np.ndarray:
+        """The (..., 4, n) element vectors, rows as in amp, of (..., 4, 2, n)
+        standard normals: sqrt(w_pol) (w_det det + w_sc amp (z0 + j z1) /
+        sqrt(2)), then the cross-pol mix. MeasurementFloorError if an entry
+        is past float64's range."""
         with np.errstate(over="ignore", invalid="ignore"):
-            v = self.pol * (self.det + self.w_sc * (self.amp * ((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))))
+            v = self.pol * (self.det + self.w_sc * (self.amp * ((z[..., 0, :] + 1j * z[..., 1, :]) / math.sqrt(2.0))))
             c = self.cross_pol_coupling
             if c > 0.0:
-                v = math.sqrt(1.0 - c) * v + math.sqrt(c) * v[[1, 0, 3, 2]]
+                v = math.sqrt(1.0 - c) * v + math.sqrt(c) * v[..., [1, 0, 3, 2], :]
         if not np.isfinite(v.view(np.float64)).all():
             raise MeasurementFloorError("channel is not a finite float64")
-        return ChannelRealization(*v, self.h_los)
+        return v
 
 
 def _pow(x: float, e: float) -> float:
@@ -229,9 +248,11 @@ class _Cascade:
     h_h,i + conj(g_v,i) a_V(s) h_v,i, a_P(s) being -amplitude where s sets
     P's diode bit and +amplitude elsewhere: each polarization's
     amplitude conj(g) h, built with real multiplies and adds, taken with
-    either sign. MeasurementFloorError unless twice a bound on the largest
-    |c| squares to a finite float64, so no reading overflows or needs a
-    floating-point error state."""
+    either sign. A stack of S channels gives a (2, S, 4n) table, row j of
+    each part channel j's, by the same elementwise steps. MeasurementFloorError
+    unless, for every channel, twice a bound on the largest |c| squares to a
+    finite float64, so no reading overflows or needs a floating-point error
+    state."""
 
     def __init__(self, chan: ChannelRealization, amplitude: float):
         if not 0.0 < amplitude <= 1.0:
@@ -241,13 +262,16 @@ class _Cascade:
                 amplitude * np.array([g.real * h.real + g.imag * h.imag, g.real * h.imag - g.imag * h.real])
                 for g, h in ((chan.g_h, chan.h_h), (chan.g_v, chan.h_v))
             )
-            both = p_h + p_v
-            x = np.stack([both, p_v - p_h, p_h - p_v, -both], axis=-1)  # (part, element, state)
-            reach = np.abs(x[..., :2]).sum(axis=0).max(axis=-1).sum()
-        bound = 2.0 * (float(reach) + abs(chan.h_los.real) + abs(chan.h_los.imag))
-        if not bound * bound < math.inf:
+            both, diff = p_h + p_v, p_v - p_h
+            x = np.stack([both, diff, p_h - p_v, -both], axis=-1)  # (part, [channel,] element, state)
+            # per element the largest |re| + |im| over its states (3 negates
+            # state 0, 2 state 1), summed over the elements
+            reach = np.maximum(np.abs(both).sum(axis=0), np.abs(diff).sum(axis=0)).sum(axis=-1)
+            bound = 2.0 * (reach + abs(chan.h_los.real) + abs(chan.h_los.imag))
+            fits = bound * bound < math.inf
+        if not fits.all():
             raise MeasurementFloorError("a configuration's gain can pass float64's range: no finite reading")
-        self.table = x.reshape(2, -1)
+        self.table = x.reshape(*x.shape[:-2], -1)
         self.table.setflags(write=False)
         self.offsets = np.arange(chan.n_elements) * NUM_ELEMENT_STATES
         self._hr, self._hi = chan.h_los.real, chan.h_los.imag
@@ -262,9 +286,10 @@ class _Cascade:
         return idx
 
     def read(self, idx: np.ndarray):
-        """(re, im) of c at a gather index (states + offsets), scalars for one row and arrays for an (M, n)
-        matrix: one gather, numpy's pairwise sum along each row, then h_los."""
-        re, im = np.add.reduce(self.table.take(idx, axis=1), axis=-1)
+        """(re, im) of c at a gather index (states + offsets), scalars for one row and (M,) arrays for an
+        (M, n) matrix, with a leading channel axis for a stack: one gather, numpy's pairwise sum along each
+        row, then h_los."""
+        re, im = np.add.reduce(self.table.take(idx, axis=-1), axis=-1)
         return re + self._hr, im + self._hi
 
 
@@ -408,6 +433,8 @@ class TonePowerMeter:
         noise_seed=0,
     ):
         _check_noise_variance(noise_variance)
+        if chan.h_h.ndim != 1:
+            raise ValueError("a tone meter reads one channel, not a stack")
         self.calls = 0
         self.last_clip_fraction = 0.0
         self._code_scale = code_scale(float(full_scale))
@@ -447,11 +474,12 @@ class GainMeter:
     """Noiseless analytic measurement: configuration gain in dB.
 
     Shares the measurement-function contract and the _Cascade kernel with
-    TonePowerMeter; zero gain reads -inf. readings() reads a whole matrix of
-    states, as the exhaustive search does, each row to the bits of a call:
-    it takes the block's powers as array ops and maps libm's log10 over the
-    nonzero ones, the IEEE steps of _reading_db, never numpy's log10, which
-    may round otherwise on SIMD hosts.
+    TonePowerMeter; zero gain reads -inf. A call reads one channel.
+    readings() reads a whole matrix of states, as the exhaustive search
+    does, on one channel or on every channel of a stack, each reading to the
+    bits of a call: it takes the block's powers as array ops and maps libm's
+    log10 over the nonzero ones, the IEEE steps of _reading_db, never
+    numpy's log10, which may round otherwise on SIMD hosts.
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
@@ -463,7 +491,9 @@ class GainMeter:
         return _reading_db(*self._kernel.read(self._kernel.index(config)))
 
     def readings(self, states) -> np.ndarray:
-        """dB readings, as a float64 array, of the rows of an (M, n) matrix of integer element states."""
+        """dB readings, as a float64 array, of the rows of an (M, n) matrix of
+        integer element states: (M,) on one channel, (S, M) on a stack of S,
+        row j channel j's."""
         n = len(self._kernel.offsets)
         states = np.asarray(states)
         if states.ndim != 2 or states.shape[1] != n:
@@ -472,12 +502,12 @@ class GainMeter:
             raise ValueError("element states must be integers")
         if states.size and (states.min() < 0 or states.max() >= NUM_ELEMENT_STATES):
             raise ValueError("element states must be in 0..3")
-        self.calls += len(states)
         # intp first: uint64 + int64 offsets would give float64
         re, im = self._kernel.read(states.astype(np.intp, copy=False) + self._kernel.offsets)
         # _reading_db over the block: the same IEEE power, libm log10 per
         # nonzero power, then one multiply by 10.0
         p = re * re + im * im
+        self.calls += p.size
         out = np.full(p.shape, -math.inf)
         lit = p != 0.0
         out[lit] = 10.0 * np.fromiter(map(math.log10, p[lit].tolist()), np.float64)

@@ -165,6 +165,19 @@ class ScenarioConfig:
         for field, holds, rule in rules:
             if not holds:
                 raise ConfigError(f"{_KEYS[field]}: {rule}")
+        # both oracle rules span oracle.nx and oracle.ny
+        try:
+            self.oracle_layout()
+        except ValueError as exc:
+            raise ConfigError(f"{_SECTIONS['oracle_nx']}: {exc}") from exc
+        # the oracle panel disables no cell; with at least 2 states, a panel
+        # of cap.bit_length() elements already passes the cap
+        n = self.oracle_nx * self.oracle_ny
+        if n >= ENUMERATION_CAP.bit_length() or self.oracle_num_states**n > ENUMERATION_CAP:
+            raise ConfigError(
+                f"{_SECTIONS['oracle_nx']}: enumeration needs {self.oracle_num_states}**{n} measurements,"
+                f" above the cap of {ENUMERATION_CAP}"
+            )
         _distinct(self.grouping_sizes, "grouping_sizes")
         _distinct(self.grouping_angles_deg, "grouping_angles_deg")
         _distinct(self.codebook_angles_deg, "codebook_angles_deg")
@@ -192,6 +205,11 @@ class ScenarioConfig:
                 scene.with_rx_at(angle_deg, distance_cm)
         except ValueError as exc:
             raise ConfigError(f"{_placement_key(exc, *where)}: {exc}") from exc
+
+    def oracle_layout(self) -> RisLayout:
+        """The small panel the oracle enumerates: oracle.nx x oracle.ny
+        elements, none disabled, at the layout's spacing and carrier."""
+        return RisLayout(self.oracle_nx, self.oracle_ny, self.layout.spacing, carrier_hz=self.layout.carrier_hz)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(self, seed=int(seed))
@@ -270,6 +288,14 @@ def _not_bool(value):
     return value
 
 
+def _number(value):
+    """A number key kept as written, so an integer keeps its config_hash; no
+    booleans, strings or lists."""
+    if not isinstance(_not_bool(value), (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return value
+
+
 def _float(value) -> float:
     """A float key: numbers and numeric strings such as "inf"; no booleans."""
     return float(_not_bool(value))
@@ -330,9 +356,8 @@ _SCHEMA = (
     (None, "seed", "seed", _int, _same),
     ("layout", "nx", "layout.nx", _int, _same),
     ("layout", "ny", "layout.ny", _int, _same),
-    # passed as written, so an integer spacing keeps its config_hash;
-    # RisLayout checks it, and null means lambda/2
-    ("layout", "spacing_m", "layout.spacing", _not_bool, _same),
+    # RisLayout checks its range, and null means lambda/2
+    ("layout", "spacing_m", "layout.spacing", _optional(_number), _same),
     ("layout", "disabled", "layout.disabled", _cells, _cell_lists),
     ("layout", "carrier_hz", "layout.carrier_hz", _float, _same),
     ("scene", "tx_angle_deg", "tx_angle_deg", _float, _same),
@@ -623,53 +648,61 @@ def run_codebook_experiment(
 # oracle check
 
 
-def _oracle_layout(config: ScenarioConfig) -> RisLayout:
-    """The small panel the oracle enumerates, checked against the
-    enumeration cap."""
-    try:
-        layout = RisLayout(
-            config.oracle_nx, config.oracle_ny, config.layout.spacing, carrier_hz=config.layout.carrier_hz
-        )
-    except ValueError as exc:
-        raise ConfigError(f"oracle layout: {exc}") from exc
-    budget = config.oracle_num_states**layout.n_active
-    if budget > ENUMERATION_CAP:
-        raise ConfigError(
-            f"oracle enumeration needs {budget} measurements, above the cap of {ENUMERATION_CAP}"
-        )
-    return layout
+# most readings one oracle job tables at once, its instances times the
+# configurations of each: 16 instances at 2x2 and 4 states. An instance with
+# more configurations is a stack of its own.
+_STACK_ROWS = 4096
 
 
 def _oracle_job(args):
-    config, layout, chan_link, instance = args
-    meter = GainMeter(chan_link.draw(derive_seed(config.seed, "oracle", instance)), config.element_amplitude)
-    table = enumerate_readings(meter.readings, layout, config.oracle_num_states)
-    # readings are finite or -inf, so the maximum is the first maximum's reading
-    oracle_db = float(table.max())
-    if oracle_db == float("-inf"):
-        raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
-    # greedy replays the enumeration's readings, so the gap is exactly >= 0
-    measure = table_measure(table, layout, config.oracle_num_states)
-    _, gtrace = greedy_iterative(measure, layout, config.oracle_num_states)
-    return {
-        "instance": instance,
-        "oracle_db": oracle_db,
-        "greedy_db": gtrace.final_power,
-        "gap_db": oracle_db - gtrace.final_power,
-        "oracle_measurements": len(table),
-        "greedy_measurements": gtrace.measurement_count,
-    }
+    """The gaps.csv rows of a range of instances, each drawn at
+    derive_seed(seed, "oracle", instance), read as one stack through one
+    GainMeter and replayed one by one by greedy."""
+    config, layout, chan_link, instances = args
+    seeds = [derive_seed(config.seed, "oracle", i) for i in instances]
+    try:
+        meter = GainMeter(chan_link.draw_stack(seeds), config.element_amplitude)
+    except MeasurementFloorError:
+        if len(instances) > 1:
+            # read one at a time, the first instance that fails raises its own error
+            for i in instances:
+                _oracle_job((config, layout, chan_link, range(i, i + 1)))
+        raise
+    tables = enumerate_readings(meter.readings, layout, config.oracle_num_states)
+    # readings are finite or -inf, so a maximum is the first maximum's reading
+    best = tables.max(axis=-1).tolist()
+    rows = []
+    for instance, table, oracle_db in zip(instances, tables, best):
+        if oracle_db == float("-inf"):
+            raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
+        # greedy replays the enumeration's readings, so the gap is exactly >= 0
+        measure = table_measure(table, layout, config.oracle_num_states)
+        _, gtrace = greedy_iterative(measure, layout, config.oracle_num_states)
+        rows.append(
+            {
+                "instance": instance,
+                "oracle_db": oracle_db,
+                "greedy_db": gtrace.final_power,
+                "gap_db": oracle_db - gtrace.final_power,
+                "oracle_measurements": len(table),
+                "greedy_measurements": gtrace.measurement_count,
+            }
+        )
+    return rows
 
 
 def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     """Exhaustive-vs-greedy gap over seeded noiseless instances on a small
-    layout: one Link for the placement, one draw per instance. A negative
-    gap fails the run."""
+    layout: one Link for the placement, and jobs of consecutive instances
+    that each draw and table as one stack of at most _STACK_ROWS readings. A
+    negative gap fails the run."""
     out = Path(out_dir)
-    layout = _oracle_layout(config)
+    layout = config.oracle_layout()
     chan_link = link(config.base_scene(), layout, config.channel)
-    jobs = [(config, layout, chan_link, i) for i in range(config.oracle_instances)]
-    rows = parallel_map(_oracle_job, jobs, parallel)
+    count = config.oracle_instances
+    size = max(1, _STACK_ROWS // config.oracle_num_states**layout.n_active)
+    jobs = [(config, layout, chan_link, range(i, min(i + size, count))) for i in range(0, count, size)]
+    rows = [row for stack in parallel_map(_oracle_job, jobs, parallel) for row in stack]
     _write_csv(
         out / "gaps.csv",
         config,

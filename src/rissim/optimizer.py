@@ -5,7 +5,9 @@ analytic gains, the full simulated receiver chain, or test stubs. Greedy logs
 every reading of a per-configuration measure (configuration in, dB power out)
 in a PowerTrace. enumerate_readings fills a table from a block reader (an
 (M, n) state matrix in, M dB readings out) such as GainMeter.readings; the
-exhaustive search keeps its first maximum, and greedy can replay it.
+exhaustive search keeps its first maximum, and greedy can replay it. A block
+reader of a stack of channels returns an (S, M) matrix and fills one table
+row per channel.
 """
 
 from __future__ import annotations
@@ -116,20 +118,25 @@ def _product_block(start: int, stop: int, n: int, num_states: int) -> np.ndarray
 def enumerate_readings(read: ReadFn, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> np.ndarray:
     """Every configuration's reading, read BLOCK_ROWS state rows at a time, as
     one float64 array in lexicographic order: states s sit at row sum s_i *
-    num_states**(n-1-i). Refuses more than ENUMERATION_CAP measurements."""
+    num_states**(n-1-i). A reader of a stack of channels returns (S, M)
+    readings per block and fills an (S, num_states**n) table, row j channel
+    j's. Refuses more than ENUMERATION_CAP measurements per channel."""
     if not 2 <= num_states <= NUM_ELEMENT_STATES:
         raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
     n = layout.n_active
     budget = num_states**n
     if budget > ENUMERATION_CAP:
         raise ValueError(f"enumeration needs {budget} measurements, above the cap of {ENUMERATION_CAP}")
-    table = np.empty(budget)
+    table = None
     for start in range(0, budget, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, budget)
         readings = np.asarray(read(_product_block(start, stop, n, num_states)), dtype=np.float64)
-        if readings.shape != (stop - start,):
+        if table is None:
+            # the first block sets the stack's shape, (S,) or none
+            table = np.empty(readings.shape[:-1] + (budget,))
+        if readings.shape != table.shape[:-1] + (stop - start,):
             raise ValueError(f"read returned {readings.size} readings for {stop - start} configurations")
-        table[start:stop] = readings
+        table[..., start:stop] = readings
     return table
 
 

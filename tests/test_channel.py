@@ -34,6 +34,7 @@ from rissim.channel import (
 )
 from rissim.experiments import DEFAULT_SWEEP_POINTS, ScenarioConfig, config_from_dict
 from rissim.geometry import Scene, make_scene
+from rissim.optimizer import enumerate_readings
 from rissim.ris import RisConfig, RisLayout
 
 
@@ -185,6 +186,36 @@ def test_link_draws_equal_fresh_synthesis_in_any_seed_order():
         drawn = one.draw(seed)
         fresh = synthesize_channels(scene, cfg.layout, params, seed)
         assert _channel_digest([drawn]) == _channel_digest([fresh])
+
+
+@pytest.mark.parametrize("shape, params", [
+    (None, ChannelModelParams(cross_pol_coupling=0.3)),
+    ((2, 2), ChannelModelParams()),
+    ((3, 2), ChannelModelParams(rician_k_db=math.inf)),
+])
+def test_stacked_draw_rows_equal_single_draws_in_any_seed_order(shape, params):
+    lay = RisLayout.default() if shape is None else RisLayout(*shape)
+    one = link(ScenarioConfig(seed=7).base_scene(), lay, params)
+    seeds = [derive_seed(7, "oracle", i) for i in range(9)] + list(range(4))
+    random.Random(5).shuffle(seeds)
+    stack = one.draw_stack(seeds)
+    assert stack.h_h.shape == (len(seeds), lay.n_active) and stack.n_elements == lay.n_active
+    for row, seed in enumerate(seeds):
+        drawn = one.draw(seed)
+        for name in ("h_h", "h_v", "g_h", "g_v"):
+            assert getattr(stack, name)[row].tobytes() == getattr(drawn, name).tobytes()
+        assert stack.h_los == drawn.h_los
+
+
+def test_a_stack_is_read_by_gain_meters_only():
+    stack = link(make_scene(rx_angle_deg=70.0), RisLayout(2, 2), ChannelModelParams()).draw_stack([1, 2])
+    with pytest.raises(ValueError, match="reads one channel"):
+        TonePowerMeter(stack, noise_variance=0.0)
+    cube = np.zeros((2, 2, 2), dtype=np.complex128)
+    with pytest.raises(ValueError, match="vector or a stack of vectors"):
+        ChannelRealization(cube, cube, cube, cube, 0.0j)
+    with pytest.raises(ValueError, match="share one shape"):
+        ChannelRealization(stack.h_h, stack.h_v, stack.g_h, stack.g_v[0], 0.0j)
 
 
 def test_link_is_read_only():
@@ -801,6 +832,49 @@ def test_gain_meter_readings_equal_calls_bit_for_bit(seed, shape, coupling, rows
     assert readings.dtype == np.float64
     assert readings.tolist() == expected
     assert meter.calls == calls + len(states)
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    shape=st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2)]),
+    num_states=st.integers(2, 4),
+    coupling=st.sampled_from([0.0, 0.3]),
+    rician_k_db=st.sampled_from([10.0, "inf"]),
+    stack=st.sampled_from([1, 3]),  # 3 does not divide the 7 instances
+)
+@settings(max_examples=80, deadline=None)
+def test_stacked_readings_equal_per_channel_readings_bit_for_bit(
+    seed, shape, num_states, coupling, rician_k_db, stack
+):
+    rng = derive_rng(seed, "stacks")
+    lay = RisLayout(*shape)
+    scene = make_scene(
+        rx_angle_deg=float(rng.uniform(20.0, 160.0)),
+        rx_distance_cm=float(rng.uniform(60.0, 250.0)),
+        polarization=float(rng.uniform(0.0, 1.0)),
+    )
+    params = config_from_dict({"channel": {"rician_k_db": rician_k_db, "cross_pol_coupling": coupling}}).channel
+    one = link(scene, lay, params)
+    seeds = [derive_seed(seed, "oracle", i) for i in range(7)]
+    expected = [enumerate_readings(GainMeter(one.draw(s)).readings, lay, num_states) for s in seeds]
+    tables = []
+    for start in range(0, len(seeds), stack):
+        meter = GainMeter(one.draw_stack(seeds[start : start + stack]))
+        tables += list(enumerate_readings(meter.readings, lay, num_states))
+        assert meter.calls == len(seeds[start : start + stack]) * num_states**lay.n_active
+    assert np.array(tables).tobytes() == np.array(expected).tobytes()
+
+
+def test_stacked_readings_of_the_default_panel_equal_per_channel_readings():
+    # 76 elements: each row's sum runs numpy's pairwise blocks
+    lay = RisLayout.default()
+    one = link(make_scene(rx_angle_deg=70.0), lay, ChannelModelParams(cross_pol_coupling=0.3))
+    seeds = [3, 1, 4, 1, 5]
+    states = derive_rng(9, "states").integers(0, 4, (40, lay.n_active))
+    stacked = GainMeter(one.draw_stack(seeds)).readings(states)
+    assert stacked.shape == (5, 40)
+    expected = [GainMeter(one.draw(s)).readings(states) for s in seeds]
+    assert stacked.tobytes() == np.array(expected).tobytes()
 
 
 def test_gain_meter_readings_keep_rows_apart_past_element_63():

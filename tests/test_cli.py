@@ -134,20 +134,27 @@ def test_parser_requires_subcommand():
         cli.main([])
 
 
+# the oracle section is checked with the rest of the config, so every
+# runner refuses it
+@pytest.mark.parametrize("command", ["sweep", "grouping", "codebook", "oracle-check"])
 @pytest.mark.parametrize(
     "oracle, message",
     [
-        ({"nx": 0}, "error: oracle layout: grid dimensions must be positive\n"),
+        ({"nx": 0}, "error: oracle: grid dimensions must be positive\n"),
         (
             {"nx": 4, "ny": 3},
-            "error: oracle enumeration needs 16777216 measurements, above the cap of 1048576\n",
+            "error: oracle: enumeration needs 4**12 measurements, above the cap of 1048576\n",
+        ),
+        (
+            {"nx": 10**9, "ny": 10**9, "num_states": 2},
+            "error: oracle: enumeration needs 2**1000000000000000000 measurements, above the cap of 1048576\n",
         ),
     ],
 )
-def test_bad_oracle_panel_exits_two(tmp_path, capsys, oracle, message):
+def test_bad_oracle_panel_exits_two(tmp_path, capsys, command, oracle, message):
     p = tmp_path / "bad_oracle.json"
     p.write_text(json.dumps({**SMALL, "oracle": oracle}))
-    rc = cli.main(["oracle-check", "--config", str(p), "--out", str(tmp_path / "out")])
+    rc = cli.main([command, "--config", str(p), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
@@ -266,6 +273,11 @@ def test_config_error_names_its_key(tmp_path, capsys, section, key, value):
         ({"tone": {"sample_rate_hz": -1.0}}, [], "tone.sample_rate_hz"),
         ({"tone": {"buffer_len": 0}}, [], "tone.buffer_len"),
         ({"layout": {**SMALL["layout"], "spacing_m": -0.01}}, [], "layout.spacing_m"),
+        ({"layout": {**SMALL["layout"], "spacing_m": "abc"}}, [], "layout.spacing_m"),
+        ({"layout": {**SMALL["layout"], "spacing_m": [1]}}, [], "layout.spacing_m"),
+        ({"layout": {**SMALL["layout"], "spacing_m": True}}, [], "layout.spacing_m"),
+        ({"oracle": {**SMALL["oracle"], "nx": 0}}, [], "oracle"),
+        ({"oracle": {**SMALL["oracle"], "nx": 4, "ny": 3, "num_states": 4}}, [], "oracle"),
         ({"layout": {**SMALL["layout"], "nx": 0}}, [], "layout"),
         # the default controller corner does not fit a one-column grid
         ({"layout": {"nx": 1, "ny": 2}}, [], "layout"),
@@ -393,6 +405,30 @@ def test_channel_past_float64_exits_two(tmp_path, capsys, command, exponent, par
     rc = cli.main([command, "--config", str(p), "--out", str(out), "--parallel", str(parallel)])
     assert rc == 2
     assert capsys.readouterr().err == "error: channel is not a finite float64\n"
+    assert not out.exists()
+
+
+# at exponent 610.7 the oracle instances of one stack fail in turn: at seed
+# 7 instances 0 and 1 fail the gain bound and instance 2 the draw, at seed 3
+# instance 0 the draw and instances 1 and 2 the bound; the run names the
+# first instance's failure, as a run of one instance at a time does
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (7, "a configuration's gain can pass float64's range: no finite reading"),
+        (3, "channel is not a finite float64"),
+    ],
+)
+def test_a_stack_reports_its_first_failing_instance(tmp_path, capsys, seed, message, parallel):
+    p = tmp_path / "mixed.json"
+    section = {"scene": {"tx_distance_cm": 10}, "channel": {"noise_variance": 0.0, "path_loss_exponent": 610.7}}
+    p.write_text(json.dumps({**SMALL, **section, "seed": seed, "oracle": {**SMALL["oracle"], "instances": 3}}))
+    out = tmp_path / "out"
+    rc = cli.main(["oracle-check", "--config", str(p), "--out", str(out), "--parallel", str(parallel)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

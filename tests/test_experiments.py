@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rissim import experiments
 from rissim.channel import GainMeter, channel_gain, derive_seed, link, synthesize_channels
 from rissim.experiments import (
     ConfigError,
@@ -302,9 +303,11 @@ def test_run_codebook_parallel_matches_serial(tmp_path):
     assert _tree_bytes(tmp_path / "par-load") == _tree_bytes(tmp_path / "serial-load")
 
 
-def test_run_oracle_parallel_matches_serial(tmp_path):
+# 6 instances make one stack, 37 three of 16, 16 and 5
+@pytest.mark.parametrize("instances", [6, 37])
+def test_run_oracle_parallel_matches_serial(tmp_path, instances):
     # the workers get the run's Link pickled in their job args
-    cfg = config_from_dict({**SMALL, "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 6}})
+    cfg = config_from_dict({**SMALL, "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": instances}})
     run_oracle_check(cfg, tmp_path / "serial", parallel=1)
     run_oracle_check(cfg, tmp_path / "par", parallel=2)
     serial = _tree_bytes(tmp_path / "serial")
@@ -492,12 +495,13 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
     scene = cfg.base_scene()
     n = layout.n_active
     chan_link = link(scene, layout, cfg.channel)
-    for instance in range(6):
+    rows = _oracle_job((cfg, layout, chan_link, range(6)))
+    assert len(rows) == 6
+    for instance, row in enumerate(rows):
         chan = synthesize_channels(scene, layout, cfg.channel, derive_seed(cfg.seed, "oracle", instance))
         meter = GainMeter(chan, cfg.element_amplitude)
         _, oracle_db = exhaustive_search(meter.readings, layout, 4)
         _, gtrace = greedy_iterative(meter, layout, 4)
-        row = _oracle_job((cfg, layout, chan_link, instance))
         assert row == {
             "instance": instance,
             "oracle_db": oracle_db,
@@ -519,17 +523,39 @@ def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
     assert (cfg.oracle_nx, cfg.oracle_ny, cfg.oracle_num_states) == (2, 2, 4)
     scene = cfg.base_scene()
     chan_link = link(scene, layout, cfg.channel)
-    for instance in range(40):
+    rows = _oracle_job((cfg, layout, chan_link, range(40)))
+    assert [row["instance"] for row in rows] == list(range(40))
+    for instance, row in enumerate(rows):
         chan = synthesize_channels(scene, layout, cfg.channel, derive_seed(seed, "oracle", instance))
         meter = GainMeter(chan, cfg.element_amplitude)
         best = float("-inf")
         for states in itertools.product(range(4), repeat=4):
             best = max(best, meter(RisConfig(layout, states)))
         _, gtrace = greedy_iterative(meter, layout, 4)
-        row = _oracle_job((cfg, layout, chan_link, instance))
         assert row["oracle_db"] == best
         assert row["greedy_db"] == gtrace.final_power
         assert row["oracle_measurements"] == 256
+
+_STACK = experiments._STACK_ROWS // 4**4  # default 2x2 oracle instances per stack
+
+
+@pytest.mark.parametrize("instances", [1, _STACK - 1, _STACK + 1, 600])
+def test_oracle_rows_of_stacks_equal_per_instance_references(tmp_path, instances):
+    cfg = config_from_dict({"oracle": {"instances": instances}})
+    run_oracle_check(cfg, tmp_path)
+    rows = list(csv.DictReader(_read_lines(tmp_path / "gaps.csv")[1:]))
+    assert [int(r["instance"]) for r in rows] == list(range(instances))
+    layout = RisLayout(2, 2, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
+    scene = cfg.base_scene()
+    for instance, row in enumerate(rows):
+        chan = synthesize_channels(scene, layout, cfg.channel, derive_seed(cfg.seed, "oracle", instance))
+        meter = GainMeter(chan, cfg.element_amplitude)
+        _, oracle_db = exhaustive_search(meter.readings, layout, 4)
+        _, gtrace = greedy_iterative(meter, layout, 4)
+        assert float(row["oracle_db"]) == oracle_db
+        assert float(row["greedy_db"]) == gtrace.final_power
+        assert float(row["gap_db"]) == oracle_db - gtrace.final_power
+
 
 def test_codebook_json_is_strict_with_infinite_k(tmp_path):
     cfg = config_from_dict({**SMALL, "channel": {"noise_variance": 0.0, "rician_k_db": "inf"}})
