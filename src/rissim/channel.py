@@ -302,6 +302,8 @@ def _reading_db(re: float, im: float) -> float:
 def channel_gain(config: RisConfig, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> complex:
     """Complex end-to-end coefficient: per-polarization g^H diag(theta) h
     cascades plus the direct term, read through _Cascade."""
+    if chan.h_h.ndim != 1:
+        raise ValueError("channel_gain reads one channel, not a stack")
     cascade = _Cascade(chan, amplitude)
     return complex(*cascade.read(cascade.index(config)))
 
@@ -474,19 +476,22 @@ class GainMeter:
     """Noiseless analytic measurement: configuration gain in dB.
 
     Shares the measurement-function contract and the _Cascade kernel with
-    TonePowerMeter; zero gain reads -inf. A call reads one channel.
-    readings() reads a whole matrix of states, as the exhaustive search
-    does, on one channel or on every channel of a stack, each reading to the
-    bits of a call: it takes the block's powers as array ops and maps libm's
-    log10 over the nonzero ones, the IEEE steps of _reading_db, never
+    TonePowerMeter; zero gain reads -inf. A call reads one channel, never a
+    stack. readings() reads a whole matrix of states, as the exhaustive
+    search does, on one channel or on every channel of a stack, each reading
+    to the bits of a call: it takes the block's powers as array ops and maps
+    libm's log10 over the nonzero ones, the IEEE steps of _reading_db, never
     numpy's log10, which may round otherwise on SIMD hosts.
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
         self.calls = 0
         self._kernel = _Cascade(chan, float(amplitude))
+        self._stacked = chan.h_h.ndim != 1
 
     def __call__(self, config: RisConfig) -> float:
+        if self._stacked:
+            raise ValueError("a gain meter call reads one channel, not a stack")
         self.calls += 1
         return _reading_db(*self._kernel.read(self._kernel.index(config)))
 

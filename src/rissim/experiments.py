@@ -43,7 +43,7 @@ from .geometry import (
     SettingError,
     make_scene,
 )
-from .optimizer import ENUMERATION_CAP, TraceEntry, enumerate_readings, greedy_iterative, table_measure
+from .optimizer import READ_BUDGET, TraceEntry, enumerate_readings, enumeration_size, greedy_iterative, table_measure
 from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
@@ -165,19 +165,12 @@ class ScenarioConfig:
         for field, holds, rule in rules:
             if not holds:
                 raise ConfigError(f"{_KEYS[field]}: {rule}")
-        # both oracle rules span oracle.nx and oracle.ny
+        # both oracle rules span oracle.nx and oracle.ny, nx * ny elements
         try:
             self.oracle_layout()
+            enumeration_size(self.oracle_nx * self.oracle_ny, self.oracle_num_states)
         except ValueError as exc:
             raise ConfigError(f"{_SECTIONS['oracle_nx']}: {exc}") from exc
-        # the oracle panel disables no cell; with at least 2 states, a panel
-        # of cap.bit_length() elements already passes the cap
-        n = self.oracle_nx * self.oracle_ny
-        if n >= ENUMERATION_CAP.bit_length() or self.oracle_num_states**n > ENUMERATION_CAP:
-            raise ConfigError(
-                f"{_SECTIONS['oracle_nx']}: enumeration needs {self.oracle_num_states}**{n} measurements,"
-                f" above the cap of {ENUMERATION_CAP}"
-            )
         _distinct(self.grouping_sizes, "grouping_sizes")
         _distinct(self.grouping_angles_deg, "grouping_angles_deg")
         _distinct(self.codebook_angles_deg, "codebook_angles_deg")
@@ -458,14 +451,10 @@ def load_config(path) -> ScenarioConfig:
 # output helpers
 
 
-def _header_line(config: ScenarioConfig) -> str:
-    return f"# config_hash={config.config_hash()} seed={config.seed}"
-
-
 def _write_csv(path: Path, config: ScenarioConfig, fieldnames, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
-        f.write(_header_line(config) + "\n")
+        f.write(f"# config_hash={config.config_hash()} seed={config.seed}\n")
         writer = csv.DictWriter(f, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
@@ -648,16 +637,10 @@ def run_codebook_experiment(
 # oracle check
 
 
-# most readings one oracle job tables at once, its instances times the
-# configurations of each: 16 instances at 2x2 and 4 states. An instance with
-# more configurations is a stack of its own.
-_STACK_ROWS = 4096
-
-
 def _oracle_job(args):
-    """The gaps.csv rows of a range of instances, each drawn at
-    derive_seed(seed, "oracle", instance), read as one stack through one
-    GainMeter and replayed one by one by greedy."""
+    """The gaps.csv rows of a range of instances drawn at derive_seed(seed,
+    "oracle", instance): one stack, enumerated through one GainMeter within
+    READ_BUDGET readings per read, then replayed one by one by greedy."""
     config, layout, chan_link, instances = args
     seeds = [derive_seed(config.seed, "oracle", i) for i in instances]
     try:
@@ -693,14 +676,14 @@ def _oracle_job(args):
 
 def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     """Exhaustive-vs-greedy gap over seeded noiseless instances on a small
-    layout: one Link for the placement, and jobs of consecutive instances
-    that each draw and table as one stack of at most _STACK_ROWS readings. A
-    negative gap fails the run."""
+    layout: one Link for the placement, and jobs of consecutive instances,
+    each one stack of as many as READ_BUDGET readings hold (at least one,
+    read in blocks). A negative gap fails the run."""
     out = Path(out_dir)
     layout = config.oracle_layout()
     chan_link = link(config.base_scene(), layout, config.channel)
     count = config.oracle_instances
-    size = max(1, _STACK_ROWS // config.oracle_num_states**layout.n_active)
+    size = max(1, READ_BUDGET // enumeration_size(layout.n_active, config.oracle_num_states))
     jobs = [(config, layout, chan_link, range(i, min(i + size, count))) for i in range(0, count, size)]
     rows = [row for stack in parallel_map(_oracle_job, jobs, parallel) for row in stack]
     _write_csv(

@@ -7,7 +7,8 @@ in a PowerTrace. enumerate_readings fills a table from a block reader (an
 (M, n) state matrix in, M dB readings out) such as GainMeter.readings; the
 exhaustive search keeps its first maximum, and greedy can replay it. A block
 reader of a stack of channels returns an (S, M) matrix and fills one table
-row per channel.
+row per channel. enumeration_size holds the one cap rule; READ_BUDGET bounds a
+read, to READ_BUDGET // size stacked channels or READ_BUDGET rows of one.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .ris import NUM_ELEMENT_STATES, RisConfig, RisLayout, _unchecked_config, ma
 MeasureFn = Callable[[RisConfig], float]
 ReadFn = Callable[[np.ndarray], Sequence[float]]
 
-ENUMERATION_CAP = 2**20  # most measurements enumerate_readings will make
-BLOCK_ROWS = 4**8  # most state rows enumerate_readings passes to one read
+ENUMERATION_CAP = 2**20  # most measurements one enumeration makes
+READ_BUDGET = 4096  # most readings one read returns, and so the state rows of a block
 
 
 class TraceEntry(NamedTuple):
@@ -103,12 +104,23 @@ def greedy_iterative(
     return final, PowerTrace(tuple(entries))
 
 
-@lru_cache(maxsize=ENUMERATION_CAP // BLOCK_ROWS)
+def enumeration_size(n: int, num_states: int) -> int:
+    """num_states ** n, the configurations of n elements; ValueError unless
+    num_states is in 2..4 and that count is within ENUMERATION_CAP, checked
+    on n first, since cap.bit_length() elements pass the cap at 2 states."""
+    if not 2 <= num_states <= NUM_ELEMENT_STATES:
+        raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
+    if n >= ENUMERATION_CAP.bit_length() or num_states**n > ENUMERATION_CAP:
+        raise ValueError(f"enumeration needs {num_states}**{n} measurements, above the cap of {ENUMERATION_CAP}")
+    return num_states**n
+
+
+@lru_cache(maxsize=ENUMERATION_CAP // READ_BUDGET)
 def _product_block(start: int, stop: int, n: int, num_states: int) -> np.ndarray:
     """Rows start..stop-1 of the lexicographic product range(num_states)**n
     as a read-only (M, n) int8 matrix, built once per argument tuple and
-    shared: the cache holds every block of an enumeration at the cap, at
-    most 21 MB for n = 20."""
+    shared: the cache holds every block of an enumeration at the cap, 256
+    blocks of READ_BUDGET rows, at most 21 MB for n = 20."""
     weights = num_states ** np.arange(n - 1, -1, -1, dtype=np.int64)
     block = (np.arange(start, stop, dtype=np.int64)[:, None] // weights % num_states).astype(np.int8)
     block.setflags(write=False)
@@ -116,24 +128,20 @@ def _product_block(start: int, stop: int, n: int, num_states: int) -> np.ndarray
 
 
 def enumerate_readings(read: ReadFn, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> np.ndarray:
-    """Every configuration's reading, read BLOCK_ROWS state rows at a time, as
-    one float64 array in lexicographic order: states s sit at row sum s_i *
-    num_states**(n-1-i). A reader of a stack of channels returns (S, M)
-    readings per block and fills an (S, num_states**n) table, row j channel
-    j's. Refuses more than ENUMERATION_CAP measurements per channel."""
-    if not 2 <= num_states <= NUM_ELEMENT_STATES:
-        raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
+    """Every configuration's reading, read READ_BUDGET state rows at a time,
+    as one float64 array of enumeration_size(n, num_states) in lexicographic
+    order: states s sit at row sum s_i * num_states**(n-1-i). A reader of a
+    stack of S channels returns (S, M) readings per block and fills an
+    (S, size) table, row j channel j's."""
     n = layout.n_active
-    budget = num_states**n
-    if budget > ENUMERATION_CAP:
-        raise ValueError(f"enumeration needs {budget} measurements, above the cap of {ENUMERATION_CAP}")
+    size = enumeration_size(n, num_states)
     table = None
-    for start in range(0, budget, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, budget)
+    for start in range(0, size, READ_BUDGET):
+        stop = min(start + READ_BUDGET, size)
         readings = np.asarray(read(_product_block(start, stop, n, num_states)), dtype=np.float64)
         if table is None:
             # the first block sets the stack's shape, (S,) or none
-            table = np.empty(readings.shape[:-1] + (budget,))
+            table = np.empty(readings.shape[:-1] + (size,))
         if readings.shape != table.shape[:-1] + (stop - start,):
             raise ValueError(f"read returned {readings.size} readings for {stop - start} configurations")
         table[..., start:stop] = readings
@@ -165,6 +173,8 @@ def exhaustive_search(read: ReadFn, layout: RisLayout, num_states: int = NUM_ELE
     enumerate_readings, and that reading; a NaN reading never wins, and if
     every reading is -inf the all-off tuple does."""
     readings = enumerate_readings(read, layout, num_states)
+    if readings.ndim != 1:
+        raise ValueError("an exhaustive search reads one channel, not a stack")
     readings[np.isnan(readings)] = -np.inf
     best = int(np.argmax(readings))  # the first maximum; row 0 if every reading is -inf
     # the digits of best in base num_states, each in 0..num_states-1

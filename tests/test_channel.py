@@ -34,7 +34,7 @@ from rissim.channel import (
 )
 from rissim.experiments import DEFAULT_SWEEP_POINTS, ScenarioConfig, config_from_dict
 from rissim.geometry import Scene, make_scene
-from rissim.optimizer import enumerate_readings
+from rissim.optimizer import enumerate_readings, exhaustive_search
 from rissim.ris import RisConfig, RisLayout
 
 
@@ -216,6 +216,25 @@ def test_a_stack_is_read_by_gain_meters_only():
         ChannelRealization(cube, cube, cube, cube, 0.0j)
     with pytest.raises(ValueError, match="share one shape"):
         ChannelRealization(stack.h_h, stack.h_v, stack.g_h, stack.g_v[0], 0.0j)
+    # a 2x1 panel's three draws, ordered so the stack's maximum sits in the
+    # first row and then in the last: an argmax over the flat (3, 16) table
+    # lands in row 0's configurations or past the 16 of one channel
+    lay = RisLayout(2, 1)
+    one = link(make_scene(rx_angle_deg=70.0), lay, ChannelModelParams())
+    best = GainMeter(one.draw_stack([1, 2, 3])).readings(np.indices((4, 4)).reshape(2, -1).T).max(axis=1)
+    top = [1, 2, 3][int(np.argmax(best))]
+    rest = [seed for seed in (1, 2, 3) if seed != top]
+    off = RisConfig.all_off(lay)
+    for seeds in ([top, *rest], [*rest, top]):
+        stack = one.draw_stack(seeds)
+        meter = GainMeter(stack)
+        with pytest.raises(ValueError, match="^a gain meter call reads one channel, not a stack$"):
+            meter(off)
+        with pytest.raises(ValueError, match="^channel_gain reads one channel, not a stack$"):
+            channel_gain(off, stack)
+        with pytest.raises(ValueError, match="^an exhaustive search reads one channel, not a stack$"):
+            exhaustive_search(meter.readings, lay)
+        assert meter.calls == 3 * 16  # the readings of the search, and no call
 
 
 def test_link_is_read_only():

@@ -864,9 +864,15 @@ def _tracing():
     return module
 
 
-def test_traced_targets_resolve_and_codebook_spans_fire(tmp_path, config_path):
+@pytest.mark.parametrize("command, spans", [
+    ("codebook", ("codebook.generate", "codebook.evaluate_path", "codebook.lookup")),
+    ("sweep", ("channel.tone_meter", "optimizer.greedy")),
+    ("oracle-check", ("channel.derive_rng", "optimizer.greedy")),
+], ids=["codebook", "sweep", "oracle-check"])
+def test_traced_targets_resolve_and_runner_spans_fire(tmp_path, config_path, command, spans):
     # the benchmark tracer patches rissim by module and attribute name, so a
-    # renamed or moved target would silently drop its spans
+    # renamed or moved target would silently drop its spans; each runner the
+    # benchmark traces must still run under it
     tracing = _tracing()
     for _, module, attr in tracing.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
@@ -874,9 +880,10 @@ def test_traced_targets_resolve_and_codebook_spans_fire(tmp_path, config_path):
         assert attr in vars(getattr(importlib.import_module(module), cls)), (module, cls, attr)
     tracer = tracing.Tracer()
     with tracing.patched(tracer):
-        rc = cli.main(["codebook", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        rc = cli.main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert rc == 0
-    for name in ("codebook.generate", "codebook.evaluate_path", "codebook.lookup"):
+    assert tracer.spans["experiments.runner"].calls == 1
+    for name in spans:
         assert tracer.spans[name].calls > 0, name
 
 

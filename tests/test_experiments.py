@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rissim import experiments
 from rissim.channel import GainMeter, channel_gain, derive_seed, link, synthesize_channels
 from rissim.experiments import (
     ConfigError,
@@ -22,7 +21,7 @@ from rissim.experiments import (
     run_oracle_check,
     run_sweep,
 )
-from rissim.optimizer import exhaustive_search, greedy_iterative
+from rissim.optimizer import READ_BUDGET, exhaustive_search, greedy_iterative
 from rissim.ris import SPEED_OF_LIGHT, RisConfig, RisLayout
 
 SMALL = {
@@ -536,7 +535,7 @@ def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
         assert row["greedy_db"] == gtrace.final_power
         assert row["oracle_measurements"] == 256
 
-_STACK = experiments._STACK_ROWS // 4**4  # default 2x2 oracle instances per stack
+_STACK = READ_BUDGET // 4**4  # default 2x2 oracle instances per stack
 
 
 @pytest.mark.parametrize("instances", [1, _STACK - 1, _STACK + 1, 600])
@@ -555,6 +554,47 @@ def test_oracle_rows_of_stacks_equal_per_instance_references(tmp_path, instances
         assert float(row["oracle_db"]) == oracle_db
         assert float(row["greedy_db"]) == gtrace.final_power
         assert float(row["gap_db"]) == oracle_db - gtrace.final_power
+
+
+@pytest.mark.parametrize("nx, ny, num_states, instances, stack, blocks", [
+    (2, 2, 4, 20, 16, 1),
+    (2, 3, 3, 7, 5, 1),
+    (3, 2, 4, 2, 1, 1),
+    (3, 3, 4, 2, 1, 64),
+])
+def test_oracle_reads_stay_within_the_read_budget(
+    tmp_path, monkeypatch, nx, ny, num_states, instances, stack, blocks
+):
+    cfg = config_from_dict({"oracle": {"nx": nx, "ny": ny, "num_states": num_states, "instances": instances}})
+    reads = []
+    readings = GainMeter.readings
+
+    def spy(meter, states):
+        out = readings(meter, states)
+        reads.append((meter, out.shape))
+        return out
+
+    monkeypatch.setattr(GainMeter, "readings", spy)
+    run_oracle_check(cfg, tmp_path)
+    assert READ_BUDGET == 4096
+    assert max(math.prod(shape) for _, shape in reads) <= READ_BUDGET
+    # one meter per stack: full stacks of `stack` instances, the rest last,
+    # each read in `blocks` reads of one stack's rows
+    stacks = [[shape for _, shape in group] for _, group in itertools.groupby(reads, key=lambda r: r[0])]
+    sizes = [min(stack, instances - start) for start in range(0, instances, stack)]
+    assert [len(shapes) for shapes in stacks] == [blocks] * len(sizes)
+    assert [{shape[0] for shape in shapes} for shapes in stacks] == [{size} for size in sizes]
+    rows = list(csv.DictReader(_read_lines(tmp_path / "gaps.csv")[1:]))
+    assert [int(r["instance"]) for r in rows] == list(range(instances))
+    layout = cfg.oracle_layout()
+    for instance, row in enumerate(rows):
+        chan = synthesize_channels(cfg.base_scene(), layout, cfg.channel, derive_seed(cfg.seed, "oracle", instance))
+        meter = GainMeter(chan, cfg.element_amplitude)
+        _, oracle_db = exhaustive_search(meter.readings, layout, num_states)
+        _, gtrace = greedy_iterative(meter, layout, num_states)
+        assert float(row["oracle_db"]) == oracle_db
+        assert float(row["greedy_db"]) == gtrace.final_power
+        assert int(row["oracle_measurements"]) == num_states ** (nx * ny)
 
 
 def test_codebook_json_is_strict_with_infinite_k(tmp_path):

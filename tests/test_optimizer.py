@@ -10,10 +10,12 @@ from rissim import optimizer
 from rissim.channel import ChannelModelParams, GainMeter, synthesize_channels
 from rissim.geometry import make_scene
 from rissim.optimizer import (
-    BLOCK_ROWS,
+    ENUMERATION_CAP,
+    READ_BUDGET,
     PowerTrace,
     TraceEntry,
     enumerate_readings,
+    enumeration_size,
     exhaustive_search,
     greedy_iterative,
     table_measure,
@@ -153,8 +155,23 @@ def test_exhaustive_enumerates_lexicographically():
 
 def test_exhaustive_cap_message():
     lay = RisLayout(nx=4, ny=3)
-    with pytest.raises(ValueError, match=r"16777216 measurements, above the cap of 1048576"):
+    with pytest.raises(ValueError, match=r"enumeration needs 4\*\*12 measurements, above the cap of 1048576$"):
         exhaustive_search(_per_row(_scripted([]), lay), lay)
+
+
+def test_enumeration_size_is_the_one_cap_rule():
+    assert ENUMERATION_CAP == 2**20
+    assert enumeration_size(4, 4) == 256
+    assert enumeration_size(6, 3) == 729
+    assert enumeration_size(10, 4) == enumeration_size(20, 2) == ENUMERATION_CAP
+    with pytest.raises(ValueError, match=r"^enumeration needs 3\*\*13 measurements, above the cap of 1048576$"):
+        enumeration_size(13, 3)
+    # an exponent past the cap's bit length fails before the power is taken
+    with pytest.raises(ValueError, match=r"^enumeration needs 2\*\*1000000000000000000 measurements"):
+        enumeration_size(10**18, 2)
+    for num_states in (1, 5):
+        with pytest.raises(ValueError, match=r"num_states must be in 2\.\.4"):
+            enumeration_size(2, num_states)
 
 
 def test_exhaustive_keeps_first_config_when_all_readings_are_minus_inf():
@@ -172,20 +189,21 @@ def test_exhaustive_keeps_first_config_when_all_readings_are_minus_inf():
 
 
 def test_exhaustive_reads_blocks_in_order_across_block_boundaries():
-    lay = RisLayout(nx=3, ny=3)  # 4**9 = 262,144 rows, four blocks
+    lay = RisLayout(nx=3, ny=3)  # 4**9 = 262,144 rows, 64 blocks
     blocks = []
 
     def read(block):
         blocks.append(block.copy())
-        # 2 first at (1, 0, ..., 0, 3) in the second block, again in later ones
+        # 2 first at (1, 0, ..., 0, 3) in block 16, again in later ones
         return np.minimum(block[:, 0], 1) + (block[:, 8] == 3)
 
     best, reading = exhaustive_search(read, lay)
-    assert all(len(b) <= BLOCK_ROWS == 65_536 for b in blocks)
-    assert len(blocks) == 4
+    assert all(len(b) == READ_BUDGET == 4096 for b in blocks)
+    assert len(blocks) == 64
     rows = np.concatenate(blocks)
     assert np.array_equal(rows, np.indices((4,) * 9).reshape(9, -1).T)
-    assert [tuple(b[0]) for b in blocks] == [(k,) + (0,) * 8 for k in range(4)]
+    # block k starts at row 4096 k = 4**6 k: k's base-4 digits, then zeros
+    assert [tuple(b[0]) for b in blocks] == [(k // 16, k // 4 % 4, k % 4) + (0,) * 6 for k in range(64)]
     # the first maximum is row 65,536 + 3; later blocks tie it
     assert best.states == (1, 0, 0, 0, 0, 0, 0, 0, 3)
     assert reading == 2.0
@@ -239,7 +257,7 @@ def test_exhaustive_keeps_the_first_maximum_across_blocks(shape, num_states, blo
         return readings.tolist() if as_list else readings
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "BLOCK_ROWS", block_rows)
+        mp.setattr(optimizer, "READ_BUDGET", block_rows)
         best, reading = exhaustive_search(read, lay, num_states)
     index, expected = _first_max(values)
     assert sum(blocks) == budget and max(blocks) <= block_rows
@@ -276,7 +294,7 @@ def test_enumerate_readings_equals_per_row_reads_in_lexicographic_order(
         return readings.tolist() if as_list else readings
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "BLOCK_ROWS", block_rows)
+        mp.setattr(optimizer, "READ_BUDGET", block_rows)
         table = enumerate_readings(read, lay, num_states)
     rows = list(itertools.product(range(num_states), repeat=lay.n_active))
     assert table.dtype == np.float64
