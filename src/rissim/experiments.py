@@ -43,7 +43,7 @@ from .geometry import (
     SettingError,
     make_scene,
 )
-from .optimizer import READ_BUDGET, TraceEntry, enumerate_readings, enumeration_size, greedy_iterative, table_measure
+from .optimizer import READ_BUDGET, TraceEntry, enumerate_readings, enumeration_size, greedy_iterative, table_reader
 from .parallel import parallel_map
 from .ris import (
     DEFAULT_ELEMENT_AMPLITUDE,
@@ -232,10 +232,10 @@ class ScenarioConfig:
         )
 
     def greedy(self, meter, group_size: int | None = None):
-        """Greedy sweep on meter, elements grouped by group_size (default:
-        the optimizer's)."""
+        """Greedy sweep through meter.readings, elements grouped by
+        group_size (default: the optimizer's)."""
         size = self.group_size if group_size is None else group_size
-        return greedy_iterative(meter, self.layout, self.num_states, size)
+        return greedy_iterative(meter.readings, self.layout, self.num_states, size)
 
     def measure_spot(self, group_size: int, angle_deg: float, distance_cm: float, stream: str, *index):
         """All-off baseline, then one greedy sweep with elements grouped by
@@ -659,8 +659,8 @@ def _oracle_job(args):
         if oracle_db == float("-inf"):
             raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
         # greedy replays the enumeration's readings, so the gap is exactly >= 0
-        measure = table_measure(table, layout, config.oracle_num_states)
-        _, gtrace = greedy_iterative(measure, layout, config.oracle_num_states)
+        read = table_reader(table, layout, config.oracle_num_states)
+        _, gtrace = greedy_iterative(read, layout, config.oracle_num_states)
         rows.append(
             {
                 "instance": instance,

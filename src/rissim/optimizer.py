@@ -1,14 +1,15 @@
 """Greedy per-group state search, the exhaustive oracle, and power traces.
 
-Both searches see only an abstract measurement, so the same code drives
-analytic gains, the full simulated receiver chain, or test stubs. Greedy logs
-every reading of a per-configuration measure (configuration in, dB power out)
-in a PowerTrace. enumerate_readings fills a table from a block reader (an
-(M, n) state matrix in, M dB readings out) such as GainMeter.readings; the
-exhaustive search keeps its first maximum, and greedy can replay it. A block
-reader of a stack of channels returns an (S, M) matrix and fills one table
-row per channel. enumeration_size holds the one cap rule; READ_BUDGET bounds a
-read, to READ_BUDGET // size stacked channels or READ_BUDGET rows of one.
+Both searches see only an abstract block reader (an (M, n) state matrix in,
+M dB readings out) such as GainMeter.readings or TonePowerMeter.readings, so
+the same code drives analytic gains, the full simulated receiver chain, or
+test stubs. Greedy reads each group's candidates as one block and logs every
+reading in a PowerTrace. enumerate_readings fills a table from a reader; the
+exhaustive search keeps its first maximum, and greedy can replay it through
+table_reader. A reader of a stack of channels returns an (S, M) matrix and
+fills one table row per channel. enumeration_size holds the one cap rule;
+READ_BUDGET bounds a read, to READ_BUDGET // size stacked channels or
+READ_BUDGET rows of one.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ris import NUM_ELEMENT_STATES, RisConfig, RisLayout, _unchecked_config, make_grouping
+from .ris import NUM_ELEMENT_STATES, RisConfig, RisLayout, make_grouping
 
-MeasureFn = Callable[[RisConfig], float]
 ReadFn = Callable[[np.ndarray], Sequence[float]]
 
 ENUMERATION_CAP = 2**20  # most measurements one enumeration makes
@@ -61,47 +61,49 @@ class PowerTrace:
 
 
 def greedy_iterative(
-    measure: MeasureFn,
+    read: ReadFn,
     layout: RisLayout,
     num_states: int = NUM_ELEMENT_STATES,
     group_size: int = 1,
 ) -> tuple[RisConfig, PowerTrace]:
-    """One greedy sweep: per tile of make_grouping(layout, group_size), try
-    every state and keep the argmax.
+    """One greedy sweep: per tile of make_grouping(layout, group_size), read
+    every state of the tile as one (num_states, n) block and keep the argmax.
 
-    Starts all-off with the running maximum at -inf, so the very first
-    measurement (the all-off configuration itself) always registers. A group
-    only moves off its current state when a candidate measures strictly
-    higher than everything seen so far; ties keep the earlier state. The
-    budget is exactly len(make_grouping(layout, group_size)) * num_states
-    measurements.
+    Row s of a tile's block holds the running states with the tile's
+    elements set to s. Starts all-off with the running maximum at -inf, so
+    the very first measurement (the all-off configuration itself) always
+    registers. A group only moves off its current state when a candidate
+    measures strictly higher than everything seen so far; ties keep the
+    earlier state. The budget is exactly
+    len(make_grouping(layout, group_size)) * num_states measurements, in
+    len(make_grouping(layout, group_size)) reads.
     """
     if not 2 <= num_states <= NUM_ELEMENT_STATES:
         raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
     groups = make_grouping(layout, group_size)
 
-    states = [0] * layout.n_active
+    states = np.zeros(layout.n_active, dtype=np.intp)
+    candidates = np.arange(num_states)
     entries: list[TraceEntry] = []
     p_max = float("-inf")
-    index = 0
     for gi, group in enumerate(groups):
+        block = np.empty((num_states, layout.n_active), dtype=np.intp)
+        block[:] = states
+        for i in group:
+            block[:, i] = candidates
+        readings = np.asarray(read(block), dtype=np.float64)
+        if readings.shape != (num_states,):
+            raise ValueError(f"read returned {readings.size} readings for {num_states} configurations")
         best_state = states[group[0]]
-        for s in range(num_states):
-            for i in group:
-                states[i] = s
-            # states from range(num_states), num_states checked above
-            config = _unchecked_config(layout, tuple(states))
-            index += 1
-            p = float(measure(config))
+        for s, p in enumerate(readings.tolist()):
             if p > p_max:
                 p_max = p
                 best_state = s
-            entries.append(TraceEntry(index, gi, s, p, p_max))
-        for i in group:
-            states[i] = best_state
+            entries.append(TraceEntry(len(entries) + 1, gi, s, p, p_max))
+        # row s holds the running states with the group at s
+        states = block[best_state]
 
-    final = RisConfig(layout, tuple(states))
-    return final, PowerTrace(tuple(entries))
+    return RisConfig(layout, states.tolist()), PowerTrace(tuple(entries))
 
 
 def enumeration_size(n: int, num_states: int) -> int:
@@ -148,24 +150,19 @@ def enumerate_readings(read: ReadFn, layout: RisLayout, num_states: int = NUM_EL
     return table
 
 
-def table_measure(table: np.ndarray, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> MeasureFn:
-    """A measure that reads each configuration of the layout off an
-    enumerate_readings table, at row sum s_i * num_states**(n-1-i)."""
-    n = layout.n_active
-    if len(table) != num_states**n:
+def table_reader(table: np.ndarray, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> ReadFn:
+    """A reader that reads each state row of the layout off an
+    enumerate_readings table row, at row sum s_i * num_states**(n-1-i);
+    ValueError for a row of another width or a state outside
+    0..num_states-1."""
+    shape = (num_states,) * layout.n_active
+    if len(table) != num_states**layout.n_active:
         raise ValueError("table does not hold one reading per configuration")
 
-    readings = table.tolist()
+    def read(states) -> np.ndarray:
+        return table[np.ravel_multi_index(np.asarray(states).T, shape)]
 
-    def measure(config: RisConfig) -> float:
-        if len(config.states) != n or max(config.states) >= num_states:
-            raise ValueError("configuration has no row in the table")
-        row = 0
-        for s in config.states:
-            row = row * num_states + s
-        return readings[row]
-
-    return measure
+    return read
 
 
 def exhaustive_search(read: ReadFn, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> tuple[RisConfig, float]:
@@ -177,6 +174,5 @@ def exhaustive_search(read: ReadFn, layout: RisLayout, num_states: int = NUM_ELE
         raise ValueError("an exhaustive search reads one channel, not a stack")
     readings[np.isnan(readings)] = -np.inf
     best = int(np.argmax(readings))  # the first maximum; row 0 if every reading is -inf
-    # the digits of best in base num_states, each in 0..num_states-1
-    states = tuple(map(int, np.unravel_index(best, (num_states,) * layout.n_active)))
-    return _unchecked_config(layout, states), float(readings[best])
+    states = np.unravel_index(best, (num_states,) * layout.n_active)
+    return RisConfig(layout, states), float(readings[best])

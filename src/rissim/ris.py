@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,15 +134,6 @@ class RisConfig:
         return cls(layout, (0,) * layout.n_active)
 
 
-def _unchecked_config(layout: RisLayout, states: tuple[int, ...]) -> RisConfig:
-    """RisConfig without __post_init__'s checks, for search candidates the
-    caller built valid: a tuple of layout.n_active Python ints in 0..3."""
-    config = object.__new__(RisConfig)
-    object.__setattr__(config, "layout", layout)
-    object.__setattr__(config, "states", states)
-    return config
-
-
 def theta_diag(config: RisConfig, polarization: str, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> np.ndarray:
     """Diagonal of the reflection matrix for one polarization.
 
@@ -180,12 +171,14 @@ def from_bit_array(layout: RisLayout, bits) -> RisConfig:
     )
 
 
+@lru_cache(maxsize=64)
 def make_grouping(layout: RisLayout, group_size: int) -> tuple[tuple[int, ...], ...]:
     """Tile the grid row-major into groups of up to ``group_size`` elements,
     each a tuple of active-element indices in ascending order.
 
     Tiles that overlap the disabled corner come out partial, so every active
-    element belongs to exactly one group.
+    element belongs to exactly one group. Built once per (layout, group_size)
+    and shared.
     """
     if group_size not in GROUP_SIZES:
         raise ValueError(f"group_size must be one of {GROUP_SIZES}")

@@ -51,7 +51,7 @@ def test_criterion_1_measurement_budgets():
     counts = {}
     for size in (1, 2, 4, 8):
         meter = GainMeter(chan)
-        greedy_iterative(meter, cfg.layout, 4, size)
+        greedy_iterative(meter.readings, cfg.layout, 4, size)
         counts[size] = meter.calls
     elapsed = time.perf_counter() - t0
     ok = (
@@ -75,7 +75,7 @@ def test_criterion_2_exhaustive_never_below_greedy():
             seed = derive_seed(11, "oracle", instance, nx, ny)
             chan = synthesize_channels(scene, lay, ChannelModelParams(), seed)
             _, oracle_db = exhaustive_search(GainMeter(chan).readings, lay)
-            _, gtrace = greedy_iterative(GainMeter(chan), lay)
+            _, gtrace = greedy_iterative(GainMeter(chan).readings, lay)
             gap = oracle_db - gtrace.final_power
             gaps.append(gap)
             if lay.n_active == 1:
@@ -177,7 +177,7 @@ def test_criterion_6_codebook_behavior():
             chan, cfg0.tone, full_scale=cfg0.full_scale, amplitude=cfg0.element_amplitude,
             noise_variance=cfg0.noise_variance,
         )
-        _, trace = greedy_iterative(meter, cfg0.layout)
+        _, trace = greedy_iterative(meter.readings, cfg0.layout)
         p_codeword = TonePowerMeter(
             chan, cfg0.tone, full_scale=cfg0.full_scale, amplitude=cfg0.element_amplitude,
             noise_variance=cfg0.noise_variance,
@@ -222,7 +222,7 @@ def test_criterion_7_grouping_tradeoff():
                     noise_seed=(cfg.seed, "grouping", ai, size),
                 )
                 base = meter(RisConfig.all_off(cfg.layout))
-                _, trace = greedy_iterative(meter, cfg.layout, 4, size)
+                _, trace = greedy_iterative(meter.readings, cfg.layout, 4, size)
                 gain[size] = trace.final_power - base
             for size in (2, 4, 8):
                 deficits[size].append(gain[1] - gain[size])

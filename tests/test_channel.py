@@ -952,14 +952,45 @@ def test_gain_meter_readings_of_a_dark_channel_are_minus_inf_without_warning():
     assert -3300.0 < readings[0] < -3100.0 and readings[1] == float("-inf") and abs(readings[2]) < 1e-9
 
 
+# both meters, built on one channel; two builds of one kind are twins whose
+# calls and readings draw the same noise at the same index
+_METERS = {
+    "gain": GainMeter,
+    "tone": lambda chan: TonePowerMeter(chan, full_scale=4.0, noise_variance=1e-4, noise_seed=(5, "rows")),
+}
+
+
+@pytest.mark.parametrize("kind", list(_METERS))
 @pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int8, np.uint32, np.int16])
-def test_gain_meter_readings_accept_any_integer_dtype(dtype):
+def test_meter_readings_accept_any_integer_dtype(kind, dtype):
     lay = RisLayout(nx=3, ny=2)
     params = ChannelModelParams(cross_pol_coupling=0.3)
-    meter = GainMeter(synthesize_channels(make_scene(rx_angle_deg=110.0), lay, params, 9))
+    chan = synthesize_channels(make_scene(rx_angle_deg=110.0), lay, params, 9)
+    meter, twin = _METERS[kind](chan), _METERS[kind](chan)
     states = np.indices((4,) * 3).reshape(3, -1).T.repeat(2, axis=1).astype(dtype)
-    expected = [meter(RisConfig(lay, row)) for row in _states_of(states)]
+    expected = [twin(RisConfig(lay, row)) for row in _states_of(states)]
     assert meter.readings(states).tolist() == expected
+
+
+@pytest.mark.parametrize("full_scale", [DEFAULT_FULL_SCALE, 2e-4])
+def test_tone_readings_equal_calls_on_a_twin_meter_bit_for_bit(full_scale):
+    lay = RisLayout.default()
+    chan = synthesize_channels(make_scene(rx_angle_deg=70.0, rx_distance_cm=170.0), lay, ChannelModelParams(), 4)
+    meter, twin = (
+        TonePowerMeter(chan, full_scale=full_scale, noise_variance=DEFAULT_NOISE_VARIANCE, noise_seed=(4, "t"))
+        for _ in range(2)
+    )
+    off = RisConfig.all_off(lay)
+    assert meter(off) == twin(off)
+    states = derive_rng(4, "tone rows").integers(0, 4, (9, lay.n_active))
+    readings = meter.readings(states)
+    expected = [twin(RisConfig(lay, row)) for row in _states_of(states)]
+    assert readings.dtype == np.float64
+    assert readings.tobytes() == np.array(expected).tobytes()
+    assert meter.calls == twin.calls == 1 + len(states)
+    assert meter.last_clip_fraction == twin.last_clip_fraction
+    # a 2e-4 full scale clips every reading
+    assert (meter.last_clip_fraction > 0.0) == (full_scale < 1.0)
 
 
 # Coefficients where other routes to the dB reading round differently from
@@ -1033,8 +1064,10 @@ def test_gain_meter_reports_an_overflowing_gain_as_no_finite_reading():
         np.array([[0.0, 1.0]]),
     ],
 )
-def test_gain_meter_readings_reject_bad_state_matrices(states):
-    meter = GainMeter(_unit_channel(2))
+@pytest.mark.parametrize("kind", list(_METERS))
+def test_meter_readings_reject_bad_state_matrices(kind, states):
+    meter = _METERS[kind](_unit_channel(2))
     with pytest.raises(ValueError):
         meter.readings(states)
+    # a refused matrix makes no reading, so no noise index moves
     assert meter.calls == 0

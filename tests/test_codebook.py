@@ -47,7 +47,7 @@ def test_codeword_matches_online_rerun_at_reference():
     scene = make_scene().with_rx_at(70.0, 170.0)
     chan = synthesize_channels(scene, LAY, ChannelModelParams(), 2)
     meter = TonePowerMeter(chan, TONE, full_scale=FS, noise_variance=0.0)
-    online, trace = greedy_iterative(meter, LAY)
+    online, trace = greedy_iterative(meter.readings, LAY)
     assert online == book.entries[0].config
     check = TonePowerMeter(chan, TONE, full_scale=FS, noise_variance=0.0)
     assert check(book.entries[0].config) == trace.final_power

@@ -500,7 +500,7 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
         chan = synthesize_channels(scene, layout, cfg.channel, derive_seed(cfg.seed, "oracle", instance))
         meter = GainMeter(chan, cfg.element_amplitude)
         _, oracle_db = exhaustive_search(meter.readings, layout, 4)
-        _, gtrace = greedy_iterative(meter, layout, 4)
+        _, gtrace = greedy_iterative(meter.readings, layout, 4)
         assert row == {
             "instance": instance,
             "oracle_db": oracle_db,
@@ -530,7 +530,7 @@ def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
         best = float("-inf")
         for states in itertools.product(range(4), repeat=4):
             best = max(best, meter(RisConfig(layout, states)))
-        _, gtrace = greedy_iterative(meter, layout, 4)
+        _, gtrace = greedy_iterative(meter.readings, layout, 4)
         assert row["oracle_db"] == best
         assert row["greedy_db"] == gtrace.final_power
         assert row["oracle_measurements"] == 256
@@ -550,7 +550,7 @@ def test_oracle_rows_of_stacks_equal_per_instance_references(tmp_path, instances
         chan = synthesize_channels(scene, layout, cfg.channel, derive_seed(cfg.seed, "oracle", instance))
         meter = GainMeter(chan, cfg.element_amplitude)
         _, oracle_db = exhaustive_search(meter.readings, layout, 4)
-        _, gtrace = greedy_iterative(meter, layout, 4)
+        _, gtrace = greedy_iterative(meter.readings, layout, 4)
         assert float(row["oracle_db"]) == oracle_db
         assert float(row["greedy_db"]) == gtrace.final_power
         assert float(row["gap_db"]) == oracle_db - gtrace.final_power
@@ -591,7 +591,7 @@ def test_oracle_reads_stay_within_the_read_budget(
         chan = synthesize_channels(cfg.base_scene(), layout, cfg.channel, derive_seed(cfg.seed, "oracle", instance))
         meter = GainMeter(chan, cfg.element_amplitude)
         _, oracle_db = exhaustive_search(meter.readings, layout, num_states)
-        _, gtrace = greedy_iterative(meter, layout, num_states)
+        _, gtrace = greedy_iterative(meter.readings, layout, num_states)
         assert float(row["oracle_db"]) == oracle_db
         assert float(row["greedy_db"]) == gtrace.final_power
         assert int(row["oracle_measurements"]) == num_states ** (nx * ny)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rissim import optimizer
 from rissim.channel import ChannelModelParams, GainMeter, synthesize_channels
+from rissim.experiments import ScenarioConfig
 from rissim.geometry import make_scene
 from rissim.optimizer import (
     ENUMERATION_CAP,
@@ -18,7 +19,7 @@ from rissim.optimizer import (
     enumeration_size,
     exhaustive_search,
     greedy_iterative,
-    table_measure,
+    table_reader,
 )
 from rissim.ris import RisConfig, RisLayout, make_grouping
 
@@ -54,7 +55,7 @@ def _noiseless_meter(lay, seed):
 def test_measurement_budget_is_groups_times_states(size, budget):
     lay = RisLayout.default()
     measure = _scripted(range(budget))
-    _, trace = greedy_iterative(measure, lay, 4, size)
+    _, trace = greedy_iterative(_per_row(measure, lay), lay, 4, size)
     assert trace.measurement_count == budget
 
 
@@ -66,14 +67,14 @@ def test_two_state_budget_halves():
         seen.append(config.states)
         return float(len(seen))
 
-    _, trace = greedy_iterative(measure, lay, num_states=2)
+    _, trace = greedy_iterative(_per_row(measure, lay), lay, num_states=2)
     assert trace.measurement_count == 12
     assert all(s in (0, 1) for states in seen for s in states)
 
 
 def test_single_element_keeps_argmax_state():
     lay = RisLayout(nx=1, ny=1)
-    final, trace = greedy_iterative(_scripted([5.0, 3.0, 9.0, 4.0]), lay)
+    final, trace = greedy_iterative(_per_row(_scripted([5.0, 3.0, 9.0, 4.0]), lay), lay)
     assert final.states == (2,)
     assert [e.p_r_dbfs for e in trace.entries] == [5.0, 3.0, 9.0, 4.0]
     assert [e.p_max_dbfs for e in trace.entries] == [5.0, 5.0, 9.0, 9.0]
@@ -82,7 +83,7 @@ def test_single_element_keeps_argmax_state():
 
 def test_ties_keep_the_earlier_state():
     lay = RisLayout(nx=1, ny=1)
-    final, trace = greedy_iterative(_scripted([5.0, 5.0, 5.0, 5.0]), lay)
+    final, trace = greedy_iterative(_per_row(_scripted([5.0, 5.0, 5.0, 5.0]), lay), lay)
     assert final.states == (0,)
     assert trace.final_power == 5.0
 
@@ -95,7 +96,7 @@ def test_first_measurement_is_all_off():
         seen.append(config.states)
         return float(-len(seen))
 
-    final, _ = greedy_iterative(measure, lay)
+    final, _ = greedy_iterative(_per_row(measure, lay), lay)
     assert seen[0] == (0, 0, 0, 0)
     # every later value is lower, so nothing ever beats the first one
     assert final.states == (0, 0, 0, 0)
@@ -113,7 +114,7 @@ def test_group_members_move_together():
         cells[len(cells)] = config.states
         return float(len(cells))
 
-    greedy_iterative(measure, lay, 4, 4)
+    greedy_iterative(_per_row(measure, lay), lay, 4, 4)
 
 
 def test_unsupported_group_size_rejected_before_any_measurement():
@@ -125,7 +126,7 @@ def test_unsupported_group_size_rejected_before_any_measurement():
         return 0.0
 
     with pytest.raises(ValueError, match="group_size"):
-        greedy_iterative(measure, lay, group_size=3)
+        greedy_iterative(_per_row(measure, lay), lay, group_size=3)
     assert seen == []
 
 
@@ -329,19 +330,89 @@ def test_greedy_replayed_from_the_table_equals_greedy_on_the_meter(nx, ny, num_s
     for seed in range(3):
         meter = _noiseless_meter(lay, seed)
         table = enumerate_readings(meter.readings, lay, num_states)
-        replayed = greedy_iterative(table_measure(table, lay, num_states), lay, num_states, size)
-        assert replayed == greedy_iterative(meter, lay, num_states, size)
+        replayed = greedy_iterative(table_reader(table, lay, num_states), lay, num_states, size)
+        assert replayed == greedy_iterative(meter.readings, lay, num_states, size)
 
 
-def test_table_measure_refuses_a_table_or_configuration_of_another_shape():
+def test_table_reader_refuses_a_table_or_state_row_of_another_shape():
     lay = RisLayout(nx=2, ny=1)
     with pytest.raises(ValueError, match="one reading per configuration"):
-        table_measure(np.zeros(16), lay, 3)
-    measure = table_measure(np.arange(9.0), lay, 3)
-    assert measure(RisConfig(lay, (2, 1))) == 7.0
-    for config in (RisConfig(lay, (0, 3)), RisConfig(RisLayout(nx=1, ny=1), (2,))):
-        with pytest.raises(ValueError, match="no row in the table"):
-            measure(config)
+        table_reader(np.zeros(16), lay, 3)
+    read = table_reader(np.arange(9.0), lay, 3)
+    assert read(np.array([[2, 1], [0, 2]])).tolist() == [7.0, 2.0]
+    # a state past num_states, a row of another width or a negative state
+    # would read a neighbouring row
+    for rows in ([[0, 3]], [[2]], [[0, 1, 2]], [[1, -1]]):
+        with pytest.raises(ValueError):
+            read(np.array(rows))
+
+
+@pytest.mark.parametrize("short", [1, -1])
+def test_greedy_rejects_a_reader_with_the_wrong_reading_count(short):
+    lay = RisLayout(nx=2, ny=1)
+
+    def read(block):
+        return [0.0] * (len(block) - short)
+
+    with pytest.raises(ValueError, match="readings for 4 configurations"):
+        greedy_iterative(read, lay)
+
+
+# --- block greedy against the per-configuration loop ---------------------
+
+
+def _greedy_per_configuration(measure, layout, num_states, group_size):
+    """The greedy sweep as one measure(RisConfig) call per candidate, the
+    loop greedy_iterative's block reads must reproduce reading for reading."""
+    states = [0] * layout.n_active
+    entries, p_max = [], float("-inf")
+    for gi, group in enumerate(make_grouping(layout, group_size)):
+        best_state = states[group[0]]
+        for s in range(num_states):
+            for i in group:
+                states[i] = s
+            p = float(measure(RisConfig(layout, tuple(states))))
+            if p > p_max:
+                p_max, best_state = p, s
+            entries.append(TraceEntry(len(entries) + 1, gi, s, p, p_max))
+        for i in group:
+            states[i] = best_state
+    return RisConfig(layout, tuple(states)), PowerTrace(tuple(entries))
+
+
+def _assert_same_sweep(block, reference):
+    (final, trace), (ref_final, ref_trace) = block, reference
+    assert final == ref_final
+    assert trace.entries == ref_trace.entries
+    # bit for bit, so -0.0 and 0.0 would stay apart
+    assert np.array(trace.entries).tobytes() == np.array(ref_trace.entries).tobytes()
+
+
+@given(
+    angle=st.floats(20.0, 160.0),
+    seed=st.integers(0, 2**31),
+    size=st.sampled_from([1, 2, 4, 8]),
+    num_states=st.integers(2, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_block_greedy_equals_the_per_configuration_loop_on_gain_meters(angle, seed, size, num_states):
+    lay = RisLayout.default()
+    chan = synthesize_channels(make_scene(rx_angle_deg=angle, rx_distance_cm=170.0), lay, ChannelModelParams(), seed)
+    meter, twin = GainMeter(chan), GainMeter(chan)
+    block = greedy_iterative(meter.readings, lay, num_states, size)
+    _assert_same_sweep(block, _greedy_per_configuration(twin, lay, num_states, size))
+    assert meter.calls == twin.calls == block[1].measurement_count
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+def test_block_greedy_equals_the_per_configuration_loop_on_noisy_tone_meters(size):
+    cfg = ScenarioConfig(seed=3)
+    chan = cfg.channel_at(70.0, 170.0)
+    meter, twin = cfg.meter(chan, "sweep", 0), cfg.meter(chan, "sweep", 0)
+    assert meter(RisConfig.all_off(cfg.layout)) == twin(RisConfig.all_off(cfg.layout))
+    block = greedy_iterative(meter.readings, cfg.layout, 4, size)
+    _assert_same_sweep(block, _greedy_per_configuration(twin, cfg.layout, 4, size))
+    assert meter.calls == twin.calls == 1 + block[1].measurement_count
 
 
 # --- dominance on real channels ----------------------------------------
@@ -353,7 +424,7 @@ def test_exhaustive_dominates_greedy(nx, ny):
     for seed in range(8):
         m1, m2 = _noiseless_meter(lay, seed), _noiseless_meter(lay, seed)
         _, oracle_db = exhaustive_search(m1.readings, lay)
-        _, gtrace = greedy_iterative(m2, lay)
+        _, gtrace = greedy_iterative(m2.readings, lay)
         gap = oracle_db - gtrace.final_power
         assert gap >= 0.0
         if lay.n_active == 1:
@@ -373,11 +444,11 @@ def test_greedy_never_beats_exhaustive_on_random_quadratics(seed):
         return float(np.abs(np.sum(w * signs)) ** 2)
 
     _, oracle_db = exhaustive_search(_per_row(measure, lay), lay, num_states=2)
-    _, gtrace = greedy_iterative(measure, lay, num_states=2)
+    _, gtrace = greedy_iterative(_per_row(measure, lay), lay, num_states=2)
     assert oracle_db >= gtrace.final_power - 1e-12
 
 
-# --- search candidates built without RisConfig's checks ----------------
+# --- search candidates and results are valid RisConfigs ----------------
 
 
 @given(
@@ -401,13 +472,13 @@ def test_search_candidates_pass_risconfig_validation(nx, ny, num_states, size, s
         seen.append(config)
         return float(rng.normal())
 
-    _, trace = greedy_iterative(measure, lay, num_states, size)
+    _, trace = greedy_iterative(_per_row(measure, lay), lay, num_states, size)
     assert len(seen) == trace.measurement_count
     seen.clear()
     best, _ = exhaustive_search(_per_row(measure, lay), lay, num_states)
     assert len(seen) == num_states**lay.n_active
     assert best in seen
-    # the winner is built without RisConfig's checks
+    # the winner is a RisConfig of Python ints
     assert RisConfig(lay, best.states) == best
     assert type(best.states) is tuple
     assert all(type(s) is int for s in best.states)
