@@ -276,10 +276,18 @@ class _Cascade:
         self.offsets = np.arange(chan.n_elements) * NUM_ELEMENT_STATES
         self._hr, self._hi = chan.h_los.real, chan.h_los.imag
 
+    def index(self, config: RisConfig) -> np.ndarray:
+        n = len(self.offsets)
+        # a RisConfig holds exactly layout.n_active states
+        if len(config.states) != n:
+            raise ValueError("configuration and channel have different element counts")
+        idx = np.fromiter(config.states, np.intp, n)
+        idx += self.offsets
+        return idx
+
     def rows(self, states) -> np.ndarray:
         """The gather index (states + offsets, as intp) of an (M, n) matrix of
-        integer element states in 0..3, the one check of every read;
-        ValueError for any other matrix."""
+        integer element states in 0..3; ValueError for any other matrix."""
         n = len(self.offsets)
         states = np.asarray(states)
         if states.ndim != 2 or states.shape[1] != n:
@@ -299,14 +307,19 @@ class _Cascade:
         return re + self._hr, im + self._hi
 
 
+def _reading_db(re: float, im: float) -> float:
+    """The one dB rule of every gain reading: 10 log10(re^2 + im^2) by libm; zero gain reads -inf."""
+    p = re * re + im * im
+    return 10.0 * math.log10(p) if p else -math.inf
+
+
 def channel_gain(config: RisConfig, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> complex:
     """Complex end-to-end coefficient: per-polarization g^H diag(theta) h
     cascades plus the direct term, read through _Cascade."""
     if chan.h_h.ndim != 1:
         raise ValueError("channel_gain reads one channel, not a stack")
     cascade = _Cascade(chan, amplitude)
-    re, im = cascade.read(cascade.rows([config.states]))
-    return complex(re[0], im[0])
+    return complex(*cascade.read(cascade.index(config)))
 
 
 @dataclass(frozen=True)
@@ -416,16 +429,15 @@ def power_dbfs(iq) -> float:
 class TonePowerMeter:
     """Measurement: tone through one channel, AWGN, ADC, dBFS.
 
-    readings() reads the rows of an (M, n) state matrix, one reading per row
-    in row order; a call is the one-row matrix of its configuration.
-    noise_variance, the receiver's per sample, has no default; 0.0 draws no
-    noise. Readings are counted and each one's noise comes from a stream
-    keyed on (noise_seed, reading index), so a rerun reproduces the exact
-    sequence, by calls or by rows. A reading builds the I and Q rows of c * w
-    as re(c) [wr; wi] + im(c) [-wi; wr], never with numpy's complex multiply,
-    then adds the noise, quantizes and takes the power in place through the
-    helpers of quantize_adc and power_dbfs: a reading is
-    power_dbfs(quantize_adc(c * w + noise).iq).
+    A call reads one configuration, and readings() the rows of a state
+    matrix in row order, through the same body. noise_variance, the
+    receiver's per sample, has no default; 0.0 draws no noise. Readings are
+    counted and each one's noise comes from a stream keyed on (noise_seed,
+    reading index), so a rerun reproduces the exact sequence. A reading
+    builds the I and Q rows of c * w as re(c) [wr; wi] + im(c) [-wi; wr],
+    never with numpy's complex multiply, then adds the noise, quantizes and
+    takes the power in place through the helpers of quantize_adc and
+    power_dbfs: a reading is power_dbfs(quantize_adc(c * w + noise).iq).
     """
 
     def __init__(
@@ -454,12 +466,11 @@ class TonePowerMeter:
         self._kernel = _Cascade(chan, float(amplitude))
 
     def __call__(self, config: RisConfig) -> float:
-        return float(self.readings([config.states])[0])
+        return self._reading(*self._kernel.read(self._kernel.index(config)))
 
     def readings(self, states) -> np.ndarray:
-        """dB readings, as a float64 array, of the rows of an (M, n) matrix of
-        integer element states; the whole matrix is checked before the first
-        reading."""
+        """dB readings, as a float64 array, of an (M, n) integer state matrix,
+        row i a call's reading at its index; checked whole before reading."""
         re, im = self._kernel.read(self._kernel.rows(states))
         return np.array([self._reading(r, i) for r, i in zip(re.tolist(), im.tolist())], dtype=np.float64)
 
@@ -490,13 +501,12 @@ class GainMeter:
     """Noiseless analytic measurement: configuration gain in dB.
 
     Shares TonePowerMeter's two reads, a call of one configuration and
-    readings() of a state matrix, and its _Cascade kernel; a call is the
-    one-row matrix of its states. One dB rule, 10 log10(re^2 + im^2), gives
-    every reading and zero gain reads -inf. A call reads one channel, never
-    a stack; readings() reads one channel or every channel of a stack. It
-    takes the block's powers as array ops and maps libm's log10 over the
-    nonzero ones, never numpy's log10, which may round otherwise on SIMD
-    hosts.
+    readings() of a state matrix, and its _Cascade kernel; zero gain reads
+    -inf. A call reads one channel, never a stack. readings() reads one
+    channel or every channel of a stack, each reading to the bits of a call:
+    it takes the block's powers as array ops and maps libm's log10 over the
+    nonzero ones, the IEEE steps of _reading_db, never numpy's log10, which
+    may round otherwise on SIMD hosts.
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
@@ -507,15 +517,16 @@ class GainMeter:
     def __call__(self, config: RisConfig) -> float:
         if self._stacked:
             raise ValueError("a gain meter call reads one channel, not a stack")
-        return float(self.readings([config.states])[0])
+        self.calls += 1
+        return _reading_db(*self._kernel.read(self._kernel.index(config)))
 
     def readings(self, states) -> np.ndarray:
         """dB readings, as a float64 array, of the rows of an (M, n) matrix of
         integer element states: (M,) on one channel, (S, M) on a stack of S,
         row j channel j's."""
         re, im = self._kernel.read(self._kernel.rows(states))
-        # the dB rule over the block: the IEEE power, libm log10 per nonzero
-        # power, then one multiply by 10.0
+        # _reading_db over the block: the same IEEE power, libm log10 per
+        # nonzero power, then one multiply by 10.0
         p = re * re + im * im
         self.calls += p.size
         out = np.full(p.shape, -math.inf)

@@ -1,15 +1,14 @@
 """Greedy per-group state search, the exhaustive oracle, and power traces.
 
-Both searches see only an abstract block reader (an (M, n) state matrix in,
-M dB readings out) such as GainMeter.readings or TonePowerMeter.readings, so
-the same code drives analytic gains, the full simulated receiver chain, or
-test stubs. Greedy reads each group's candidates as one block and logs every
-reading in a PowerTrace. enumerate_readings fills a table from a reader; the
-exhaustive search keeps its first maximum, and greedy can replay it through
-table_reader. A reader of a stack of channels returns an (S, M) matrix and
-fills one table row per channel. enumeration_size holds the one cap rule;
-READ_BUDGET bounds a read, to READ_BUDGET // size stacked channels or
-READ_BUDGET rows of one.
+Both searches see only a block reader (an (M, n) state matrix in, M dB
+readings out) such as a meter's readings, so the same code drives analytic
+gains, the full simulated receiver chain, or test stubs. Greedy reads each
+group's candidates as one block and logs every reading in a PowerTrace.
+enumerate_readings fills a table; the exhaustive search keeps its first
+maximum, and greedy can replay it via table_reader. A reader of a stack of S
+channels returns (S, M) readings, one table row per channel. enumeration_size
+holds the one cap rule; READ_BUDGET bounds a read, to READ_BUDGET // size
+stacked channels or READ_BUDGET rows of one.
 """
 
 from __future__ import annotations
@@ -67,16 +66,14 @@ def greedy_iterative(
     group_size: int = 1,
 ) -> tuple[RisConfig, PowerTrace]:
     """One greedy sweep: per tile of make_grouping(layout, group_size), read
-    every state of the tile as one (num_states, n) block and keep the argmax.
+    one block, row s the running states with the tile at s; keep the argmax.
 
-    Row s of a tile's block holds the running states with the tile's
-    elements set to s. Starts all-off with the running maximum at -inf, so
-    the very first measurement (the all-off configuration itself) always
-    registers. A group only moves off its current state when a candidate
-    measures strictly higher than everything seen so far; ties keep the
-    earlier state. The budget is exactly
-    len(make_grouping(layout, group_size)) * num_states measurements, in
-    len(make_grouping(layout, group_size)) reads.
+    Starts all-off with the running maximum at -inf, so the very first
+    measurement (the all-off configuration itself) always registers. A group
+    only moves off its current state when a candidate measures strictly
+    higher than everything seen so far; ties keep the earlier state. The
+    budget is exactly len(make_grouping(layout, group_size)) * num_states
+    measurements.
     """
     if not 2 <= num_states <= NUM_ELEMENT_STATES:
         raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
@@ -100,7 +97,6 @@ def greedy_iterative(
                 p_max = p
                 best_state = s
             entries.append(TraceEntry(len(entries) + 1, gi, s, p, p_max))
-        # row s holds the running states with the group at s
         states = block[best_state]
 
     return RisConfig(layout, states.tolist()), PowerTrace(tuple(entries))
@@ -151,10 +147,9 @@ def enumerate_readings(read: ReadFn, layout: RisLayout, num_states: int = NUM_EL
 
 
 def table_reader(table: np.ndarray, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> ReadFn:
-    """A reader that reads each state row of the layout off an
-    enumerate_readings table row, at row sum s_i * num_states**(n-1-i);
-    ValueError for a row of another width or a state outside
-    0..num_states-1."""
+    """A reader of the layout's state rows off an enumerate_readings table, at
+    row sum s_i * num_states**(n-1-i); ValueError for a state row of another
+    width or a state outside 0..num_states-1."""
     shape = (num_states,) * layout.n_active
     if len(table) != num_states**layout.n_active:
         raise ValueError("table does not hold one reading per configuration")

@@ -177,8 +177,7 @@ def make_grouping(layout: RisLayout, group_size: int) -> tuple[tuple[int, ...], 
     each a tuple of active-element indices in ascending order.
 
     Tiles that overlap the disabled corner come out partial, so every active
-    element belongs to exactly one group. Built once per (layout, group_size)
-    and shared.
+    element belongs to exactly one group.
     """
     if group_size not in GROUP_SIZES:
         raise ValueError(f"group_size must be one of {GROUP_SIZES}")
