@@ -157,3 +157,14 @@ def test_grouping_rejects_unsupported_size():
     with pytest.raises(ValueError):
         make_grouping(RisLayout.default(), 3)
     assert GROUP_SIZES == (1, 2, 4, 8)
+
+
+def test_grouping_is_built_once_per_layout_and_size():
+    groups = make_grouping(RisLayout.default(), 4)
+    assert make_grouping(RisLayout.default(), 4) is groups
+    # keyed on the whole layout: the same grid with another disabled set or
+    # pitch gets its own grouping, equal to one built afresh
+    for lay in (RisLayout(), RisLayout(disabled=frozenset({(7, 0)})), RisLayout.default(), RisLayout(spacing=0.02)):
+        for size in GROUP_SIZES:
+            assert make_grouping(lay, size) == make_grouping.__wrapped__(lay, size)
+    assert make_grouping(RisLayout(), 4) != groups
