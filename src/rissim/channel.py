@@ -9,8 +9,9 @@ Every random draw comes from a generator keyed on explicit integers (seed,
 terminal positions, measurement index), so identical inputs reproduce
 identical bits and parallel evaluation order cannot change results.
 
-Every reading takes the end-to-end coefficient c from one kernel, _Cascade.
-Norms, dot products and c * w are plain IEEE arithmetic, and powers, logs
+Every reading takes the end-to-end coefficient c from one entry,
+_Cascade.read, of a block of configurations; a meter call is the block read
+of one row. Norms, dot products and c * w are plain IEEE arithmetic, and powers, logs
 and the dB rule libm calls per value, so no output byte depends on the BLAS
 kernel or numpy's SIMD level; only libm's rounding can move one.
 """
@@ -252,7 +253,8 @@ class _Cascade:
     each part channel j's, by the same elementwise steps. MeasurementFloorError
     unless, for every channel, twice a bound on the largest |c| squares to a
     finite float64, so no reading overflows or needs a floating-point error
-    state."""
+    state. read() is the one way to a coefficient: every meter call, block
+    read and channel_gain goes through it."""
 
     def __init__(self, chan: ChannelRealization, amplitude: float):
         if not 0.0 < amplitude <= 1.0:
@@ -276,18 +278,11 @@ class _Cascade:
         self.offsets = np.arange(chan.n_elements) * NUM_ELEMENT_STATES
         self._hr, self._hi = chan.h_los.real, chan.h_los.imag
 
-    def index(self, config: RisConfig) -> np.ndarray:
-        n = len(self.offsets)
-        # a RisConfig holds exactly layout.n_active states
-        if len(config.states) != n:
-            raise ValueError("configuration and channel have different element counts")
-        idx = np.fromiter(config.states, np.intp, n)
-        idx += self.offsets
-        return idx
-
-    def rows(self, states) -> np.ndarray:
-        """The gather index (states + offsets, as intp) of an (M, n) matrix of
-        integer element states in 0..3; ValueError for any other matrix."""
+    def read(self, states):
+        """(re, im) of c for each row of an (M, n) matrix of integer element
+        states in 0..3, as (M,) arrays, (S, M) on a stack: one gather at
+        states + offsets, numpy's pairwise sum along each row, then h_los.
+        ValueError for any other matrix."""
         n = len(self.offsets)
         states = np.asarray(states)
         if states.ndim != 2 or states.shape[1] != n:
@@ -297,29 +292,18 @@ class _Cascade:
         if states.size and (states.min() < 0 or states.max() >= NUM_ELEMENT_STATES):
             raise ValueError("element states must be in 0..3")
         # intp first: uint64 + int64 offsets would give float64
-        return states.astype(np.intp, copy=False) + self.offsets
-
-    def read(self, idx: np.ndarray):
-        """(re, im) of c at a gather index (states + offsets), scalars for one row and (M,) arrays for an
-        (M, n) matrix, with a leading channel axis for a stack: one gather, numpy's pairwise sum along each
-        row, then h_los."""
+        idx = states.astype(np.intp, copy=False) + self.offsets
         re, im = np.add.reduce(self.table.take(idx, axis=-1), axis=-1)
         return re + self._hr, im + self._hi
 
 
-def _reading_db(re: float, im: float) -> float:
-    """The one dB rule of every gain reading: 10 log10(re^2 + im^2) by libm; zero gain reads -inf."""
-    p = re * re + im * im
-    return 10.0 * math.log10(p) if p else -math.inf
-
-
 def channel_gain(config: RisConfig, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> complex:
     """Complex end-to-end coefficient: per-polarization g^H diag(theta) h
-    cascades plus the direct term, read through _Cascade."""
+    cascades plus the direct term, _Cascade.read of the one-row block."""
     if chan.h_h.ndim != 1:
         raise ValueError("channel_gain reads one channel, not a stack")
-    cascade = _Cascade(chan, amplitude)
-    return complex(*cascade.read(cascade.index(config)))
+    re, im = _Cascade(chan, amplitude).read([config.states])
+    return complex(re[0], im[0])
 
 
 @dataclass(frozen=True)
@@ -429,8 +413,8 @@ def power_dbfs(iq) -> float:
 class TonePowerMeter:
     """Measurement: tone through one channel, AWGN, ADC, dBFS.
 
-    A call reads one configuration, and readings() the rows of a state
-    matrix in row order, through the same body. noise_variance, the
+    readings() reads the rows of a state matrix in row order, and a call is
+    readings() of the configuration's one-row block. noise_variance, the
     receiver's per sample, has no default; 0.0 draws no noise. Readings are
     counted and each one's noise comes from a stream keyed on (noise_seed,
     reading index), so a rerun reproduces the exact sequence. A reading
@@ -466,12 +450,12 @@ class TonePowerMeter:
         self._kernel = _Cascade(chan, float(amplitude))
 
     def __call__(self, config: RisConfig) -> float:
-        return self._reading(*self._kernel.read(self._kernel.index(config)))
+        return float(self.readings([config.states])[0])
 
     def readings(self, states) -> np.ndarray:
         """dB readings, as a float64 array, of an (M, n) integer state matrix,
-        row i a call's reading at its index; checked whole before reading."""
-        re, im = self._kernel.read(self._kernel.rows(states))
+        row i read at the next reading index; checked whole before reading."""
+        re, im = self._kernel.read(states)
         return np.array([self._reading(r, i) for r, i in zip(re.tolist(), im.tolist())], dtype=np.float64)
 
     def _reading(self, re: float, im: float) -> float:
@@ -500,13 +484,12 @@ class TonePowerMeter:
 class GainMeter:
     """Noiseless analytic measurement: configuration gain in dB.
 
-    Shares TonePowerMeter's two reads, a call of one configuration and
-    readings() of a state matrix, and its _Cascade kernel; zero gain reads
-    -inf. A call reads one channel, never a stack. readings() reads one
-    channel or every channel of a stack, each reading to the bits of a call:
-    it takes the block's powers as array ops and maps libm's log10 over the
-    nonzero ones, the IEEE steps of _reading_db, never numpy's log10, which
-    may round otherwise on SIMD hosts.
+    Reads as TonePowerMeter does, through its _Cascade kernel: a call is
+    readings() of the configuration's one-row block, and reads one channel,
+    never a stack. readings() reads one channel or every channel of a stack
+    and holds the one dB rule, 10 log10(re^2 + im^2) with zero gain at -inf:
+    the block's powers as array ops, libm's log10 mapped over the nonzero
+    ones, never numpy's log10, which may round otherwise on SIMD hosts.
     """
 
     def __init__(self, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE):
@@ -517,16 +500,14 @@ class GainMeter:
     def __call__(self, config: RisConfig) -> float:
         if self._stacked:
             raise ValueError("a gain meter call reads one channel, not a stack")
-        self.calls += 1
-        return _reading_db(*self._kernel.read(self._kernel.index(config)))
+        return float(self.readings([config.states])[0])
 
     def readings(self, states) -> np.ndarray:
         """dB readings, as a float64 array, of the rows of an (M, n) matrix of
         integer element states: (M,) on one channel, (S, M) on a stack of S,
         row j channel j's."""
-        re, im = self._kernel.read(self._kernel.rows(states))
-        # _reading_db over the block: the same IEEE power, libm log10 per
-        # nonzero power, then one multiply by 10.0
+        re, im = self._kernel.read(states)
+        # IEEE powers, libm log10 per nonzero power, then one multiply by 10.0
         p = re * re + im * im
         self.calls += p.size
         out = np.full(p.shape, -math.inf)

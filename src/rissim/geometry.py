@@ -97,13 +97,13 @@ def _gain_exponent(half_beamwidth_deg: float) -> float:
     return math.log(0.5) / math.log(math.cos(math.radians(half_beamwidth_deg)))
 
 
-def gains_toward(term: Terminal, directions, floor: float = GAIN_FLOOR) -> np.ndarray:
+def gains_toward(term: Terminal, directions) -> np.ndarray:
     """Linear power gain toward each row of an (N, 3) stack of unit
-    directions: 1 at boresight, floored at -30 dB off the pattern. The power
+    directions: 1 at boresight, floored at GAIN_FLOOR (-30 dB) off the pattern. The power
     of the cosine is a libm pow per value, not numpy's SIMD one."""
     q = _gain_exponent(term.half_beamwidth_deg)
     cosines = np.maximum(_dot3(np.asarray(directions, dtype=np.float64), term.boresight), 0.0)
-    return np.maximum(np.array([c ** q for c in cosines.tolist()]), floor)
+    return np.maximum(np.array([c ** q for c in cosines.tolist()]), GAIN_FLOOR)
 
 
 def check_spot(angle_deg, distance_cm) -> tuple[float, float]:

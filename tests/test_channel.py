@@ -364,7 +364,7 @@ def test_channel_gain_matches_direct_formula():
 
 
 def test_channel_gain_checks_element_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected an \(M, 3\) matrix of element states$"):
         channel_gain(RisConfig.all_off(RisLayout(nx=2, ny=1)), _unit_channel(3))
 
 
@@ -1070,4 +1070,12 @@ def test_meter_readings_reject_bad_state_matrices(kind, states):
     with pytest.raises(ValueError):
         meter.readings(states)
     # a refused matrix makes no reading, so no noise index moves
+    assert meter.calls == 0
+
+
+@pytest.mark.parametrize("kind", list(_METERS))
+def test_meter_call_refuses_a_config_of_another_layout(kind):
+    meter = _METERS[kind](_unit_channel(3))
+    with pytest.raises(ValueError, match=r"^expected an \(M, 3\) matrix of element states$"):
+        meter(RisConfig.all_off(RisLayout(nx=2, ny=1)))
     assert meter.calls == 0
