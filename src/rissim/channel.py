@@ -11,9 +11,9 @@ identical bits and parallel evaluation order cannot change results.
 
 Every reading takes the end-to-end coefficient c from one entry,
 _Cascade.read, of a block of configurations; a meter call is the block read
-of one row. Norms, dot products and c * w are plain IEEE arithmetic, and powers, logs
-and the dB rule libm calls per value, so no output byte depends on the BLAS
-kernel or numpy's SIMD level; only libm's rounding can move one.
+of one row. Norms, dot products and c * w are plain IEEE arithmetic, and
+powers, logs and the dB rule libm calls per value, so no output byte depends
+on the BLAS kernel or numpy's SIMD level; only libm's rounding can move one.
 """
 
 from __future__ import annotations
@@ -299,7 +299,8 @@ class _Cascade:
 
 def channel_gain(config: RisConfig, chan: ChannelRealization, amplitude: float = DEFAULT_ELEMENT_AMPLITUDE) -> complex:
     """Complex end-to-end coefficient: per-polarization g^H diag(theta) h
-    cascades plus the direct term, _Cascade.read of the one-row block."""
+    cascades plus the direct term, _Cascade.read of the configuration's
+    one-row block."""
     if chan.h_h.ndim != 1:
         raise ValueError("channel_gain reads one channel, not a stack")
     re, im = _Cascade(chan, amplitude).read([config.states])
