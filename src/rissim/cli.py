@@ -121,7 +121,7 @@ def main(argv=None) -> int:
         return 3
     errors = summary.get("errors", [])
     for err in errors:
-        print(f"error: point {err['point']}: {err['error']}", file=sys.stderr)
+        print(f"error: point [{', '.join(map(str, err['point']))}]: {err['error']}", file=sys.stderr)
     if errors:
         return 2
     for key, value in summary.items():

@@ -99,7 +99,7 @@ class Codebook:
         return cls(entries, meta)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path, config) -> "Codebook":

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import statistics
 from dataclasses import dataclass
 from itertools import groupby
@@ -470,7 +471,7 @@ def _fmt(value):
 def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     body = {"config_hash": config.config_hash(), "seed": config.seed, **payload}
-    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_traces(out: Path, config: ScenarioConfig, prefix: str, traces: dict) -> None:
@@ -536,7 +537,8 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
             if spot in jobs:  # its trace would overwrite the first one's
                 raise ValueError("repeats an earlier sweep point")
         except (TypeError, ValueError, IndexError) as exc:
-            errors.append({"point": list(point), "error": str(exc)})
+            # strict JSON has no inf or nan; the config reads back "inf" and "nan"
+            errors.append({"point": [x if math.isfinite(x) else repr(x) for x in point], "error": str(exc)})
         else:
             jobs[spot] = (config, config.group_size, *spot, "sweep", i)
 
@@ -639,8 +641,8 @@ def run_codebook_experiment(
 
 def _oracle_job(args):
     """The gaps.csv rows of a range of instances drawn at derive_seed(seed,
-    "oracle", instance): one stack, enumerated through one GainMeter within
-    READ_BUDGET readings per read, then replayed one by one by greedy."""
+    "oracle", instance): one stack, enumerated through one GainMeter in one
+    read of at most READ_BUDGET readings, then replayed one by one by greedy."""
     config, layout, chan_link, instances = args
     seeds = [derive_seed(config.seed, "oracle", i) for i in instances]
     try:
@@ -677,13 +679,13 @@ def _oracle_job(args):
 def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     """Exhaustive-vs-greedy gap over seeded noiseless instances on a small
     layout: one Link for the placement, and jobs of consecutive instances,
-    each one stack of as many as READ_BUDGET readings hold (at least one,
-    read in blocks). A negative gap fails the run."""
+    each one stack of as many as READ_BUDGET readings hold. A negative gap
+    fails the run."""
     out = Path(out_dir)
     layout = config.oracle_layout()
     chan_link = link(config.base_scene(), layout, config.channel)
     count = config.oracle_instances
-    size = max(1, READ_BUDGET // enumeration_size(layout.n_active, config.oracle_num_states))
+    size = READ_BUDGET // enumeration_size(layout.n_active, config.oracle_num_states)
     jobs = [(config, layout, chan_link, range(i, min(i + size, count))) for i in range(0, count, size)]
     rows = [row for stack in parallel_map(_oracle_job, jobs, parallel) for row in stack]
     _write_csv(

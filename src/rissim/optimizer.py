@@ -4,11 +4,12 @@ Both searches see only a block reader (an (M, n) state matrix in, M dB
 readings out) such as a meter's readings, so the same code drives analytic
 gains, the full simulated receiver chain, or test stubs. Greedy reads each
 group's candidates as one block and logs every reading in a PowerTrace.
-enumerate_readings fills a table; the exhaustive search keeps its first
-maximum, and greedy can replay it via table_reader. A reader of a stack of S
-channels returns (S, M) readings, one table row per channel. enumeration_size
-holds the one cap rule; READ_BUDGET bounds a read, to READ_BUDGET // size
-stacked channels or READ_BUDGET rows of one.
+enumerate_readings reads a table in one read; the exhaustive search keeps its
+first maximum, and greedy can replay it via table_reader. A reader of a stack
+of S channels returns (S, M) readings, one table row per channel.
+enumeration_size holds the one cap rule: READ_BUDGET bounds a read, so an
+enumeration is at most READ_BUDGET rows, and a stack READ_BUDGET // size
+channels.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .ris import NUM_ELEMENT_STATES, RisConfig, RisLayout, make_grouping
 
 ReadFn = Callable[[np.ndarray], Sequence[float]]
 
-ENUMERATION_CAP = 2**20  # most measurements one enumeration makes
-READ_BUDGET = 4096  # most readings one read returns, and so the state rows of a block
+READ_BUDGET = 4096  # most readings one read returns, and so the configurations of an enumeration
 
 
 class TraceEntry(NamedTuple):
@@ -104,46 +104,38 @@ def greedy_iterative(
 
 def enumeration_size(n: int, num_states: int) -> int:
     """num_states ** n, the configurations of n elements; ValueError unless
-    num_states is in 2..4 and that count is within ENUMERATION_CAP, checked
-    on n first, since cap.bit_length() elements pass the cap at 2 states."""
+    num_states is in 2..4 and that count is within READ_BUDGET, checked on n
+    first, since READ_BUDGET.bit_length() elements pass it at 2 states."""
     if not 2 <= num_states <= NUM_ELEMENT_STATES:
         raise ValueError(f"num_states must be in 2..{NUM_ELEMENT_STATES}")
-    if n >= ENUMERATION_CAP.bit_length() or num_states**n > ENUMERATION_CAP:
-        raise ValueError(f"enumeration needs {num_states}**{n} measurements, above the cap of {ENUMERATION_CAP}")
+    if n >= READ_BUDGET.bit_length() or num_states**n > READ_BUDGET:
+        raise ValueError(f"enumeration needs {num_states}**{n} measurements, above the cap of {READ_BUDGET}")
     return num_states**n
 
 
-@lru_cache(maxsize=ENUMERATION_CAP // READ_BUDGET)
-def _product_block(start: int, stop: int, n: int, num_states: int) -> np.ndarray:
-    """Rows start..stop-1 of the lexicographic product range(num_states)**n
-    as a read-only (M, n) int8 matrix, built once per argument tuple and
-    shared: the cache holds every block of an enumeration at the cap, 256
-    blocks of READ_BUDGET rows, at most 21 MB for n = 20."""
+@lru_cache(maxsize=None)
+def _product_block(n: int, num_states: int) -> np.ndarray:
+    """The lexicographic product range(num_states)**n as a read-only (M, n)
+    int8 matrix, built once per shape and shared; only the 25 shapes that
+    pass enumeration_size are built, the largest 48 KB."""
     weights = num_states ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    block = (np.arange(start, stop, dtype=np.int64)[:, None] // weights % num_states).astype(np.int8)
+    block = (np.arange(num_states**n, dtype=np.int64)[:, None] // weights % num_states).astype(np.int8)
     block.setflags(write=False)
     return block
 
 
 def enumerate_readings(read: ReadFn, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> np.ndarray:
-    """Every configuration's reading, read READ_BUDGET state rows at a time,
-    as one float64 array of enumeration_size(n, num_states) in lexicographic
-    order: states s sit at row sum s_i * num_states**(n-1-i). A reader of a
-    stack of S channels returns (S, M) readings per block and fills an
-    (S, size) table, row j channel j's."""
+    """Every configuration's reading from one read of every state row, as a
+    float64 array of enumeration_size(n, num_states) in lexicographic order:
+    states s sit at row sum s_i * num_states**(n-1-i). A reader of a stack of
+    S channels returns the (S, size) table, row j channel j's. The array may
+    be the reader's own."""
     n = layout.n_active
     size = enumeration_size(n, num_states)
-    table = None
-    for start in range(0, size, READ_BUDGET):
-        stop = min(start + READ_BUDGET, size)
-        readings = np.asarray(read(_product_block(start, stop, n, num_states)), dtype=np.float64)
-        if table is None:
-            # the first block sets the stack's shape, (S,) or none
-            table = np.empty(readings.shape[:-1] + (size,))
-        if readings.shape != table.shape[:-1] + (stop - start,):
-            raise ValueError(f"read returned {readings.size} readings for {stop - start} configurations")
-        table[..., start:stop] = readings
-    return table
+    readings = np.asarray(read(_product_block(n, num_states)), dtype=np.float64)
+    if readings.shape[-1:] != (size,):
+        raise ValueError(f"read returned {readings.size} readings for {size} configurations")
+    return readings
 
 
 def table_reader(table: np.ndarray, layout: RisLayout, num_states: int = NUM_ELEMENT_STATES) -> ReadFn:
@@ -167,7 +159,7 @@ def exhaustive_search(read: ReadFn, layout: RisLayout, num_states: int = NUM_ELE
     readings = enumerate_readings(read, layout, num_states)
     if readings.ndim != 1:
         raise ValueError("an exhaustive search reads one channel, not a stack")
-    readings[np.isnan(readings)] = -np.inf
+    readings = np.where(np.isnan(readings), -np.inf, readings)  # a new array: the reader's stays as read
     best = int(np.argmax(readings))  # the first maximum; row 0 if every reading is -inf
     states = np.unravel_index(best, (num_states,) * layout.n_active)
     return RisConfig(layout, states), float(readings[best])

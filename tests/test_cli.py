@@ -142,12 +142,16 @@ def test_parser_requires_subcommand():
     [
         ({"nx": 0}, "error: oracle: grid dimensions must be positive\n"),
         (
+            {"nx": 3, "ny": 3},
+            "error: oracle: enumeration needs 4**9 measurements, above the cap of 4096\n",
+        ),
+        (
             {"nx": 4, "ny": 3},
-            "error: oracle: enumeration needs 4**12 measurements, above the cap of 1048576\n",
+            "error: oracle: enumeration needs 4**12 measurements, above the cap of 4096\n",
         ),
         (
             {"nx": 10**9, "ny": 10**9, "num_states": 2},
-            "error: oracle: enumeration needs 2**1000000000000000000 measurements, above the cap of 1048576\n",
+            "error: oracle: enumeration needs 2**1000000000000000000 measurements, above the cap of 4096\n",
         ),
     ],
 )
@@ -596,6 +600,9 @@ def test_infinite_sweep_point_is_a_per_point_error(tmp_path, capsys):
     rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "error: point [90.0, inf]: point (90.0, inf) is outside the scene" in capsys.readouterr().err
+    # strict JSON, with the point as the config reads it back
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [e["point"] for e in summary["errors"]] == [[90.0, "inf"]]
     assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 3
     assert (tmp_path / "out" / "traces" / "sweep_a70_d170.csv").exists()
 

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from rissim.channel import GainMeter, channel_gain, derive_seed, link, synthesize_channels
+from rissim.codebook import Codebook, CodebookEntry
 from rissim.experiments import (
     ConfigError,
     ScenarioConfig,
     _SCHEMA,
     _oracle_job,
+    _write_json,
     config_from_dict,
     load_config,
     run_codebook_experiment,
@@ -556,15 +558,12 @@ def test_oracle_rows_of_stacks_equal_per_instance_references(tmp_path, instances
         assert float(row["gap_db"]) == oracle_db - gtrace.final_power
 
 
-@pytest.mark.parametrize("nx, ny, num_states, instances, stack, blocks", [
-    (2, 2, 4, 20, 16, 1),
-    (2, 3, 3, 7, 5, 1),
-    (3, 2, 4, 2, 1, 1),
-    (3, 3, 4, 2, 1, 64),
+@pytest.mark.parametrize("nx, ny, num_states, instances, stack", [
+    (2, 2, 4, 20, 16),
+    (2, 3, 3, 7, 5),
+    (3, 2, 4, 2, 1),
 ])
-def test_oracle_reads_stay_within_the_read_budget(
-    tmp_path, monkeypatch, nx, ny, num_states, instances, stack, blocks
-):
+def test_oracle_reads_stay_within_the_read_budget(tmp_path, monkeypatch, nx, ny, num_states, instances, stack):
     cfg = config_from_dict({"oracle": {"nx": nx, "ny": ny, "num_states": num_states, "instances": instances}})
     reads = []
     readings = GainMeter.readings
@@ -579,10 +578,10 @@ def test_oracle_reads_stay_within_the_read_budget(
     assert READ_BUDGET == 4096
     assert max(math.prod(shape) for _, shape in reads) <= READ_BUDGET
     # one meter per stack: full stacks of `stack` instances, the rest last,
-    # each read in `blocks` reads of one stack's rows
+    # each read once, every configuration of the stack in one read
     stacks = [[shape for _, shape in group] for _, group in itertools.groupby(reads, key=lambda r: r[0])]
     sizes = [min(stack, instances - start) for start in range(0, instances, stack)]
-    assert [len(shapes) for shapes in stacks] == [blocks] * len(sizes)
+    assert [len(shapes) for shapes in stacks] == [1] * len(sizes)
     assert [{shape[0] for shape in shapes} for shapes in stacks] == [{size} for size in sizes]
     rows = list(csv.DictReader(_read_lines(tmp_path / "gaps.csv")[1:]))
     assert [int(r["instance"]) for r in rows] == list(range(instances))
@@ -604,3 +603,13 @@ def test_codebook_json_is_strict_with_infinite_k(tmp_path):
     # the infinite K reaches the file only through the config hash
     assert meta == {"config_hash": cfg.config_hash(), "seed": 3, "layout": cfg.to_dict()["layout"]}
     assert meta["config_hash"] == _strict_json(tmp_path / "book" / "summary.json")["config_hash"]
+
+
+def test_json_writers_refuse_nan_and_leave_no_file(tmp_path):
+    cfg = config_from_dict(SMALL)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(tmp_path / "summary.json", cfg, {"median_gain_db": float("nan")})
+    book = Codebook([CodebookEntry(70.0, 170.0, RisConfig.all_off(cfg.layout))], {"seed": float("nan")})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        book.save(tmp_path / "codebook.json")
+    assert list(tmp_path.iterdir()) == []

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rissim import optimizer
-from rissim.channel import ChannelModelParams, GainMeter, synthesize_channels
+from rissim.channel import ChannelModelParams, GainMeter, derive_seed, link, synthesize_channels
 from rissim.experiments import ScenarioConfig
 from rissim.geometry import make_scene
 from rissim.optimizer import (
-    ENUMERATION_CAP,
     READ_BUDGET,
     PowerTrace,
     TraceEntry,
@@ -156,17 +155,20 @@ def test_exhaustive_enumerates_lexicographically():
 
 def test_exhaustive_cap_message():
     lay = RisLayout(nx=4, ny=3)
-    with pytest.raises(ValueError, match=r"enumeration needs 4\*\*12 measurements, above the cap of 1048576$"):
+    with pytest.raises(ValueError, match=r"enumeration needs 4\*\*12 measurements, above the cap of 4096$"):
         exhaustive_search(_per_row(_scripted([]), lay), lay)
 
 
 def test_enumeration_size_is_the_one_cap_rule():
-    assert ENUMERATION_CAP == 2**20
+    assert READ_BUDGET == 4096
     assert enumeration_size(4, 4) == 256
     assert enumeration_size(6, 3) == 729
-    assert enumeration_size(10, 4) == enumeration_size(20, 2) == ENUMERATION_CAP
-    with pytest.raises(ValueError, match=r"^enumeration needs 3\*\*13 measurements, above the cap of 1048576$"):
-        enumeration_size(13, 3)
+    assert enumeration_size(6, 4) == enumeration_size(12, 2) == READ_BUDGET
+    # 16,384, 6,561 and 8,192 configurations
+    for n, num_states in [(7, 4), (8, 3), (13, 2)]:
+        message = rf"^enumeration needs {num_states}\*\*{n} measurements, above the cap of 4096$"
+        with pytest.raises(ValueError, match=message):
+            enumeration_size(n, num_states)
     # an exponent past the cap's bit length fails before the power is taken
     with pytest.raises(ValueError, match=r"^enumeration needs 2\*\*1000000000000000000 measurements"):
         enumeration_size(10**18, 2)
@@ -187,27 +189,6 @@ def test_exhaustive_keeps_first_config_when_all_readings_are_minus_inf():
     assert best == RisConfig.all_off(lay)
     assert len(rows) == 16
     assert reading == float("-inf")
-
-
-def test_exhaustive_reads_blocks_in_order_across_block_boundaries():
-    lay = RisLayout(nx=3, ny=3)  # 4**9 = 262,144 rows, 64 blocks
-    blocks = []
-
-    def read(block):
-        blocks.append(block.copy())
-        # 2 first at (1, 0, ..., 0, 3) in block 16, again in later ones
-        return np.minimum(block[:, 0], 1) + (block[:, 8] == 3)
-
-    best, reading = exhaustive_search(read, lay)
-    assert all(len(b) == READ_BUDGET == 4096 for b in blocks)
-    assert len(blocks) == 64
-    rows = np.concatenate(blocks)
-    assert np.array_equal(rows, np.indices((4,) * 9).reshape(9, -1).T)
-    # block k starts at row 4096 k = 4**6 k: k's base-4 digits, then zeros
-    assert [tuple(b[0]) for b in blocks] == [(k // 16, k // 4 % 4, k % 4) + (0,) * 6 for k in range(64)]
-    # the first maximum is row 65,536 + 3; later blocks tie it
-    assert best.states == (1, 0, 0, 0, 0, 0, 0, 0, 3)
-    assert reading == 2.0
 
 
 @pytest.mark.parametrize("short", [1, -1])
@@ -239,29 +220,26 @@ def _first_max(values):
 @given(
     shape=st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2)]),
     num_states=st.integers(2, 4),
-    block_rows=st.integers(1, 40),
     as_list=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_exhaustive_keeps_the_first_maximum_across_blocks(shape, num_states, block_rows, as_list, data):
+def test_exhaustive_keeps_the_first_maximum(shape, num_states, as_list, data):
     lay = RisLayout(*shape)
     n = lay.n_active
     budget = num_states**n
     values = data.draw(st.lists(st.sampled_from(_READING_VALUES), min_size=budget, max_size=budget))
     weights = num_states ** np.arange(n - 1, -1, -1)
-    blocks = []
+    reads = []
 
     def read(block):
-        blocks.append(len(block))
+        reads.append(len(block))
         readings = np.array(values)[block @ weights]
         return readings.tolist() if as_list else readings
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "READ_BUDGET", block_rows)
-        best, reading = exhaustive_search(read, lay, num_states)
+    best, reading = exhaustive_search(read, lay, num_states)
     index, expected = _first_max(values)
-    assert sum(blocks) == budget and max(blocks) <= block_rows
+    assert reads == [budget]
     assert best.states == list(itertools.product(range(num_states), repeat=n))[index]
     assert type(reading) is float
     assert not math.isnan(reading)
@@ -269,20 +247,51 @@ def test_exhaustive_keeps_the_first_maximum_across_blocks(shape, num_states, blo
     assert np.float64(reading).tobytes() == np.float64(expected).tobytes()
 
 
+def test_exhaustive_leaves_a_nan_in_the_readers_own_array():
+    lay = RisLayout(nx=2, ny=1)
+    stored = np.arange(16.0)
+    stored[[0, 15]] = np.nan
+
+    best, reading = exhaustive_search(lambda states: stored, lay)
+    assert best.states == (3, 2)
+    assert reading == 14.0
+    assert np.isnan(stored[[0, 15]]).all()
+    assert np.array_equal(stored[1:15], np.arange(1.0, 15.0))
+
+
 # --- the readings table and greedy's replay ----------------------------
+
+
+def test_enumerate_readings_reads_the_default_stack_and_the_3x2_panel_at_once():
+    # the default oracle's first stack of 16 2x2 instances, and criterion 2's
+    # largest panel, 4**6 = READ_BUDGET configurations
+    cfg = ScenarioConfig()
+    oracle = cfg.oracle_layout()
+    stack = READ_BUDGET // 4**oracle.n_active
+    seeds = [derive_seed(cfg.seed, "oracle", i) for i in range(stack)]
+    for lay, meter, shape in [
+        (oracle, GainMeter(link(cfg.base_scene(), oracle, cfg.channel).draw_stack(seeds)), (stack, 4**4)),
+        (RisLayout(nx=3, ny=2), _noiseless_meter(RisLayout(nx=3, ny=2), 0), (READ_BUDGET,)),
+    ]:
+        reads = []
+
+        def read(states):
+            reads.append(states.shape)
+            return meter.readings(states)
+
+        table = enumerate_readings(read, lay)
+        assert reads == [(shape[-1], lay.n_active)]
+        assert table.shape == shape
 
 
 @given(
     shape=st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2)]),
     num_states=st.integers(2, 4),
-    block_rows=st.integers(1, 40),
     as_list=st.booleans(),
     seed=st.integers(0, 2**31),
 )
 @settings(max_examples=60, deadline=None)
-def test_enumerate_readings_equals_per_row_reads_in_lexicographic_order(
-    shape, num_states, block_rows, as_list, seed
-):
+def test_enumerate_readings_equals_per_row_reads_in_lexicographic_order(shape, num_states, as_list, seed):
     lay = RisLayout(*shape)
     rng = np.random.default_rng(seed)
     values = {}
@@ -294,9 +303,7 @@ def test_enumerate_readings_equals_per_row_reads_in_lexicographic_order(
         readings = np.array(_per_row(measure, lay)(block))
         return readings.tolist() if as_list else readings
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "READ_BUDGET", block_rows)
-        table = enumerate_readings(read, lay, num_states)
+    table = enumerate_readings(read, lay, num_states)
     rows = list(itertools.product(range(num_states), repeat=lay.n_active))
     assert table.dtype == np.float64
     assert list(values) == rows
@@ -304,8 +311,8 @@ def test_enumerate_readings_equals_per_row_reads_in_lexicographic_order(
 
 
 def test_state_blocks_are_built_once_read_only_and_keyed_on_their_shape():
-    block = optimizer._product_block(0, 16, 2, 4)
-    assert optimizer._product_block(0, 16, 2, 4) is block
+    block = optimizer._product_block(2, 4)
+    assert optimizer._product_block(2, 4) is block
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0] = 1
     # enumerations of interleaved (n, num_states) pairs read the blocks the
@@ -313,9 +320,9 @@ def test_state_blocks_are_built_once_read_only_and_keyed_on_their_shape():
     # state matrices built without the cache
     for nx, ny, num_states in [(2, 1, 4), (3, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 3), (2, 1, 3)]:
         lay = RisLayout(nx=nx, ny=ny)
-        n, budget = lay.n_active, num_states**lay.n_active
-        fresh = optimizer._product_block.__wrapped__(0, budget, n, num_states)
-        assert np.array_equal(optimizer._product_block(0, budget, n, num_states), fresh)
+        n = lay.n_active
+        fresh = optimizer._product_block.__wrapped__(n, num_states)
+        assert np.array_equal(optimizer._product_block(n, num_states), fresh)
         meter = _noiseless_meter(lay, nx + num_states)
         rows = np.array(list(itertools.product(range(num_states), repeat=n)))
         table = enumerate_readings(meter.readings, lay, num_states)
