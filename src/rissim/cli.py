@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='comma-separated sizes, e.g. "1,2,4" (default: the config\'s grouping.group_sizes)',
     )
 
-    p_oracle = sub.add_parser("oracle-check", help="greedy vs. exhaustive search on a small panel")
+    p_oracle = sub.add_parser("oracle-check", help="greedy vs. exhaustive search on a 2x2 panel")
     _add_common(p_oracle)
 
     return parser
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
-        config = config.with_seed(args.seed)
+        config = dataclasses.replace(config, seed=args.seed)
     if getattr(args, "group_sizes", None) is not None:
         try:
             sizes = tuple(int(s) for s in args.group_sizes.split(","))
@@ -115,6 +115,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, MeasurementFloorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a pool returns the error unpickled, its text a tuple, so the line is fixed
+        print("error: not enough memory for this configuration", file=sys.stderr)
         return 2
     except ExperimentAssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ byte-identical.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -146,9 +145,6 @@ class ScenarioConfig:
     grouping_sizes: tuple = GROUP_SIZES
     grouping_angles_deg: tuple = DEFAULT_GROUPING_ANGLES_DEG
     grouping_distance_cm: float = DEFAULT_GROUPING_DISTANCE_CM
-    oracle_nx: int = 2
-    oracle_ny: int = 2
-    oracle_num_states: int = 4
     oracle_instances: int = 20
 
     def __post_init__(self):
@@ -157,7 +153,6 @@ class ScenarioConfig:
         rules = (
             ("seed", 0 <= self.seed < 2**64, f"must be in [0, 2**64), got {self.seed}"),
             ("num_states", self.num_states in (2, 3, 4), "must be 2, 3, or 4"),
-            ("oracle_num_states", self.oracle_num_states in (2, 3, 4), "must be 2, 3, or 4"),
             ("group_size", self.group_size in GROUP_SIZES, f"must be one of {GROUP_SIZES}"),
             ("grouping_sizes", all(g in GROUP_SIZES for g in self.grouping_sizes), f"must come from {GROUP_SIZES}"),
             ("oracle_instances", self.oracle_instances >= 1, "must be positive"),
@@ -166,12 +161,6 @@ class ScenarioConfig:
         for field, holds, rule in rules:
             if not holds:
                 raise ConfigError(f"{_KEYS[field]}: {rule}")
-        # both oracle rules span oracle.nx and oracle.ny, nx * ny elements
-        try:
-            self.oracle_layout()
-            enumeration_size(self.oracle_nx * self.oracle_ny, self.oracle_num_states)
-        except ValueError as exc:
-            raise ConfigError(f"{_SECTIONS['oracle_nx']}: {exc}") from exc
         _distinct(self.grouping_sizes, "grouping_sizes")
         _distinct(self.grouping_angles_deg, "grouping_angles_deg")
         _distinct(self.codebook_angles_deg, "codebook_angles_deg")
@@ -199,14 +188,6 @@ class ScenarioConfig:
                 scene.with_rx_at(angle_deg, distance_cm)
         except ValueError as exc:
             raise ConfigError(f"{_placement_key(exc, *where)}: {exc}") from exc
-
-    def oracle_layout(self) -> RisLayout:
-        """The small panel the oracle enumerates: oracle.nx x oracle.ny
-        elements, none disabled, at the layout's spacing and carrier."""
-        return RisLayout(self.oracle_nx, self.oracle_ny, self.layout.spacing, carrier_hz=self.layout.carrier_hz)
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return dataclasses.replace(self, seed=int(seed))
 
     def base_scene(self) -> Scene:
         return make_scene(
@@ -379,9 +360,6 @@ _SCHEMA = (
     ("grouping", "group_sizes", "grouping_sizes", _ints, list),
     ("grouping", "angles_deg", "grouping_angles_deg", _floats, list),
     ("grouping", "distance_cm", "grouping_distance_cm", _float, _same),
-    ("oracle", "nx", "oracle_nx", _int, _same),
-    ("oracle", "ny", "oracle_ny", _int, _same),
-    ("oracle", "num_states", "oracle_num_states", _int, _same),
     ("oracle", "instances", "oracle_instances", _int, _same),
 )
 # the config key of each ScenarioConfig field (a nested object's dotted),
@@ -653,7 +631,7 @@ def _oracle_job(args):
             for i in instances:
                 _oracle_job((config, layout, chan_link, range(i, i + 1)))
         raise
-    tables = enumerate_readings(meter.readings, layout, config.oracle_num_states)
+    tables = enumerate_readings(meter.readings, layout, config.num_states)
     # readings are finite or -inf, so a maximum is the first maximum's reading
     best = tables.max(axis=-1).tolist()
     rows = []
@@ -661,8 +639,8 @@ def _oracle_job(args):
         if oracle_db == float("-inf"):
             raise MeasurementFloorError(f"oracle instance {instance}: every configuration has zero gain")
         # greedy replays the enumeration's readings, so the gap is exactly >= 0
-        read = table_reader(table, layout, config.oracle_num_states)
-        _, gtrace = greedy_iterative(read, layout, config.oracle_num_states)
+        read = table_reader(table, layout, config.num_states)
+        _, gtrace = greedy_iterative(read, layout, config.num_states)
         rows.append(
             {
                 "instance": instance,
@@ -677,15 +655,16 @@ def _oracle_job(args):
 
 
 def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
-    """Exhaustive-vs-greedy gap over seeded noiseless instances on a small
-    layout: one Link for the placement, and jobs of consecutive instances,
-    each one stack of as many as READ_BUDGET readings hold. A negative gap
-    fails the run."""
+    """Exhaustive-vs-greedy gap over seeded noiseless instances on a 2x2
+    panel at the layout's spacing and carrier and optimizer.num_states: one
+    Link for the placement, and jobs of consecutive instances, each one
+    stack of as many as READ_BUDGET readings hold. A negative gap fails the
+    run."""
     out = Path(out_dir)
-    layout = config.oracle_layout()
+    layout = RisLayout(2, 2, config.layout.spacing, carrier_hz=config.layout.carrier_hz)
     chan_link = link(config.base_scene(), layout, config.channel)
     count = config.oracle_instances
-    size = READ_BUDGET // enumeration_size(layout.n_active, config.oracle_num_states)
+    size = READ_BUDGET // enumeration_size(layout.n_active, config.num_states)
     jobs = [(config, layout, chan_link, range(i, min(i + size, count))) for i in range(0, count, size)]
     rows = [row for stack in parallel_map(_oracle_job, jobs, parallel) for row in stack]
     _write_csv(
@@ -698,7 +677,7 @@ def run_oracle_check(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict
     summary = {
         "instances": len(rows),
         "elements": layout.n_active,
-        "num_states": config.oracle_num_states,
+        "num_states": config.num_states,
         "min_gap_db": min(gaps),
         "median_gap_db": statistics.median(gaps),
         "max_gap_db": max(gaps),

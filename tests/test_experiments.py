@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -37,7 +38,7 @@ SMALL = {
         "path": [[72.0, 165.0], [108.0, 175.0]],
     },
     "grouping": {"group_sizes": [1, 8], "angles_deg": [70.0], "distance_cm": 170.0},
-    "oracle": {"nx": 2, "ny": 1, "num_states": 2, "instances": 3},
+    "oracle": {"instances": 3},
 }
 
 
@@ -55,7 +56,7 @@ def test_master_seed_drives_the_channel_draw():
     at = {seed: _channel_bytes(synthesize_channels(scene, cfg.layout, cfg.channel, seed)) for seed in (9, 3)}
     assert at[9] != at[3]
     assert _channel_bytes(cfg.channel_at(70.0, 170.0)) == at[9]
-    assert _channel_bytes(cfg.with_seed(3).channel_at(70.0, 170.0)) == at[3]
+    assert _channel_bytes(dataclasses.replace(cfg, seed=3).channel_at(70.0, 170.0)) == at[3]
 
 
 def test_config_round_trip_and_hash():
@@ -63,7 +64,7 @@ def test_config_round_trip_and_hash():
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
-    assert cfg.with_seed(4).config_hash() != cfg.config_hash()
+    assert dataclasses.replace(cfg, seed=4).config_hash() != cfg.config_hash()
     assert len(cfg.config_hash()) == 16
 
 
@@ -190,7 +191,7 @@ EVERY_KEY = {
     "sweep": {"points": [[60.0, 150.0]]},
     "codebook": {"reference_angles_deg": [60.0, 120.0], "reference_distance_cm": 150.0, "path": [[65.0, 150.0]]},
     "grouping": {"group_sizes": [2, 4], "angles_deg": [80.0], "distance_cm": 150.0},
-    "oracle": {"nx": 3, "ny": 1, "num_states": 3, "instances": 5},
+    "oracle": {"instances": 5},
 }
 
 
@@ -205,7 +206,7 @@ def test_every_key_serializes_as_pinned():
     assert cfg.to_dict() == EVERY_KEY
     assert config_from_dict(cfg.to_dict()) == cfg
     # sha256 of the sorted compact JSON of EVERY_KEY
-    assert cfg.config_hash() == "fe21a82a4fd7bb56"
+    assert cfg.config_hash() == "38197ca9df71a295"
 
 
 def _readme_config_keys():
@@ -308,7 +309,7 @@ def test_run_codebook_parallel_matches_serial(tmp_path):
 @pytest.mark.parametrize("instances", [6, 37])
 def test_run_oracle_parallel_matches_serial(tmp_path, instances):
     # the workers get the run's Link pickled in their job args
-    cfg = config_from_dict({**SMALL, "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": instances}})
+    cfg = config_from_dict({**SMALL, "oracle": {"instances": instances}})
     run_oracle_check(cfg, tmp_path / "serial", parallel=1)
     run_oracle_check(cfg, tmp_path / "par", parallel=2)
     serial = _tree_bytes(tmp_path / "serial")
@@ -351,7 +352,7 @@ def test_run_oracle_check_outputs(tmp_path):
     out = tmp_path / "oracle"
     summary = run_oracle_check(cfg, out)
     assert summary["instances"] == 3
-    assert summary["elements"] == 2
+    assert summary["elements"] == 4
     assert summary["min_gap_db"] >= 0.0
     rows = _read_lines(out / "gaps.csv")
     assert len(rows) == 2 + 3
@@ -360,11 +361,11 @@ def test_run_oracle_check_outputs(tmp_path):
 @pytest.mark.parametrize("seed", [3, 7])
 def test_single_element_oracle_gaps_are_exactly_zero(tmp_path, seed):
     # greedy tries every configuration of one element, so it reads the optimum
-    cfg = config_from_dict({**SMALL, "seed": seed, "oracle": {"nx": 1, "ny": 1, "instances": 40}})
-    run_oracle_check(cfg, tmp_path)
-    rows = list(csv.DictReader(_read_lines(tmp_path / "gaps.csv")[1:]))
+    cfg = config_from_dict({**SMALL, "seed": seed})
+    layout = RisLayout(1, 1, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
+    rows = _oracle_job((cfg, layout, link(cfg.base_scene(), layout, cfg.channel), range(40)))
     assert len(rows) == 40
-    assert all(float(r["gap_db"]) == 0.0 for r in rows)
+    assert all(r["gap_db"] == 0.0 for r in rows)
     assert all(r["oracle_db"] == r["greedy_db"] for r in rows)
 
 
@@ -471,7 +472,7 @@ def test_oracle_layout_follows_configured_carrier(tmp_path):
         {
             **SMALL,
             "layout": {**SMALL["layout"], "carrier_hz": carrier},
-            "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 2},
+            "oracle": {"instances": 2},
         }
     )
     out = tmp_path / "oracle"
@@ -491,7 +492,7 @@ def test_oracle_layout_follows_configured_carrier(tmp_path):
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 1)])
 def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
-    cfg = config_from_dict({**SMALL, "oracle": {"nx": nx, "ny": ny, "num_states": 4, "instances": 1}})
+    cfg = _small_config()
     layout = RisLayout(nx, ny, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
     scene = cfg.base_scene()
     n = layout.n_active
@@ -521,7 +522,7 @@ def test_oracle_job_reads_both_searches_on_one_meter(nx, ny):
 def test_oracle_rows_equal_a_first_maximum_of_per_configuration_reads(seed):
     cfg = config_from_dict({"seed": seed})
     layout = RisLayout(2, 2, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
-    assert (cfg.oracle_nx, cfg.oracle_ny, cfg.oracle_num_states) == (2, 2, 4)
+    assert cfg.num_states == 4
     scene = cfg.base_scene()
     chan_link = link(scene, layout, cfg.channel)
     rows = _oracle_job((cfg, layout, chan_link, range(40)))
@@ -558,13 +559,8 @@ def test_oracle_rows_of_stacks_equal_per_instance_references(tmp_path, instances
         assert float(row["gap_db"]) == oracle_db - gtrace.final_power
 
 
-@pytest.mark.parametrize("nx, ny, num_states, instances, stack", [
-    (2, 2, 4, 20, 16),
-    (2, 3, 3, 7, 5),
-    (3, 2, 4, 2, 1),
-])
-def test_oracle_reads_stay_within_the_read_budget(tmp_path, monkeypatch, nx, ny, num_states, instances, stack):
-    cfg = config_from_dict({"oracle": {"nx": nx, "ny": ny, "num_states": num_states, "instances": instances}})
+def _spy_reads(monkeypatch) -> list:
+    """The (meter, shape) of every GainMeter.readings call from now on."""
     reads = []
     readings = GainMeter.readings
 
@@ -574,18 +570,31 @@ def test_oracle_reads_stay_within_the_read_budget(tmp_path, monkeypatch, nx, ny,
         return out
 
     monkeypatch.setattr(GainMeter, "readings", spy)
-    run_oracle_check(cfg, tmp_path)
+    return reads
+
+
+# the oracle's 2x2 panel runs at optimizer.num_states: 16, 81 or 256
+# configurations, so stacks of 256, 50 or 16 instances
+@pytest.mark.parametrize("num_states, instances, stack", [(2, 300, 256), (3, 51, 50), (4, 20, 16)])
+def test_oracle_check_follows_the_optimizer_state_count(tmp_path, monkeypatch, num_states, instances, stack):
+    cfg = config_from_dict({"optimizer": {"num_states": num_states}, "oracle": {"instances": instances}})
+    reads = _spy_reads(monkeypatch)
+    summary = run_oracle_check(cfg, tmp_path)
     assert READ_BUDGET == 4096
     assert max(math.prod(shape) for _, shape in reads) <= READ_BUDGET
     # one meter per stack: full stacks of `stack` instances, the rest last,
     # each read once, every configuration of the stack in one read
-    stacks = [[shape for _, shape in group] for _, group in itertools.groupby(reads, key=lambda r: r[0])]
     sizes = [min(stack, instances - start) for start in range(0, instances, stack)]
-    assert [len(shapes) for shapes in stacks] == [1] * len(sizes)
-    assert [{shape[0] for shape in shapes} for shapes in stacks] == [{size} for size in sizes]
+    assert [shape for _, shape in reads] == [(size, num_states**4) for size in sizes]
+    assert len({id(meter) for meter, _ in reads}) == len(sizes)
+    assert summary["num_states"] == num_states
+    assert json.loads((tmp_path / "summary.json").read_text())["num_states"] == num_states
     rows = list(csv.DictReader(_read_lines(tmp_path / "gaps.csv")[1:]))
     assert [int(r["instance"]) for r in rows] == list(range(instances))
-    layout = cfg.oracle_layout()
+    assert {(int(r["oracle_measurements"]), int(r["greedy_measurements"])) for r in rows} == {
+        (num_states**4, num_states * 4)
+    }
+    layout = RisLayout(2, 2, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
     for instance, row in enumerate(rows):
         chan = synthesize_channels(cfg.base_scene(), layout, cfg.channel, derive_seed(cfg.seed, "oracle", instance))
         meter = GainMeter(chan, cfg.element_amplitude)
@@ -593,7 +602,26 @@ def test_oracle_reads_stay_within_the_read_budget(tmp_path, monkeypatch, nx, ny,
         _, gtrace = greedy_iterative(meter.readings, layout, num_states)
         assert float(row["oracle_db"]) == oracle_db
         assert float(row["greedy_db"]) == gtrace.final_power
-        assert int(row["oracle_measurements"]) == num_states ** (nx * ny)
+
+
+# a stack of another panel fills the budget as far as whole instances do
+@pytest.mark.parametrize("nx, ny, num_states, stack", [(2, 3, 3, 5), (3, 2, 4, 1)])
+def test_oracle_reads_stay_within_the_read_budget(monkeypatch, nx, ny, num_states, stack):
+    cfg = config_from_dict({"optimizer": {"num_states": num_states}})
+    layout = RisLayout(nx, ny, spacing=cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
+    chan_link = link(cfg.base_scene(), layout, cfg.channel)
+    reads = _spy_reads(monkeypatch)
+    rows = _oracle_job((cfg, layout, chan_link, range(stack)))
+    assert [shape for _, shape in reads] == [(stack, num_states ** (nx * ny))]
+    assert stack * num_states ** (nx * ny) <= READ_BUDGET < (stack + 1) * num_states ** (nx * ny)
+    for instance, row in enumerate(rows):
+        chan = synthesize_channels(cfg.base_scene(), layout, cfg.channel, derive_seed(cfg.seed, "oracle", instance))
+        meter = GainMeter(chan, cfg.element_amplitude)
+        _, oracle_db = exhaustive_search(meter.readings, layout, num_states)
+        _, gtrace = greedy_iterative(meter.readings, layout, num_states)
+        assert row["oracle_db"] == oracle_db
+        assert row["greedy_db"] == gtrace.final_power
+        assert row["oracle_measurements"] == num_states ** (nx * ny)
 
 
 def test_codebook_json_is_strict_with_infinite_k(tmp_path):

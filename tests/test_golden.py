@@ -33,14 +33,14 @@ CRITERION_8_CONFIG = {
         "path": [[72.0, 165.0], [108.0, 175.0]],
     },
     "grouping": {"group_sizes": [1, 8], "angles_deg": [70.0], "distance_cm": 170.0},
-    "oracle": {"nx": 2, "ny": 2, "num_states": 4, "instances": 3},
+    "oracle": {"instances": 3},
 }
 
 GOLDEN = {
-    "sweep": "369d65cabd39e75a15f92d0dcffe1d404d9c172503d8710e38d4447c78950c3a",
-    "codebook": "3f2dde0590a81795ff6dbd6396398d043c2ba522d43849fb3450115ca59061d5",
-    "grouping": "b2b301a3ad0ecb1e50bd6f7e66fd7c99bce2f9ff5d2fe0d0b82a89e7e1f2441d",
-    "oracle": "9a674b377c5026bd93f7672051788522196846f630e845a6a44da2f5b74c5713",
+    "sweep": "3068ee18408e4db414b3ad4797e168e37db5dd90a195da4cb589967a7dd2cdf1",
+    "codebook": "73f1102a49853dbb9f9da361cf0b5b62795b754233c6c4476a242c74997a3434",
+    "grouping": "bc61071e67526bf4a8cf890186428bd355424fbc9942b7dc03321f2b19444a2b",
+    "oracle": "d817f68b6f4128cb9f9f0b2ff3bcd6274ae738f98411a41137d1859eb7a00d1f",
 }
 
 

@@ -266,7 +266,7 @@ def test_enumerate_readings_reads_the_default_stack_and_the_3x2_panel_at_once():
     # the default oracle's first stack of 16 2x2 instances, and criterion 2's
     # largest panel, 4**6 = READ_BUDGET configurations
     cfg = ScenarioConfig()
-    oracle = cfg.oracle_layout()
+    oracle = RisLayout(2, 2, cfg.layout.spacing, carrier_hz=cfg.layout.carrier_hz)
     stack = READ_BUDGET // 4**oracle.n_active
     seeds = [derive_seed(cfg.seed, "oracle", i) for i in range(stack)]
     for lay, meter, shape in [
