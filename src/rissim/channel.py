@@ -218,8 +218,6 @@ def link(scene: Scene, layout: RisLayout, params: ChannelModelParams) -> Link:
         for term, sign in ((scene.tx, -1j), (scene.rx, 1j)):
             delta = layout.element_positions() - term.position
             d = np.sqrt(_dot3(delta, delta))
-            if np.any(d < 1e-9):
-                raise ValueError("terminal coincides with an element position")
             a = np.sqrt(gains_toward(term, delta / d[:, None])) * np.array([_pow(x, e) for x in d.tolist()])
             amp += [a, a]
             det += [w_det * (a * np.exp(sign * (2.0 * np.pi * d / layout.wavelength)))] * 2

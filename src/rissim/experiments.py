@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import statistics
 from dataclasses import dataclass
 from itertools import groupby
@@ -164,25 +163,24 @@ class ScenarioConfig:
         _distinct(self.grouping_sizes, "grouping_sizes")
         _distinct(self.grouping_angles_deg, "grouping_angles_deg")
         _distinct(self.codebook_angles_deg, "codebook_angles_deg")
-        # run_sweep checks each sweep point and still writes the good points'
-        # files; an empty codebook.path is fine, since training needs no replay
-        if not self.sweep_points:
-            raise ConfigError(f"{_KEYS['sweep_points']}: must not be empty")
+        _distinct(self.sweep_points, "sweep_points")
+        # an empty codebook.path is fine, since training needs no replay
         for field, check in (("full_scale", code_scale), ("noise_variance", _check_noise_variance)):
             try:
                 check(getattr(self, field))
             except ValueError as exc:
                 raise ConfigError(f"{_KEYS[field]}: {exc}") from exc
         # each spot with the fields of its angle (or list) and distance
-        spots = [("codebook_angles_deg", "codebook_distance_cm", a, self.codebook_distance_cm)
-                 for a in self.codebook_angles_deg]
+        spots = [("sweep_points", "sweep_points", a, d) for a, d in self.sweep_points]
+        spots += [("codebook_angles_deg", "codebook_distance_cm", a, self.codebook_distance_cm)
+                  for a in self.codebook_angles_deg]
         spots += [("path", "path", a, d) for a, d in self.path]
         spots += [("grouping_angles_deg", "grouping_distance_cm", a, self.grouping_distance_cm)
                   for a in self.grouping_angles_deg]
         where = "tx_angle_deg", "tx_distance_cm"
         try:
-            # the terminals check the tx spot, beamwidth and polarization, and
-            # a scene refuses a receiver outside it or on the tx spot
+            # the terminals check the tx spot, beamwidth and polarization, and a scene
+            # refuses a receiver outside it, on the tx spot or within 1e-9 m of the panel
             scene = self.base_scene()
             for *where, angle_deg, distance_cm in spots:
                 scene.with_rx_at(angle_deg, distance_cm)
@@ -249,9 +247,9 @@ def _same(value):
 
 
 def _int(value) -> int:
-    """An integer key: integral floats such as 4.0 pass, booleans and
-    fractions do not."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer key: integral numbers such as 4 or 4.0; no booleans,
+    strings or fractions."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -383,8 +381,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     for section, key, *_ in _SCHEMA:
         keys.setdefault(section, []).append(key)
     _require_keys(data, ["version", *(s or k for s, k, *_ in _SCHEMA)], "config")
-    if data.get("version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config version {data.get('version')!r}")
+    try:
+        version = _int(data.get("version", CONFIG_SCHEMA_VERSION))
+    except ConfigError as exc:
+        raise ConfigError(f"version: {exc}") from exc
+    if version != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config version {data['version']!r}")
     sections = {None: data}
     kw: dict = {}
     nested: dict = {}
@@ -503,24 +505,11 @@ def _spot_job(args):
 
 
 def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
-    """Greedy sweep over every configured point; per-point traces, a results
-    table, and a JSON summary with per-angle median gains."""
+    """Greedy sweep over every configured point, each on the noise key (seed, "sweep", its index);
+    per-point traces, a results table, and a JSON summary with per-angle median gains."""
     out = Path(out_dir)
-    scene = config.base_scene()
-    jobs, errors = {}, []
-    for i, point in enumerate(config.sweep_points):
-        try:
-            spot = float(point[0]), float(point[1])
-            scene.with_rx_at(*spot)  # outside the scene, or on the tx spot
-            if spot in jobs:  # its trace would overwrite the first one's
-                raise ValueError("repeats an earlier sweep point")
-        except (TypeError, ValueError, IndexError) as exc:
-            # strict JSON has no inf or nan; the config reads back "inf" and "nan"
-            errors.append({"point": [x if math.isfinite(x) else repr(x) for x in point], "error": str(exc)})
-        else:
-            jobs[spot] = (config, config.group_size, *spot, "sweep", i)
-
-    results = parallel_map(_spot_job, jobs.values(), parallel)
+    jobs = [(config, config.group_size, float(a), float(d), "sweep", i) for i, (a, d) in enumerate(config.sweep_points)]
+    results = parallel_map(_spot_job, jobs, parallel)
     rows = [row for row, _ in results]
     _write_csv(out / "results.csv", config, ["angle_deg", "distance_cm", *_SPOT_FIELDS], rows)
     _write_traces(out, config, "sweep", {_slug(r["angle_deg"], r["distance_cm"]): (r, t) for r, t in results})
@@ -528,7 +517,8 @@ def run_sweep(config: ScenarioConfig, out_dir, parallel: int = 1) -> dict:
     angle = itemgetter("angle_deg")
     by_angle = groupby(sorted(rows, key=angle), angle)
     medians = {_spot_key(a): statistics.median(r["gain_db"] for r in group) for a, group in by_angle}
-    summary = {"points": len(rows), "median_gain_db_by_angle": medians, "errors": errors}
+    # always []: perfbench/workloads.py reads the key; the ROADMAP's benchmark item drops both
+    summary = {"points": len(rows), "median_gain_db_by_angle": medians, "errors": []}
     _write_json(out / "summary.json", config, summary)
     return summary
 

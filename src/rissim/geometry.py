@@ -141,9 +141,10 @@ class Scene:
     rx: Terminal
 
     def __post_init__(self):
+        # every element lies in y = 0, so none is nearer than 1e-9 m; y spans a spot's keys
         for name, term in (("tx", self.tx), ("rx", self.rx)):
-            if not term.position[1] > 0:
-                raise ValueError(f"{name} must sit on the reflective side of the surface")
+            if not term.position[1] >= 1e-9:
+                raise SettingError(f"{name} must sit on the reflective side of the surface, at least 1e-9 m in front")
         if _length(self.rx.position - self.tx.position) < 1e-12:
             raise SettingError("tx and rx coincide")
 

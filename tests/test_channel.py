@@ -303,11 +303,10 @@ def test_rician_weights_preserve_envelope_scale():
 
 
 def test_terminal_on_element_rejected():
-    lay = RisLayout(nx=1, ny=1)
+    # 1e-10 m in front of the center element
     scene = make_scene(rx_angle_deg=90.0, rx_distance_cm=100.0)
-    bad = scene.with_rx_at(90.0, 1e-8)
-    with pytest.raises(ValueError):
-        synthesize_channels(bad, lay, ChannelModelParams(), 0)
+    with pytest.raises(ValueError, match="reflective side"):
+        scene.with_rx_at(90.0, 1e-8)
 
 
 def test_cross_pol_coupling_mixes_power():

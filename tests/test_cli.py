@@ -42,6 +42,19 @@ def config_path(tmp_path):
     return p
 
 
+def _refused_at_load(tmp_path, capsys, config: dict, message: str, parallel: int = 1) -> None:
+    """Every runner exits 2 on config with the one line error: message, and writes nothing."""
+    p = tmp_path / "refused.json"
+    # json writes NaN and Infinity, which load_config reads back
+    p.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    for command in _COMMANDS:
+        assert cli.main([command, "--config", str(p), "--out", str(out), "--parallel", str(parallel)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: {message}\n", ""), command
+        assert not out.exists()
+
+
 def test_sweep_exits_zero_and_writes(tmp_path, config_path, capsys):
     rc = cli.main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert rc == 0
@@ -66,14 +79,9 @@ def test_bad_config_exits_two(tmp_path):
 
 
 def test_bad_sweep_point_exits_two(tmp_path, capsys):
-    p = tmp_path / "bad_point.json"
-    p.write_text(json.dumps({**SMALL, "sweep": {"points": [[200.0, 50.0]]}}))
-    rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert (tmp_path / "out" / "results.csv").exists()
-    captured = capsys.readouterr()
-    assert "outside the scene" in captured.err
-    assert "wrote" not in captured.out
+    # a sweep point is checked at load, with the other spots, by every runner
+    config = {**SMALL, "sweep": {"points": [[70.0, 170.0], [200.0, 50.0]]}}
+    _refused_at_load(tmp_path, capsys, config, "sweep.points: point (200.0, 50.0) is outside the scene")
 
 
 def test_missing_codebook_exits_two(tmp_path, config_path):
@@ -191,6 +199,7 @@ def test_parallel_below_one_is_rejected(tmp_path, capsys, value):
             {"codebook": {**SMALL["codebook"], "reference_distance_cm": float("inf")}},
             "codebook.reference_distance_cm: point (70.0, inf)",
         ),
+        ("sweep", {"sweep": {"points": [[70.0, 170.0], [200.0, 50.0]]}}, "sweep.points: point (200.0, 50.0)"),
     ],
 )
 def test_point_outside_scene_exits_two(tmp_path, capsys, command, section, message):
@@ -239,6 +248,18 @@ def test_config_error_names_its_key(tmp_path, capsys, section, key, value):
     assert not out.exists()
 
 
+# a grouping spot 1e-10 m in front of the center element of a 3x3 panel
+_NEAR_ELEMENT = {
+    "layout": {"nx": 3, "ny": 3, "disabled": []},
+    "grouping": {"group_sizes": [1], "angles_deg": [90], "distance_cm": 1e-8},
+}
+
+
+def test_spot_within_1e_9_m_of_the_panel_exits_two(tmp_path, capsys):
+    message = "grouping: rx must sit on the reflective side of the surface, at least 1e-9 m in front"
+    _refused_at_load(tmp_path, capsys, _NEAR_ELEMENT, message)
+
+
 # A value a key cannot take, or a flag's value, is reported under that key;
 # a rule that spans keys (Nyquist, nx/ny, tx/rx coincidence) under its
 # section; a spot under its distance key when the distance is out, else
@@ -277,6 +298,11 @@ def test_config_error_names_its_key(tmp_path, capsys, section, key, value):
         ({"layout": {**SMALL["layout"], "disabled": [[5, 0]]}}, [], "layout.disabled"),
         ({"channel": {"cross_pol_coupling": 1.5}}, [], "channel.cross_pol_coupling"),
         ({"channel": {"path_loss_exponent": 0.5}}, [], "channel.path_loss_exponent"),
+        ({"sweep": {"points": [[190, 170]]}}, [], "sweep.points"),
+        ({"sweep": {"points": [[90, -5]]}}, [], "sweep.points"),
+        ({"sweep": {"points": [[78, 100]]}}, [], "sweep"),
+        # less than 1e-9 m in front of the panel: y spans the angle and the distance
+        (_NEAR_ELEMENT, [], "grouping"),
     ],
 )
 def test_every_config_error_names_its_key(tmp_path, capsys, settings, flags, key):
@@ -491,6 +517,7 @@ _VALUE_POOL = [
     0,
     -1.0,
     5e-324,
+    1e-8,  # as a distance in cm, or an angle in degrees, less than 1e-9 m in front of the panel
     1e300,
     math.inf,
     -math.inf,
@@ -527,9 +554,8 @@ def _fuzz_config(mutations):
 
 
 def _check_runners_on(config, root: Path):
-    """Every runner exits 0 or 2; a 2 prints error: lines and nothing else
-    on stderr (one line, except sweep's one per bad point), and every JSON
-    file written is strict JSON."""
+    """Every runner exits 0 or 2; a 2 prints one error: line and nothing else
+    on stderr, and every JSON file written is strict JSON."""
     path = root / "fuzz.json"
     # json writes NaN and Infinity, which load_config reads back
     path.write_text(json.dumps(config))
@@ -542,7 +568,7 @@ def _check_runners_on(config, root: Path):
         assert rc in (0, 2), (command, rc)
         assert (rc == 2) == bool(lines), (command, lines)
         assert all(line.startswith("error: ") for line in lines), (command, lines)
-        assert command == "sweep" or len(lines) <= 1, (command, lines)
+        assert len(lines) <= 1, (command, lines)
         for written in out.rglob("*.json"):
             _strict_json(written.read_text())
         shutil.rmtree(out, ignore_errors=True)
@@ -597,49 +623,21 @@ def test_empty_codebook_exits_two(tmp_path, capsys, section, book, message):
     assert not out.exists()
 
 
-def test_infinite_sweep_point_is_a_per_point_error(tmp_path, capsys):
-    p = tmp_path / "mixed_points.json"
-    p.write_text(json.dumps({**SMALL, "sweep": {"points": [[70.0, 170.0], [90.0, float("inf")]]}}))
-    rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "error: point [90.0, inf]: point (90.0, inf) is outside the scene" in capsys.readouterr().err
-    # strict JSON, with the point as the config reads it back
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert [e["point"] for e in summary["errors"]] == [[90.0, "inf"]]
-    assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 3
-    assert (tmp_path / "out" / "traces" / "sweep_a70_d170.csv").exists()
-
-
-def _sweep_rows(config: dict, out: Path, parallel: int = 1):
-    """(exit code, results.csv rows) of one sweep run on config."""
-    p = out.parent / f"{out.name}.json"
-    p.write_text(json.dumps(config))
-    rc = cli.main(["sweep", "--config", str(p), "--out", str(out), "--parallel", str(parallel)])
-    return rc, (out / "results.csv").read_text().splitlines()[2:]
+def test_infinite_sweep_point_is_a_config_error(tmp_path, capsys):
+    points = [[70.0, 170.0], [90.0, float("inf")]]
+    message = "sweep.points: point (90.0, inf) is outside the scene"
+    _refused_at_load(tmp_path, capsys, {**SMALL, "sweep": {"points": points}}, message)
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
-def test_repeated_sweep_point_is_a_per_point_error(tmp_path, capsys, parallel):
-    # default noise, so a point that ran under another noise key would read differently
-    noisy = {**SMALL, "channel": {}}
-    points = [[70.0, 170.0], [70.0, 170.0], [110.0, 220.0], [110, 220.0]]
-    rc, rows = _sweep_rows({**noisy, "sweep": {"points": points}}, tmp_path / "out", parallel)
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: point [70.0, 170.0]: repeats an earlier sweep point\n"
-        "error: point [110.0, 220.0]: repeats an earlier sweep point\n"
-    )
-    assert sorted(t.name for t in (tmp_path / "out" / "traces").iterdir()) == [
-        "sweep_a110_d220.csv",
-        "sweep_a70_d170.csv",
-    ]
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["points"] == 2 and len(summary["errors"]) == 2
-    # each first occurrence keeps the noise key of its own index in sweep.points
-    _, first = _sweep_rows({**noisy, "sweep": {"points": points[:1]}}, tmp_path / "first")
-    others = [[130.0, 220.0], [50.0, 220.0], points[2]]
-    _, third = _sweep_rows({**noisy, "sweep": {"points": others}}, tmp_path / "third")
-    assert rows == [first[0], third[2]]
+def test_repeated_sweep_point_is_a_config_error(tmp_path, capsys, parallel):
+    # an integer coordinate repeats its float spelling too
+    for points, listed in (
+        ([[70.0, 170.0], [70.0, 170.0]], "[(70.0, 170.0), (70.0, 170.0)]"),
+        ([[110.0, 220.0], [50.0, 220.0], [110, 220.0]], "[(110.0, 220.0), (50.0, 220.0), (110.0, 220.0)]"),
+    ):
+        config = {**SMALL, "sweep": {"points": points}}
+        _refused_at_load(tmp_path, capsys, config, f"sweep.points: must not repeat: {listed}", parallel)
 
 
 @pytest.mark.parametrize(
@@ -695,14 +693,10 @@ def test_receiver_on_the_tx_spot_exits_two(tmp_path, capsys, commands, section):
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
-def test_sweep_point_on_the_tx_spot_is_a_per_point_error(tmp_path, capsys, parallel):
-    p = tmp_path / "on_tx.json"
-    p.write_text(json.dumps({**SMALL, "sweep": {"points": [[78.0, 100.0], [70.0, 170.0]]}}))
-    out = tmp_path / "out"
-    assert cli.main(["sweep", "--config", str(p), "--out", str(out), "--parallel", str(parallel)]) == 2
-    assert capsys.readouterr().err == "error: point [78.0, 100.0]: tx and rx coincide\n"
-    assert len((out / "results.csv").read_text().splitlines()) == 3
-    assert [t.name for t in (out / "traces").iterdir()] == ["sweep_a70_d170.csv"]
+def test_sweep_point_on_the_tx_spot_is_a_config_error(tmp_path, capsys, parallel):
+    # SMALL's tx sits at 78 deg, 100 cm; the rule spans keys, so it names the section
+    config = {**SMALL, "sweep": {"points": [[78.0, 100.0], [70.0, 170.0]]}}
+    _refused_at_load(tmp_path, capsys, config, "sweep: tx and rx coincide", parallel)
 
 
 # a codebook for SMALL's layout that loads

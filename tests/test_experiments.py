@@ -102,6 +102,10 @@ def test_rician_inf_accepted():
         {"oracle": {"instances": 2.5}},
         {"layout": {"nx": 4.7}},
         {"tone": {"buffer_len": True}},
+        {"seed": "7"},
+        {"layout": {"nx": "4"}},
+        {"oracle": {"instances": " 3 "}},
+        {"version": True},
     ],
 )
 def test_integer_keys_reject_fractions_and_booleans(data):
@@ -262,12 +266,12 @@ def test_run_sweep_outputs(tmp_path):
     assert "70" in summary_json["median_gain_db_by_angle"]
 
 
-def test_run_sweep_collects_bad_points(tmp_path):
-    cfg = config_from_dict({**SMALL, "sweep": {"points": [[70.0, 170.0], [200.0, 50.0]]}})
-    summary = run_sweep(cfg, tmp_path / "sweep")
-    assert summary["points"] == 1
-    assert len(summary["errors"]) == 1
-    assert "200" in summary["errors"][0]["error"]
+def test_bad_sweep_point_is_a_config_error():
+    points = ((70.0, 170.0), (200.0, 50.0))
+    with pytest.raises(ConfigError, match=re.escape("sweep.points: point (200.0, 50.0) is outside the scene")):
+        config_from_dict({**SMALL, "sweep": {"points": [list(p) for p in points]}})
+    with pytest.raises(ConfigError, match="sweep.points"):
+        dataclasses.replace(_small_config(), sweep_points=points)
 
 
 def test_run_sweep_is_byte_deterministic(tmp_path):
@@ -411,13 +415,13 @@ def test_spots_that_print_alike_keep_their_own_traces_and_keys(tmp_path):
 
 
 def test_spot_rows_follow_the_configured_noise_keys(tmp_path):
-    # sizes and angles out of order, no size 1, and a rejected sweep point in
-    # the middle: every row is measure_spot at its configured-order index
+    # sizes and angles out of order, and no size 1: every row is
+    # measure_spot at its configured-order index
     cfg = config_from_dict(
         {
             **SMALL,
             "channel": {},  # noise on, so a wrong noise key moves the readings
-            "sweep": {"points": [[70.0, 170.0], [200.0, 50.0], [110.0, 220.0]]},
+            "sweep": {"points": [[70.0, 170.0], [110.0, 220.0]]},
             "grouping": {"group_sizes": [8, 2, 4], "angles_deg": [130.0, 70.0, 90.0], "distance_cm": 150.0},
         }
     )
@@ -430,12 +434,12 @@ def test_spot_rows_follow_the_configured_noise_keys(tmp_path):
         return [float(row[f]) for f in fields[:-1]] + [int(row[fields[-1]])]
 
     sweep = run_sweep(cfg, tmp_path / "sweep")
-    assert sweep["errors"] == [{"point": [200.0, 50.0], "error": "point (200.0, 50.0) is outside the scene"}]
+    assert sweep["errors"] == []
     rows = list(csv.DictReader(_read_lines(tmp_path / "sweep" / "results.csv")[1:]))
     fields = ["angle_deg", "distance_cm", "p_baseline_dbfs", "p_final_dbfs", "gain_db", "measurements"]
     assert [read(r, fields) for r in rows] == [
         [70.0, 170.0, *measured(1, 70.0, 170.0, "sweep", 0)],
-        [110.0, 220.0, *measured(1, 110.0, 220.0, "sweep", 2)],
+        [110.0, 220.0, *measured(1, 110.0, 220.0, "sweep", 1)],
     ]
 
     summary = run_grouping_experiment(cfg, tmp_path / "grp")

@@ -147,7 +147,7 @@ def test_element_positions_lie_in_surface_plane():
 
 def test_scene_rejects_terminal_off_the_reflective_side():
     scene = make_scene()
-    for y in (-0.5, 0.0):
+    for y in (-0.5, 0.0, 5e-10):
         rx = Terminal(np.array([0.3, y, 0.0]), scene.rx.boresight)
         with pytest.raises(ValueError, match="reflective side"):
             Scene(scene.tx, rx)
