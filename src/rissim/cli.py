@@ -61,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_group = sub.add_parser("grouping", help="compare element grouping sizes")
     _add_common(p_group)
-    p_group.add_argument(
-        "--group-sizes",
-        metavar="LIST",
-        help='comma-separated sizes, e.g. "1,2,4" (default: the config\'s grouping.group_sizes)',
-    )
 
     p_oracle = sub.add_parser("oracle-check", help="greedy vs. exhaustive search on a 2x2 panel")
     _add_common(p_oracle)
@@ -77,12 +72,6 @@ def _build_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if getattr(args, "group_sizes", None) is not None:
-        try:
-            sizes = tuple(int(s) for s in args.group_sizes.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --group-sizes value {args.group_sizes!r}") from exc
-        config = dataclasses.replace(config, grouping_sizes=sizes)
     return config
 
 

@@ -228,9 +228,9 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         out: dict = {"version": CONFIG_SCHEMA_VERSION}
-        for section, key, field, _, dump in _SCHEMA:
+        for section, key, field, _ in _SCHEMA:
             target = out if section is None else out.setdefault(section, {})
-            target[key] = dump(attrgetter(field)(self))
+            target[key] = _plain(attrgetter(field)(self))
         return out
 
     def config_hash(self) -> str:
@@ -242,10 +242,6 @@ class ScenarioConfig:
 # config schema
 
 
-def _same(value):
-    return value
-
-
 def _int(value) -> int:
     """An integer key: integral numbers such as 4 or 4.0; no booleans,
     strings or fractions."""
@@ -254,29 +250,18 @@ def _int(value) -> int:
     return int(value)
 
 
-def _not_bool(value):
-    """value itself, unless it is a boolean, which Python would read as 0 or 1."""
-    if isinstance(value, bool):
-        raise ConfigError(f"expected a number, got {value!r}")
-    return value
-
-
 def _number(value):
     """A number key kept as written, so an integer keeps its config_hash; no
     booleans, strings or lists."""
-    if not isinstance(_not_bool(value), (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}")
     return value
 
 
 def _float(value) -> float:
-    """A float key: numbers and numeric strings such as "inf"; no booleans."""
-    return float(_not_bool(value))
-
-
-def _optional(parse):
-    """parse, except that null keeps the default."""
-    return lambda value: None if value is None else parse(value)
+    """A float key: a number, or the string "inf" or "-inf"; no booleans or
+    other strings."""
+    return float(value if value in ("inf", "-inf") else _number(value))
 
 
 def _floats(values) -> tuple:
@@ -291,28 +276,25 @@ def _points(values) -> tuple:
     return tuple((_float(a), _float(d)) for a, d in values)
 
 
-def _point_lists(points) -> list:
-    return [list(p) for p in points]
-
-
-_CONTROLLER_CORNER = "controller-corner"
-
-
-def _cells(values):
-    if values == _CONTROLLER_CORNER:
-        return values
+def _cells(values) -> frozenset:
     return frozenset((_int(r), _int(c)) for r, c in values)
 
 
-def _cell_lists(cells) -> list:
-    return sorted([list(c) for c in cells])
+def _plain(value):
+    """value as JSON writes it: a tuple or list as a list, and a cell set as
+    its sorted list of [row, col]."""
+    if isinstance(value, frozenset):
+        return sorted(_plain(cell) for cell in value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
 
 
-def _layout(disabled=_CONTROLLER_CORNER, **fields) -> RisLayout:
-    """RisLayout from its config fields. "controller-corner", also the
-    default, disables the top-right 2x2 block of the final nx x ny grid."""
-    if disabled != _CONTROLLER_CORNER:
-        return RisLayout(disabled=disabled, **fields)
+def _layout(**fields) -> RisLayout:
+    """RisLayout from its config fields; without disabled, the top-right 2x2
+    block of the final nx x ny grid is disabled."""
+    if "disabled" in fields:
+        return RisLayout(**fields)
     shape = RisLayout(**fields)
     try:
         return RisLayout(disabled=controller_corner(shape.nx, shape.ny), **fields)
@@ -321,44 +303,43 @@ def _layout(disabled=_CONTROLLER_CORNER, **fields) -> RisLayout:
         raise SettingError(str(exc)) from exc
 
 
-# (section, key, ScenarioConfig field, parse, dump), one row per config key.
+# (section, key, ScenarioConfig field, parse), one row per config key.
 # section None is the top level; a dotted field names a field of a nested
-# parameter object, built from its collected fields. A missing key, or a
-# parse result of None (null where _optional allows it), keeps the default.
+# parameter object, built from its collected fields. A missing key keeps
+# the default, and to_dict writes each value through _plain.
 _SCHEMA = (
-    (None, "seed", "seed", _int, _same),
-    ("layout", "nx", "layout.nx", _int, _same),
-    ("layout", "ny", "layout.ny", _int, _same),
-    # RisLayout checks its range, and null means lambda/2
-    ("layout", "spacing_m", "layout.spacing", _optional(_number), _same),
-    ("layout", "disabled", "layout.disabled", _cells, _cell_lists),
-    ("layout", "carrier_hz", "layout.carrier_hz", _float, _same),
-    ("scene", "tx_angle_deg", "tx_angle_deg", _float, _same),
-    ("scene", "tx_distance_cm", "tx_distance_cm", _float, _same),
-    ("scene", "half_beamwidth_deg", "half_beamwidth_deg", _float, _same),
-    ("scene", "polarization", "polarization", _float, _same),
-    ("channel", "path_loss_exponent", "channel.path_loss_exponent", _float, _same),
-    # _float also reads the string "inf"
-    ("channel", "rician_k_db", "channel.rician_k_db", _float, _same),
+    (None, "seed", "seed", _int),
+    ("layout", "nx", "layout.nx", _int),
+    ("layout", "ny", "layout.ny", _int),
+    # RisLayout checks its range, and a missing key means lambda/2
+    ("layout", "spacing_m", "layout.spacing", _number),
+    ("layout", "disabled", "layout.disabled", _cells),
+    ("layout", "carrier_hz", "layout.carrier_hz", _float),
+    ("scene", "tx_angle_deg", "tx_angle_deg", _float),
+    ("scene", "tx_distance_cm", "tx_distance_cm", _float),
+    ("scene", "half_beamwidth_deg", "half_beamwidth_deg", _float),
+    ("scene", "polarization", "polarization", _float),
+    ("channel", "path_loss_exponent", "channel.path_loss_exponent", _float),
+    ("channel", "rician_k_db", "channel.rician_k_db", _float),
     # the receiver's noise, which meter() hands to TonePowerMeter
-    ("channel", "noise_variance", "noise_variance", _optional(_float), _same),
-    ("channel", "cross_pol_coupling", "channel.cross_pol_coupling", _float, _same),
-    ("tone", "tone_hz", "tone.tone_hz", _float, _same),
-    ("tone", "sample_rate_hz", "tone.sample_rate_hz", _float, _same),
-    ("tone", "buffer_len", "tone.buffer_len", _int, _same),
-    ("tone", "tx_amplitude", "tone.tx_amplitude", _float, _same),
-    ("receiver", "full_scale", "full_scale", _optional(_float), _same),
-    ("ris", "element_amplitude", "element_amplitude", _float, _same),
-    ("optimizer", "num_states", "num_states", _int, _same),
-    ("optimizer", "group_size", "group_size", _int, _same),
-    ("sweep", "points", "sweep_points", _optional(_points), _point_lists),
-    ("codebook", "reference_angles_deg", "codebook_angles_deg", _floats, list),
-    ("codebook", "reference_distance_cm", "codebook_distance_cm", _float, _same),
-    ("codebook", "path", "path", _optional(_points), _point_lists),
-    ("grouping", "group_sizes", "grouping_sizes", _ints, list),
-    ("grouping", "angles_deg", "grouping_angles_deg", _floats, list),
-    ("grouping", "distance_cm", "grouping_distance_cm", _float, _same),
-    ("oracle", "instances", "oracle_instances", _int, _same),
+    ("channel", "noise_variance", "noise_variance", _float),
+    ("channel", "cross_pol_coupling", "channel.cross_pol_coupling", _float),
+    ("tone", "tone_hz", "tone.tone_hz", _float),
+    ("tone", "sample_rate_hz", "tone.sample_rate_hz", _float),
+    ("tone", "buffer_len", "tone.buffer_len", _int),
+    ("tone", "tx_amplitude", "tone.tx_amplitude", _float),
+    ("receiver", "full_scale", "full_scale", _float),
+    ("ris", "element_amplitude", "element_amplitude", _float),
+    ("optimizer", "num_states", "num_states", _int),
+    ("optimizer", "group_size", "group_size", _int),
+    ("sweep", "points", "sweep_points", _points),
+    ("codebook", "reference_angles_deg", "codebook_angles_deg", _floats),
+    ("codebook", "reference_distance_cm", "codebook_distance_cm", _float),
+    ("codebook", "path", "path", _points),
+    ("grouping", "group_sizes", "grouping_sizes", _ints),
+    ("grouping", "angles_deg", "grouping_angles_deg", _floats),
+    ("grouping", "distance_cm", "grouping_distance_cm", _float),
+    ("oracle", "instances", "oracle_instances", _int),
 )
 # the config key of each ScenarioConfig field (a nested object's dotted),
 # and the section of each field or nested object
@@ -390,7 +371,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     sections = {None: data}
     kw: dict = {}
     nested: dict = {}
-    for section, key, field, parse, _ in _SCHEMA:
+    for section, key, field, parse in _SCHEMA:
         if section not in sections:
             sections[section] = data.get(section, {})
             if not isinstance(sections[section], dict):
@@ -400,11 +381,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         fields = nested.setdefault(head, {}) if attr else kw
         if key in sections[section]:
             try:
-                value = parse(sections[section][key])
+                fields[attr or field] = parse(sections[section][key])
             except (TypeError, ValueError, KeyError, OverflowError) as exc:
                 raise ConfigError(f"{key if section is None else f'{section}.{key}'}: {exc}") from exc
-            if value is not None:
-                fields[attr or field] = value
     for head, fields in nested.items():
         cls = type(getattr(ScenarioConfig, head))
         try:
@@ -418,12 +397,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also bytes that are not text, an integer past int()'s digit limit,
+        # and arrays nested past the recursion limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
@@ -574,7 +553,7 @@ def run_codebook_experiment(
     if load_codebook is not None:
         try:
             book = Codebook.load(load_codebook, config)
-        except (OSError, ValueError, KeyError, OverflowError) as exc:
+        except (OSError, ValueError, KeyError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"cannot load codebook: {exc}") from exc
     else:
         refs = [(a, config.codebook_distance_cm) for a in config.codebook_angles_deg]

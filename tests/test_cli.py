@@ -109,24 +109,23 @@ def test_codebook_and_grouping_and_oracle_run(tmp_path, config_path):
     assert (tmp_path / "o" / "gaps.csv").exists()
 
 
-def test_group_sizes_flag(tmp_path, config_path):
-    rc = cli.main(
-        [
-            "grouping",
-            "--config",
-            str(config_path),
-            "--group-sizes",
-            "1,4",
-            "--out",
-            str(tmp_path / "g"),
-        ]
-    )
-    assert rc == 0
+def test_group_sizes_key_picks_the_grouping_rows(tmp_path):
+    p = tmp_path / "sizes.json"
+    p.write_text(json.dumps({**SMALL, "grouping": {**SMALL["grouping"], "group_sizes": [1, 4]}}))
+    assert cli.main(["grouping", "--config", str(p), "--out", str(tmp_path / "g")]) == 0
     lines = (tmp_path / "g" / "grouping.csv").read_text().splitlines()
     sizes = [row.split(",")[1] for row in lines[2:]]
     assert sizes == ["1", "4"]
-    assert cli.main(["grouping", "--group-sizes", "1,x", "--out", str(tmp_path / "g2")]) == 2
-    assert cli.main(["grouping", "--group-sizes", "1,3", "--out", str(tmp_path / "g3")]) == 2
+
+
+def test_group_sizes_flag_is_refused(tmp_path, capsys):
+    # grouping.group_sizes is the one way to pick sizes
+    out = tmp_path / "g"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["grouping", "--group-sizes", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --group-sizes 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_assertion_failure_exits_three(tmp_path, config_path, monkeypatch):
@@ -211,15 +210,6 @@ def test_point_outside_scene_exits_two(tmp_path, capsys, command, section, messa
     assert not (tmp_path / "out").exists()
 
 
-def test_repeated_group_sizes_flag_exits_two(tmp_path, capsys, config_path):
-    rc = cli.main(
-        ["grouping", "--config", str(config_path), "--group-sizes", "8,8", "--out", str(tmp_path / "g")]
-    )
-    assert rc == 2
-    assert capsys.readouterr().err == "error: grouping.group_sizes: must not repeat: [8, 8]\n"
-    assert not (tmp_path / "g").exists()
-
-
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -272,7 +262,8 @@ def test_spot_within_1e_9_m_of_the_panel_exits_two(tmp_path, capsys):
         ({"ris": {"element_amplitude": 0.0}}, [], "ris.element_amplitude"),
         ({"optimizer": {"group_size": 3}}, [], "optimizer.group_size"),
         ({"grouping": {**SMALL["grouping"], "group_sizes": [3]}}, [], "grouping.group_sizes"),
-        ({}, ["--group-sizes", "1,3"], "grouping.group_sizes"),
+        ({"grouping": {**SMALL["grouping"], "group_sizes": [8, 8]}}, [], "grouping.group_sizes"),
+        ({"grouping": {**SMALL["grouping"], "group_sizes": [1, "x"]}}, [], "grouping.group_sizes"),
         ({}, ["--seed", "-1"], "seed"),
         ({"channel": {"noise_variance": -1.0}}, [], "channel.noise_variance"),
         ({"receiver": {"full_scale": -1.0}}, [], "receiver.full_scale"),
@@ -534,7 +525,7 @@ _VALUE_POOL = [
 _SMALL_INT_POOL = [-1, 0, 1, 2, 3, True, None, "2", 1.5]
 _MUTATIONS = [
     (section, key, value)
-    for section, key, _, parse, _ in experiments._SCHEMA
+    for section, key, _, parse in experiments._SCHEMA
     for value in (_SMALL_INT_POOL if parse is experiments._int else _VALUE_POOL)
 ]
 
@@ -546,8 +537,8 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def _fuzz_config(mutations):
-    config = copy.deepcopy(_FUZZ_BASE)
+def _fuzz_config(mutations, base=_FUZZ_BASE):
+    config = copy.deepcopy(base)
     for section, key, value in mutations:
         (config if section is None else config.setdefault(section, {}))[key] = value
     return config
@@ -587,6 +578,68 @@ def _every_single_mutation(test):
 @given(mutations=st.lists(st.sampled_from(_MUTATIONS), min_size=2, max_size=2))
 def test_no_config_makes_a_runner_crash(tmp_path_factory, mutations):
     _check_runners_on(_fuzz_config(mutations), tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=200, deadline=None)
+@_every_single_mutation
+@given(mutations=st.lists(st.sampled_from(_MUTATIONS), min_size=2, max_size=2))
+def test_every_accepted_config_reads_back_from_its_dump(mutations):
+    """to_dict writes every key in the form config_from_dict reads: a config
+    that loads comes back equal, under the same config_hash."""
+    # one disabled cell, so that the cell set is written too
+    base = {**_FUZZ_BASE, "layout": {**_FUZZ_BASE["layout"], "disabled": [[1, 0]]}}
+    try:
+        config = experiments.config_from_dict(_fuzz_config(mutations, base))
+    except experiments.ConfigError:
+        return
+    # json writes infinities as Infinity, which json.loads reads back
+    again = experiments.config_from_dict(json.loads(json.dumps(config.to_dict())))
+    assert again == config
+    assert again.config_hash() == config.config_hash()
+
+
+# Leaving a key out keeps its default; null, and the old "controller-corner"
+# spelling of the default disabled cells, are errors under their key.
+@pytest.mark.parametrize(
+    "section, key, value, rule",
+    [
+        ("layout", "spacing_m", None, "expected a number, got None"),
+        ("channel", "noise_variance", None, "expected a number, got None"),
+        ("receiver", "full_scale", None, "expected a number, got None"),
+        ("sweep", "points", None, "'NoneType' object is not iterable"),
+        ("codebook", "path", None, "'NoneType' object is not iterable"),
+        ("layout", "disabled", "controller-corner", "not enough values to unpack (expected 2, got 1)"),
+    ],
+)
+def test_null_and_controller_corner_are_config_errors(tmp_path, capsys, section, key, value, rule):
+    config = {**SMALL, section: {**SMALL.get(section, {}), key: value}}
+    _refused_at_load(tmp_path, capsys, config, f"{section}.{key}: {rule}")
+
+
+# bytes that are not UTF-8, an integer past int()'s 4300-digit limit, and
+# arrays nested past the recursion limit
+_MALFORMED_FILES = [
+    b'{"seed": 7, "x": "\xff"}',
+    b'{"seed": ' + b"1" * 5000 + b"}",
+    b"[" * 100_000,
+]
+
+
+@pytest.mark.parametrize("content", _MALFORMED_FILES, ids=["not-utf8", "long-integer", "deep-nesting"])
+def test_malformed_input_file_exits_two(tmp_path, capsys, config_path, content):
+    bad = tmp_path / "malformed.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    for command in _COMMANDS:
+        assert cli.main([command, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and err.count("\n") == 1, (command, err)
+        assert not out.exists()
+    args = ["codebook", "--config", str(config_path), "--load-codebook", str(bad), "--out", str(out)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load codebook: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 # the codebook.json metadata of a SMALL training run
@@ -926,22 +979,10 @@ def test_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, config_path,
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{busy / 'summary.json'}'\n"
 
 
-def test_empty_group_sizes_flag_exits_two(tmp_path, capsys, config_path):
-    out = tmp_path / "g"
-    assert cli.main(["grouping", "--config", str(config_path), "--group-sizes=", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: bad --group-sizes value ''\n"
-    assert not out.exists()
-
-
 def _subcommands() -> dict:
     """build_parser()'s subparsers by name."""
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return sub.choices
-
-
-def test_group_sizes_help_names_the_config_key():
-    help_text = " ".join(_subcommands()["grouping"].format_help().split())
-    assert "(default: the config's grouping.group_sizes)" in help_text
 
 
 def test_readme_flags_name_the_parser_options():
@@ -950,7 +991,7 @@ def test_readme_flags_name_the_parser_options():
     _, table, extra, *_ = readme.split("Common flags:", 1)[1].split("\n\n")
     common = set(re.findall(r"^\| `(--[\w-]+)", table, re.M))
     extras = re.findall(r"`([\w-]+)`\s+(?:additionally\s+)?takes\s+`(--[\w-]+)", extra)
-    assert extras == [("codebook", "--load-codebook"), ("grouping", "--group-sizes")]
+    assert extras == [("codebook", "--load-codebook")]
     for name, parser in _subcommands().items():
         options = {o for a in parser._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
         assert options == common | {flag for command, flag in extras if command == name}, name

@@ -122,11 +122,24 @@ def test_integer_keys_reject_fractions_and_booleans(data):
         {"receiver": {"full_scale": True}},
         {"codebook": {"reference_angles_deg": [70.0, True]}},
         {"sweep": {"points": [[True, 170.0]]}},
+        # the strings "inf" and "-inf" are the only ones a float key takes
+        {"tone": {"tone_hz": " 1_000 "}},
+        {"scene": {"polarization": "0.25"}},
+        {"channel": {"rician_k_db": "nan"}},
+        {"channel": {"rician_k_db": "Infinity"}},
+        {"channel": {"rician_k_db": " inf"}},
+        {"codebook": {"reference_angles_deg": ["70"]}},
+        {"sweep": {"points": [["70", 170.0]]}},
     ],
 )
-def test_float_keys_reject_booleans(data):
-    with pytest.raises(ConfigError, match="expected a number, got (True|False)"):
+def test_float_keys_reject_booleans_and_strings(data):
+    with pytest.raises(ConfigError, match="expected a number, got "):
         config_from_dict(data)
+
+
+def test_float_keys_take_minus_inf():
+    cfg = config_from_dict({"channel": {"rician_k_db": "-inf"}})
+    assert cfg == config_from_dict({"channel": {"rician_k_db": -math.inf}})
 
 
 def test_spacing_is_kept_as_written():
